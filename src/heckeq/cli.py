@@ -12,20 +12,16 @@ Subcommands expose every capability with table and JSON output:
 JSON output is deterministic (sorted keys, canonical polynomial
 strings).  Exit status is 0 exactly when the command succeeded; failed
 verification or validation errors exit nonzero, with a machine-readable
-``error`` field in JSON mode.  If HECKEQ_CACHE_DIR is set, structure
-constants and dimension memos persist there between invocations as
-versioned JSON.
+``error`` field in JSON mode.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
-from . import diagrams, symgroup
 from .diagrams import YoungDiagram, dimension, partitions
 from .hecke_oracle import (
     MAX_ORACLE_N,
@@ -45,12 +41,7 @@ from .suq import (
     hecke_casimir_correspondence,
     irrep_from_casimir,
 )
-from .symgroup import (
-    MAX_PROJECTOR_N,
-    build_projector,
-    character_table_json,
-    cycle_type_to_string,
-)
+from .symgroup import character_table_json
 from .traces import (
     doubly_connected_traces,
     murphy_product_trace,
@@ -58,10 +49,6 @@ from .traces import (
     murphy_traces,
     simply_connected_trace,
 )
-
-CACHE_ENV = "HECKEQ_CACHE_DIR"
-CACHE_FILE = "heckeq_cache.json"
-CACHE_VERSION = 1
 
 MAX_VERIFY_N = 6
 MAX_CHARACTER_TABLE_N = 8
@@ -92,50 +79,6 @@ def _parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly.from_string(text)
 
 
-# -- persistent memo cache ---------------------------------------------
-
-
-def _cache_path() -> str | None:
-    directory = os.environ.get(CACHE_ENV)
-    if not directory:
-        return None
-    return os.path.join(directory, CACHE_FILE)
-
-
-def load_caches() -> None:
-    path = _cache_path()
-    if not path or not os.path.exists(path):
-        return
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict) or data.get("version") != CACHE_VERSION:
-            return
-        symgroup.import_structure_constants(data.get("structure_constants", {}))
-        diagrams.import_dimension_memo(data.get("dimensions", {}))
-    except (OSError, json.JSONDecodeError, TypeError) as exc:
-        print(f"warning: ignoring unreadable cache at {path}: {exc}", file=sys.stderr)
-
-
-def save_caches() -> None:
-    path = _cache_path()
-    if not path:
-        return
-    payload = {
-        "version": CACHE_VERSION,
-        "structure_constants": symgroup.export_structure_constants(),
-        "dimensions": diagrams.export_dimension_memo(),
-    }
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(tmp, path)
-    except OSError as exc:
-        print(f"warning: could not persist cache at {path}: {exc}", file=sys.stderr)
-
-
 # -- oracle verification suite ------------------------------------------
 
 
@@ -147,8 +90,6 @@ def oracle_checks(n: int, q0: Fraction) -> dict[str, bool]:
     regular traces equal to squared dimensions), and agreement of the
     symbolic connected and doubly-connected traces with the oracle.
     """
-    from .traces import doubly_connected_traces as _doubly  # local alias for clarity
-
     parts = partitions(n)
     invariant = fundamental_invariant(n, q0)
     checks: dict[str, bool] = {}
@@ -191,7 +132,7 @@ def oracle_checks(n: int, q0: Fraction) -> dict[str, bool]:
     if n >= 4:
         doubly_ok = True
         for g in parts:
-            solved = _doubly(g)
+            solved = doubly_connected_traces(g)
             if solved["g1*g3"].evaluate(q0) != irreducible_trace(g, (1, 3), n, q0):
                 doubly_ok = False
             if n >= 5 and solved["g1*g3*g4"].evaluate(q0) != irreducible_trace(g, (1, 3, 4), n, q0):
@@ -216,11 +157,6 @@ def _cmd_reconstruct(args) -> tuple[dict, int]:
 
 def _cmd_characters(args) -> tuple[dict, int]:
     n, method = args.n, args.method
-    if method in ("projector", "both") and n > MAX_PROJECTOR_N and not args.unsafe_large_n:
-        raise CommandError(
-            f"projector-based extraction is capped at n <= {MAX_PROJECTOR_N} "
-            "(pass --unsafe-large-n to override)"
-        )
     if n > MAX_CHARACTER_TABLE_N and not args.unsafe_large_n:
         raise CommandError(
             f"character tables are capped at n <= {MAX_CHARACTER_TABLE_N} "
@@ -431,13 +367,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    load_caches()
     try:
         payload, code = args.handler(args)
     except (ValueError, ArithmeticError) as exc:
         _emit_error(args.command, exc, args.format)
         return 1
-    save_caches()
     if args.format == "json":
         _emit(args.command, payload, "json")
     else:

@@ -3,7 +3,7 @@
 Boxes are indexed matrix-style with 1-based (row, column) pairs, so the
 content of box (i, j) is j - i and sign conventions match throughout the
 package.  Branching (adding or removing a corner box), standard-tableau
-chains, and the branching recursion for irrep dimensions all live here.
+chains, and the hook-length formula for irrep dimensions all live here.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from math import factorial, prod
 
 __all__ = [
     "YoungDiagram",
@@ -18,8 +19,6 @@ __all__ = [
     "partitions",
     "paths",
     "dimension",
-    "export_dimension_memo",
-    "import_dimension_memo",
 ]
 
 
@@ -136,39 +135,18 @@ def paths(g: YoungDiagram) -> list[TableauPath]:
     return [chain + (g,) for parent in g.branch_down() for chain in paths(parent)]
 
 
-_DIMENSION_MEMO: dict[tuple[int, ...], int] = {}
-
-
+@cache
 def dimension(g: YoungDiagram) -> int:
-    """Irrep dimension via the branching recursion.
+    """Irrep dimension by the hook-length formula (Frame-Robinson-Thrall).
 
-    dim(g) = sum of dim over all diagrams covered by g, with the one-box
-    diagram as base case.  The memo is filled idempotently, so concurrent
-    use at worst recomputes a value.
+    dim(g) = n! / prod of the hook lengths of the boxes of g, where the
+    hook of box (i, j) is the box itself plus the boxes to its right in
+    row i and below it in column j.  It equals the number of standard
+    tableaux, which `paths` enumerates.
     """
-    memo = _DIMENSION_MEMO
-    got = memo.get(g.rows)
-    if got is not None:
-        return got
-    if g.n == 1:
-        value = 1
-    else:
-        value = sum(dimension(parent) for parent in g.branch_down())
-    memo[g.rows] = value
-    return value
-
-
-def export_dimension_memo() -> dict[str, int]:
-    """Snapshot the dimension memo for cache persistence."""
-    return {",".join(map(str, rows)): value for rows, value in _DIMENSION_MEMO.items()}
-
-
-def import_dimension_memo(data: dict[str, int]) -> None:
-    """Merge a previously exported memo; malformed entries are skipped."""
-    for key, value in data.items():
-        try:
-            diagram = YoungDiagram.from_string(key)
-        except (ValueError, AttributeError):
-            continue
-        if isinstance(value, int) and value >= 1:
-            _DIMENSION_MEMO.setdefault(diagram.rows, value)
+    rows = g.rows
+    columns = [sum(1 for r in rows if r > j) for j in range(rows[0])]
+    hooks = prod(
+        (length - j) + (columns[j] - i) - 1 for i, length in enumerate(rows) for j in range(length)
+    )
+    return factorial(g.n) // hooks

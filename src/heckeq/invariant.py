@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import DeltaSeries, LaurentPoly, exp_series, q_content
+from .laurent import LaurentPoly, exp_series, q_content
 
 __all__ = [
     "InvalidSpectrum",
@@ -226,11 +226,6 @@ def power_sums_from_eigenvalue(p: LaurentPoly, kmax: int) -> list[int]:
             raise NonIntegerPowerSum(f"power sum s_{k} = {value} is not an integer")
         sigmas.append(int(value))
     return sigmas
-
-
-def rescaled_eigenvalue_series(g: YoungDiagram, order: int) -> DeltaSeries:
-    """Series of the rescaled eigenvalue around q = exp(delta)."""
-    return exp_series(rescaled_invariant_eigenvalue(g), order)
 
 
 def separating_depth(n: int) -> int:

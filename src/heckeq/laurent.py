@@ -332,6 +332,11 @@ class LaurentPoly:
         return self._terms == o._terms
 
     def __hash__(self) -> int:
+        # A constant equals its scalar under ==, so it must hash like it too.
+        if not self._terms:
+            return hash(0)
+        if self._terms.keys() == {0}:
+            return hash(self._terms[0])
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:

@@ -21,7 +21,6 @@ from .invariant import central_character
 
 __all__ = [
     "MAX_BRUTE_FORCE_N",
-    "MAX_PROJECTOR_N",
     "NotSeparated",
     "NonIntegerCharacter",
     "Permutation",
@@ -42,14 +41,11 @@ __all__ = [
     "murnaghan_nakayama_character",
     "character_table",
     "character_table_json",
-    "export_structure_constants",
-    "import_structure_constants",
 ]
 
-# n! growth: class enumeration and structure constants stay comfortable
-# through S_8; projector products through S_7.
+# n! growth: class enumeration, structure constants and projector
+# products stay comfortable through S_8.
 MAX_BRUTE_FORCE_N = 8
-MAX_PROJECTOR_N = 7
 
 
 class NotSeparated(ValueError):
@@ -267,10 +263,7 @@ def single_cycle_class_sum(n: int, p: int) -> ClassVector:
     return ClassVector.class_sum(n, (p,) + (1,) * (n - p))
 
 
-# (n, s, t) -> {u: integer structure constant}; filled idempotently.
-_STRUCTURE_CACHE: dict[tuple[int, CycleType, CycleType], dict[CycleType, int]] = {}
-
-
+@cache
 def _structure_row(n: int, s: CycleType, t: CycleType) -> dict[CycleType, int]:
     """Integer constants N such that [s]_n [t]_n = sum_u N_u [u]_n.
 
@@ -278,10 +271,6 @@ def _structure_row(n: int, s: CycleType, t: CycleType) -> dict[CycleType, int]:
     every element y of class t, and count the cycle types of the
     products; N_u = |C_s| * count_u / |C_u| is an exact integer.
     """
-    key = (n, s, t)
-    got = _STRUCTURE_CACHE.get(key)
-    if got is not None:
-        return got
     elements = _class_elements(n)
     x0 = elements[s][0]
     counts: dict[CycleType, int] = {}
@@ -296,7 +285,6 @@ def _structure_row(n: int, s: CycleType, t: CycleType) -> dict[CycleType, int]:
         if total % size_u:
             raise AssertionError(f"non-integer structure constant for {s} * {t} at {u}")
         row[u] = total // size_u
-    _STRUCTURE_CACHE[key] = row
     return row
 
 
@@ -327,13 +315,11 @@ def build_projector(g: YoungDiagram, n: int) -> ClassVector:
     irrep whose transposition eigenvalue differs from g's.  Any surviving
     degenerate partner is then annihilated by one factor linear in the
     3-cycle class-sum.  Through n = 14 those two eigenvalues always
-    separate the irreps, so within the n <= 7 scale of this function a
+    separate the irreps, so within the n <= 8 scale of the class algebra a
     `NotSeparated` failure cannot occur.
     """
     if g.n != n:
         raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
-    if n > MAX_PROJECTOR_N:
-        raise ValueError(f"projector construction is capped at n <= {MAX_PROJECTOR_N}")
     parts = partitions(n)
     lam2 = {h: central_character(2, n, h) for h in parts}
     mine = lam2[g]
@@ -440,27 +426,3 @@ def character_table_json(n: int, method: str = "mn") -> dict:
         for g, row in table.items()
     }
     return {"n": n, "classes": classes, "class_sizes": sizes, "rows": rows}
-
-
-def export_structure_constants() -> dict[str, dict[str, int]]:
-    """Snapshot the structure-constant cache for persistence."""
-    out: dict[str, dict[str, int]] = {}
-    for (n, s, t), row in _STRUCTURE_CACHE.items():
-        key = f"{n}|{cycle_type_to_string(s)}|{cycle_type_to_string(t)}"
-        out[key] = {cycle_type_to_string(u): value for u, value in row.items()}
-    return out
-
-
-def import_structure_constants(data: dict[str, dict[str, int]]) -> None:
-    """Merge a previously exported cache; malformed entries are skipped."""
-    for key, row in data.items():
-        try:
-            n_text, s_text, t_text = key.split("|")
-            n = int(n_text)
-            s = cycle_type_from_string(s_text)
-            t = cycle_type_from_string(t_text)
-            parsed = {cycle_type_from_string(u): int(v) for u, v in row.items()}
-        except (ValueError, AttributeError):
-            continue
-        if sum(s) == n and sum(t) == n and all(sum(u) == n for u in parsed):
-            _STRUCTURE_CACHE.setdefault((n, s, t), parsed)

@@ -20,6 +20,7 @@ regular-representation oracle that cross-checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 
 from .diagrams import YoungDiagram, dimension, partitions
@@ -66,9 +67,7 @@ def _removed_box_content(child: YoungDiagram, parent: YoungDiagram) -> int:
     raise ValueError(f"{parent} is not obtained from {child} by removing one box")
 
 
-_MURPHY_MEMO: dict[tuple[int, ...], MurphyTraceTable] = {}
-
-
+@cache
 def murphy_traces(g: YoungDiagram) -> MurphyTraceTable:
     """All Murphy traces of the irrep labeled by g, by branching.
 
@@ -78,9 +77,6 @@ def murphy_traces(g: YoungDiagram) -> MurphyTraceTable:
     over the covered diagrams.  Memoized over the lattice, which the
     recursion revisits combinatorially many times.
     """
-    got = _MURPHY_MEMO.get(g.rows)
-    if got is not None:
-        return got
     n = g.n
     entries: dict[int, LaurentPoly] = {}
     if n >= 2:
@@ -95,9 +91,7 @@ def murphy_traces(g: YoungDiagram) -> MurphyTraceTable:
         for parent in parents:
             top = top + q_content(_removed_box_content(g, parent)) * dimension(parent)
         entries[n] = top
-    table = MurphyTraceTable(g, entries)
-    _MURPHY_MEMO[g.rows] = table
-    return table
+    return MurphyTraceTable(g, entries)
 
 
 def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:

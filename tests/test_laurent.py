@@ -71,6 +71,13 @@ class TestArithmetic:
         assert q - 1 == P("q-1")
         assert 1 - q == P("-q+1")
 
+    @pytest.mark.parametrize("scalar", [0, 3, -2, Fraction(5, 7)])
+    def test_constant_hashes_like_its_scalar(self, scalar):
+        p = LaurentPoly.constant(scalar)
+        assert p == scalar
+        assert hash(p) == hash(scalar)
+        assert len({p, scalar}) == 1
+
     def test_powers(self, q):
         assert (q - 1) ** 0 == LaurentPoly.one()
         assert (q - 1) ** 3 == P("q^3-3*q^2+3*q-1")
