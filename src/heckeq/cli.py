@@ -12,7 +12,8 @@ Subcommands expose every capability with table and JSON output:
 JSON output is deterministic (sorted keys, canonical polynomial
 strings).  Exit status is 0 exactly when the command succeeded; failed
 verification or validation errors exit nonzero, with a machine-readable
-``error`` field in JSON mode.
+``error`` field in JSON mode.  A failed verification also reports a
+``witness``: the first comparison that failed (see ``heckeq.verify``).
 """
 
 from __future__ import annotations
@@ -22,16 +23,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .diagrams import YoungDiagram, dimension, partitions
-from .hecke_oracle import (
-    MAX_ORACLE_N,
-    fundamental_invariant,
-    hecke_projector,
-    irreducible_trace,
-    projector_element,
-    regular_trace,
-    word_element,
-)
+from .diagrams import YoungDiagram, partitions
+from .hecke_oracle import MAX_ORACLE_N
 from .invariant import invariant_eigenvalue, reconstruct_diagram
 from .laurent import LaurentPoly
 from .suq import (
@@ -49,6 +42,7 @@ from .traces import (
     murphy_traces,
     simply_connected_trace,
 )
+from .verify import oracle_checks
 
 MAX_VERIFY_N = 6
 MAX_CHARACTER_TABLE_N = 8
@@ -77,68 +71,6 @@ def _parse_diagram(text: str, n: int | None = None) -> YoungDiagram:
 
 def _parse_poly(text: str) -> LaurentPoly:
     return LaurentPoly.from_string(text)
-
-
-# -- oracle verification suite ------------------------------------------
-
-
-def oracle_checks(n: int, q0: Fraction) -> dict[str, bool]:
-    """Run the oracle invariants at (n, q0) and report each outcome.
-
-    Covers centrality of the fundamental invariant, the projector
-    algebra (idempotence, orthogonality, resolution of the identity,
-    regular traces equal to squared dimensions), and agreement of the
-    symbolic connected and doubly-connected traces with the oracle.
-    """
-    parts = partitions(n)
-    invariant = fundamental_invariant(n, q0)
-    checks: dict[str, bool] = {}
-
-    centrality = True
-    for i in range(1, n):
-        gi = word_element(n, q0, (i,))
-        if gi * invariant != invariant * gi:
-            centrality = False
-            break
-    checks["fundamental_invariant_central"] = centrality
-
-    projectors = {g: projector_element(hecke_projector(g, n, q0)) for g in parts}
-    checks["projector_idempotent"] = all(p * p == p for p in projectors.values())
-    orthogonal = True
-    for g, p in projectors.items():
-        for h, p2 in projectors.items():
-            if g != h and (p * p2).coeffs:
-                orthogonal = False
-    checks["projector_pairwise_orthogonal"] = orthogonal
-    total = None
-    for p in projectors.values():
-        total = p if total is None else total + p
-    checks["projector_resolution_of_identity"] = total is not None and total.coeffs == {
-        tuple(range(1, n + 1)): Fraction(1)
-    }
-    checks["projector_regular_trace_dimension"] = all(
-        regular_trace(p) == Fraction(dimension(g)) ** 2 for g, p in projectors.items()
-    )
-
-    simply_ok = True
-    for g in parts:
-        for k in range(2, n + 1):
-            symbolic = simply_connected_trace(g, k).evaluate(q0)
-            oracle = irreducible_trace(g, tuple(range(1, k)), n, q0)
-            if symbolic != oracle:
-                simply_ok = False
-    checks["simply_connected_traces_agree"] = simply_ok
-
-    if n >= 4:
-        doubly_ok = True
-        for g in parts:
-            solved = doubly_connected_traces(g)
-            if solved["g1*g3"].evaluate(q0) != irreducible_trace(g, (1, 3), n, q0):
-                doubly_ok = False
-            if n >= 5 and solved["g1*g3*g4"].evaluate(q0) != irreducible_trace(g, (1, 3, 4), n, q0):
-                doubly_ok = False
-        checks["doubly_connected_traces_agree"] = doubly_ok
-    return checks
 
 
 # -- command handlers -----------------------------------------------------
@@ -212,9 +144,12 @@ def _cmd_verify(args) -> tuple[dict, int]:
         )
     if q0 in (0, 1, -1):
         raise CommandError(f"q0 = {q0} is a degenerate specialization; pick any other rational")
-    checks = oracle_checks(n, q0)
-    all_pass = all(checks.values())
-    return {"n": n, "q0": str(q0), "checks": checks, "all_pass": all_pass}, 0 if all_pass else 1
+    report = oracle_checks(n, q0)
+    all_pass = all(report.checks.values())
+    doc = {"n": n, "q0": str(q0), "checks": report.checks, "all_pass": all_pass}
+    if not all_pass:
+        doc["witness"] = report.witness
+    return doc, 0 if all_pass else 1
 
 
 def _cmd_suq(args) -> tuple[dict, int]:

@@ -1,19 +1,39 @@
 """Exact regular representation of the Hecke algebra at a rational q0.
 
-Elements are sparse maps from permutations (one-line tuples) to Fraction
-coefficients with respect to the word basis {g_w}.  Products reduce to
-repeated application of the generator rewriting rule
+The word basis {g_w} obeys the generator rewriting rule
 
     g_w g_i = g_{w s_i}                    if len(w s_i) > len(w)
     g_w g_i = (q0-1) g_w + q0 g_{w s_i}    otherwise
 
 and its mirror image on the left, which between them carry all the
-defining relations.  On top of the arithmetic sit the fundamental
-invariant (the sum of the Murphy operators), central projectors obtained
-by Lagrange interpolation on its spectrum at q0, and the trace of left
-multiplication on the word basis.  Together these produce exact
-irreducible traces, the oracle every symbolic result in the package is
-checked against.
+defining relations.  With q0 = a/b in lowest terms (b > 0), elements are
+stored in the rescaled basis T'_w = b^len(w) g_w.  For T'_i = b g_i the
+rule becomes
+
+    T'_w T'_i = T'_{w s_i}                     on an ascent
+    T'_w T'_i = (a-b) T'_w + ab T'_{w s_i}     on a descent
+
+with integer coefficients, so integer vectors stay integral under every
+generator action and product.  An element is therefore a dense tuple of
+Python ints over the permutations of 1..n, ranked once per n, together
+with one positive common denominator, the pair kept in lowest terms so
+that equal elements are stored identically.  Nothing divides until a
+coefficient or a trace is read out as a Fraction.
+
+Products and traces share one walk.  The words are the nodes of a
+spanning tree of the right weak order, the parent of w being w with its
+first descent removed, so x T'_w costs one generator action on x T'_u
+for the parent u, and only the vectors on the current root-to-node path
+are held.  A product x*y walks the ancestors of y's support and sums
+y's coefficients times the x T'_w it reaches.  The trace of left
+multiplication walks every node and sums the diagonal entries; the
+diagonal change of basis from g to T' does not change it.
+
+On top of the arithmetic sit the fundamental invariant (the sum of the
+Murphy operators), central projectors obtained by Lagrange interpolation
+on its spectrum at q0, and the trace of left multiplication on the word
+basis.  Together these produce exact irreducible traces, the oracle
+every symbolic result in the package is checked against.
 
 The representation is specialized at a rational q0 rather than kept
 symbolic because any rational with |q0| not in {0, 1} is never a root
@@ -22,9 +42,12 @@ of unity, which is all the genericity the spectrum needs.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from itertools import permutations
+from math import gcd, lcm
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue
@@ -66,126 +89,181 @@ def _check_q0(q0) -> Fraction:
     return value
 
 
+# The per-n tables of the integer kernel, indexed by permutation rank
+# (rank 0 is the identity): the permutations, their ranks and lengths,
+# each one's parent in the first-descent spanning tree, and for each
+# generator i the action tables right[i-1] and left[i-1], each a pair
+# (rank of the swapped permutation, whether the swap lengthens it).
+# `walk` lists the non-root nodes of the tree in depth-first order as
+# (rank, generator taking the parent to it, depth = length).
+_Kernel = namedtuple("_Kernel", "perms rank lengths parent right left walk")
+
+
+@cache
+def _kernel(n: int) -> _Kernel:
+    perms = tuple(permutations(range(1, n + 1)))
+    rank = {w: r for r, w in enumerate(perms)}
+    right = []
+    left = []
+    for i in range(1, n):
+        rows = []
+        for w in perms:
+            pi, pj = w.index(i), w.index(i + 1)
+            v = list(w)
+            v[pi], v[pj] = i + 1, i
+            swapped = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+            rows.append((rank[swapped], w[i - 1] < w[i], rank[tuple(v)], pi < pj))
+        rswap, rup, lswap, lup = zip(*rows)
+        right.append((rswap, rup))
+        left.append((lswap, lup))
+    parent = [0] * len(perms)
+    children: list[list[tuple[int, int]]] = [[] for _ in perms]
+    for r, w in enumerate(perms[1:], 1):
+        i = next(i for i in range(1, n) if w[i - 1] > w[i])
+        parent[r] = right[i - 1][0][r]
+        children[parent[r]].append((r, i))
+    lengths = [0] * len(perms)
+    walk: list[tuple[int, int, int]] = []
+    stack = [(r, i, 1) for r, i in reversed(children[0])]
+    while stack:
+        r, i, depth = stack.pop()
+        lengths[r] = depth
+        walk.append((r, i, depth))
+        stack.extend((c, j, depth + 1) for c, j in reversed(children[r]))
+    return _Kernel(perms, rank, tuple(lengths), tuple(parent), tuple(right), tuple(left), tuple(walk))
+
+
+def _act(v, table, ab: int, amb: int) -> list[int]:
+    """One T'_i action (right or left, by the table) on an integer vector."""
+    swap, up = table
+    return [ab * v[j] if u else amb * c + v[j] for c, j, u in zip(v, swap, up)]
+
+
 class HeckeElement:
     """A Hecke-algebra element at specialized q0, in the word basis.
 
-    Treated as immutable: all arithmetic returns new objects, and the
-    heavily-used constructors (invariant, Murphy elements, projector
-    elements) hand out cached instances whose coefficient maps must not
-    be mutated.
+    All arithmetic returns new objects, the integer vector is a tuple,
+    and `coeffs` builds a fresh dict on every read, so the cached
+    instances handed out by the constructors below (invariant, Murphy
+    elements, projector elements) cannot be altered through their
+    coefficients.
     """
 
-    __slots__ = ("n", "q0", "coeffs")
+    __slots__ = ("n", "q0", "_vec", "_den")
 
     def __init__(self, n: int, q0, coeffs: dict[tuple[int, ...], Fraction] | None = None):
         _check_n(n)
+        q0 = _check_q0(q0)
+        kernel = _kernel(n)
+        scaled: dict[int, Fraction] = {}
+        for perm, c in (coeffs or {}).items():
+            r = kernel.rank.get(tuple(perm))
+            if r is None:
+                raise ValueError(f"{perm} is not a permutation of 1..{n}")
+            scaled[r] = Fraction(c) / q0.denominator ** kernel.lengths[r]
+        den = lcm(*(f.denominator for f in scaled.values()))
+        vec = [0] * len(kernel.perms)
+        for r, f in scaled.items():
+            vec[r] = f.numerator * (den // f.denominator)
+        self._set(n, q0, vec, den)
+
+    def _set(self, n: int, q0: Fraction, vec, den: int) -> None:
+        g = gcd(den, *vec)
         self.n = n
-        self.q0 = _check_q0(q0)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if coeffs:
-            expected = frozenset(range(1, n + 1))
-            for perm, c in coeffs.items():
-                if len(perm) != n or frozenset(perm) != expected:
-                    raise ValueError(f"{perm} is not a permutation of 1..{n}")
-                f = Fraction(c)
-                if f:
-                    clean[tuple(perm)] = f
-        self.coeffs = clean
+        self.q0 = q0
+        self._vec = tuple(vec) if g == 1 else tuple(c // g for c in vec)
+        self._den = den // g
 
     @classmethod
-    def _make(cls, n: int, q0: Fraction, coeffs: dict[tuple[int, ...], Fraction]) -> "HeckeElement":
+    def _make(cls, n: int, q0: Fraction, vec, den: int) -> "HeckeElement":
+        """The element vec/den in the T' basis, reduced to lowest terms."""
         obj = cls.__new__(cls)
-        obj.n = n
-        obj.q0 = q0
-        obj.coeffs = coeffs
+        obj._set(n, q0, vec, den)
         return obj
 
     @classmethod
     def zero(cls, n: int, q0) -> "HeckeElement":
         _check_n(n)
-        return cls._make(n, _check_q0(q0), {})
+        return cls._make(n, _check_q0(q0), [0] * len(_kernel(n).perms), 1)
 
     @classmethod
     def identity(cls, n: int, q0) -> "HeckeElement":
         _check_n(n)
-        return cls._make(n, _check_q0(q0), {tuple(range(1, n + 1)): Fraction(1)})
+        vec = [0] * len(_kernel(n).perms)
+        vec[0] = 1
+        return cls._make(n, _check_q0(q0), vec, 1)
 
     @classmethod
     def generator(cls, n: int, q0, i: int) -> "HeckeElement":
         return cls.identity(n, q0).times_generator(i)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        """The nonzero word-basis coefficients {w: coefficient of g_w}, as a new dict."""
+        kernel = _kernel(self.n)
+        b = self.q0.denominator
+        return {
+            kernel.perms[r]: Fraction(c * b ** kernel.lengths[r], self._den)
+            for r, c in enumerate(self._vec)
+            if c
+        }
 
     def coefficient(self, perm: tuple[int, ...]) -> Fraction:
         return self.coeffs.get(tuple(perm), Fraction(0))
 
     @property
     def support_size(self) -> int:
-        return len(self.coeffs)
+        return len(self._vec) - self._vec.count(0)
 
     def _check_compatible(self, other: "HeckeElement") -> None:
         if self.n != other.n or self.q0 != other.q0:
             raise ValueError("mixing elements of different algebras or specializations")
 
     def times_generator(self, i: int, side: str = "right") -> "HeckeElement":
-        """Multiply by the i-th generator on the given side.
+        """Multiply by the i-th generator g_i = T'_i / b on the given side.
 
         Right multiplication swaps the entries at positions i, i+1 of
         each basis word; left multiplication swaps the values i, i+1.
-        Whichever swap raises the word length contributes one term,
-        otherwise the quadratic relation contributes two.
         """
         n, q0 = self.n, self.q0
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} must lie in 1..{n - 1}")
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-        qm1 = q0 - 1
-        out: dict[tuple[int, ...], Fraction] = {}
-        get = out.get
-        if side == "right":
-            a = i - 1
-            for w, c in self.coeffs.items():
-                w2 = w[:a] + (w[i], w[a]) + w[i + 1 :]
-                if w[a] < w[i]:
-                    prev = get(w2)
-                    out[w2] = c if prev is None else prev + c
-                else:
-                    prev = get(w)
-                    out[w] = c * qm1 if prev is None else prev + c * qm1
-                    prev = get(w2)
-                    out[w2] = c * q0 if prev is None else prev + c * q0
-        else:
-            for w, c in self.coeffs.items():
-                pi = w.index(i)
-                pj = w.index(i + 1)
-                lst = list(w)
-                lst[pi], lst[pj] = i + 1, i
-                w2 = tuple(lst)
-                if pi < pj:
-                    prev = get(w2)
-                    out[w2] = c if prev is None else prev + c
-                else:
-                    prev = get(w)
-                    out[w] = c * qm1 if prev is None else prev + c * qm1
-                    prev = get(w2)
-                    out[w2] = c * q0 if prev is None else prev + c * q0
-        # collisions can cancel exactly; strip zeros in one pass
-        return HeckeElement._make(n, q0, {w: c for w, c in out.items() if c})
+        kernel = _kernel(n)
+        table = kernel.right[i - 1] if side == "right" else kernel.left[i - 1]
+        a, b = q0.numerator, q0.denominator
+        return HeckeElement._make(n, q0, _act(self._vec, table, a * b, a - b), self._den * b)
+
+    def _walk(self, keep: bytearray | None = None):
+        """Yield (rank of w, T' coordinates of den*self*T'_w) down the first-descent tree.
+
+        den is self's denominator, so the vectors are integral.  With
+        `keep`, only the nodes it marks are visited; it must contain the
+        parent of every node it contains.
+        """
+        kernel = _kernel(self.n)
+        a, b = self.q0.numerator, self.q0.denominator
+        ab, amb = a * b, a - b
+        path = [self._vec]
+        yield 0, self._vec
+        for r, i, depth in kernel.walk:
+            if keep is None or keep[r]:
+                del path[depth:]
+                path.append(_act(path[-1], kernel.right[i - 1], ab, amb))
+                yield r, path[-1]
 
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
         self._check_compatible(other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, Fraction(0)) + c
-            if s:
-                out[w] = s
-            elif w in out:
-                del out[w]
-        return HeckeElement._make(self.n, self.q0, out)
+        den = lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        total = [s * x + t * y for x, y in zip(self._vec, other._vec)]
+        return HeckeElement._make(self.n, self.q0, total, den)
 
     def __neg__(self):
-        return HeckeElement._make(self.n, self.q0, {w: -c for w, c in self.coeffs.items()})
+        return HeckeElement._make(self.n, self.q0, [-x for x in self._vec], self._den)
 
     def __sub__(self, other):
         if not isinstance(other, HeckeElement):
@@ -195,23 +273,24 @@ class HeckeElement:
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             self._check_compatible(other)
-            out: dict[tuple[int, ...], Fraction] = {}
-            for w, c in other.coeffs.items():
-                partial = self
-                for i in reduced_word(w):
-                    partial = partial.times_generator(i)
-                for v, cv in partial.coeffs.items():
-                    s = out.get(v, Fraction(0)) + c * cv
-                    if s:
-                        out[v] = s
-                    elif v in out:
-                        del out[v]
-            return HeckeElement._make(self.n, self.q0, out)
+            parent = _kernel(self.n).parent
+            weights = other._vec
+            keep = bytearray(len(parent))
+            for r, c in enumerate(weights):
+                if c:
+                    while not keep[r]:
+                        keep[r] = 1
+                        r = parent[r]
+            total = [0] * len(parent)
+            for r, column in self._walk(keep):
+                c = weights[r]
+                if c:
+                    total = [s + c * x for s, x in zip(total, column)]
+            return HeckeElement._make(self.n, self.q0, total, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            if not f:
-                return HeckeElement._make(self.n, self.q0, {})
-            return HeckeElement._make(self.n, self.q0, {w: c * f for w, c in self.coeffs.items()})
+            scaled = [f.numerator * x for x in self._vec]
+            return HeckeElement._make(self.n, self.q0, scaled, self._den * f.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -222,10 +301,10 @@ class HeckeElement:
     def __eq__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        return self.n == other.n and self.q0 == other.q0 and self.coeffs == other.coeffs
+        return (self.n, self.q0, self._den, self._vec) == (other.n, other.q0, other._den, other._vec)
 
     def __repr__(self):
-        return f"HeckeElement(n={self.n}, q0={self.q0}, {len(self.coeffs)} basis terms)"
+        return f"HeckeElement(n={self.n}, q0={self.q0}, {self.support_size} basis terms)"
 
 
 @cache
@@ -299,35 +378,11 @@ def regular_trace(x: HeckeElement) -> Fraction:
     """Trace of left multiplication by x on the word basis.
 
     The diagonal entry at basis word w is the coefficient of w in
-    x * g_w.  Instead of recomputing x * g_w from scratch per word, the
-    words are walked along a spanning tree of the right weak order
-    (parent = remove the first descent), so each of the n! columns costs
-    one generator application.
+    x * g_w.  The walk over the first-descent spanning tree reaches
+    every x * T'_w with one generator action each, so the n! columns
+    cost n! actions in all.
     """
-    n = x.n
-    total = Fraction(0)
-    identity = tuple(range(1, n + 1))
-    stack: list[tuple[tuple[int, ...], HeckeElement]] = [(identity, x)]
-    while stack:
-        w, elem = stack.pop()
-        c = elem.coeffs.get(w)
-        if c is not None:
-            total += c
-        # first descent of w (n if none): children append a descent at i
-        # while keeping every earlier position an ascent
-        d = n
-        for i in range(1, n):
-            if w[i - 1] > w[i]:
-                d = i
-                break
-        for i in range(1, d):
-            w2 = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-            stack.append((w2, elem.times_generator(i)))
-        i = d + 1
-        if i <= n - 1 and w[d] < w[i] and w[d - 1] < w[i]:
-            w2 = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-            stack.append((w2, elem.times_generator(i)))
-    return total
+    return Fraction(sum(column[r] for r, column in x._walk()), x._den)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,12 @@ Murnaghan-Nakayama recursion used to cross-check every character value.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import cache
 from itertools import permutations as _iter_permutations
 from math import factorial
+from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import central_character
@@ -264,12 +266,13 @@ def single_cycle_class_sum(n: int, p: int) -> ClassVector:
 
 
 @cache
-def _structure_row(n: int, s: CycleType, t: CycleType) -> dict[CycleType, int]:
+def _structure_row(n: int, s: CycleType, t: CycleType) -> Mapping[CycleType, int]:
     """Integer constants N such that [s]_n [t]_n = sum_u N_u [u]_n.
 
     Brute force: fix one representative x of class s, multiply it by
     every element y of class t, and count the cycle types of the
-    products; N_u = |C_s| * count_u / |C_u| is an exact integer.
+    products; N_u = |C_s| * count_u / |C_u| is an exact integer.  The
+    row is cached, so it is returned as a read-only view.
     """
     elements = _class_elements(n)
     x0 = elements[s][0]
@@ -285,7 +288,7 @@ def _structure_row(n: int, s: CycleType, t: CycleType) -> dict[CycleType, int]:
         if total % size_u:
             raise AssertionError(f"non-integer structure constant for {s} * {t} at {u}")
         row[u] = total // size_u
-    return row
+    return MappingProxyType(row)
 
 
 def class_product(a: ClassVector, b: ClassVector) -> ClassVector:

@@ -19,9 +19,11 @@ regular-representation oracle that cross-checks them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
 from math import comb
+from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue
@@ -47,11 +49,13 @@ class MurphyTraceTable:
     """Traces of the Murphy operators L_2..L_n in one irrep.
 
     The entries sum to dim(diagram) times the invariant eigenvalue,
-    because the invariant is the sum of the Murphy operators.
+    because the invariant is the sum of the Murphy operators.  They are
+    a read-only view, because `murphy_traces` hands the same cached
+    table to every caller.
     """
 
     diagram: YoungDiagram
-    entries: dict[int, LaurentPoly]
+    entries: Mapping[int, LaurentPoly]
 
     def trace(self, i: int) -> LaurentPoly:
         return self.entries[i]
@@ -91,7 +95,7 @@ def murphy_traces(g: YoungDiagram) -> MurphyTraceTable:
         for parent in parents:
             top = top + q_content(_removed_box_content(g, parent)) * dimension(parent)
         entries[n] = top
-    return MurphyTraceTable(g, entries)
+    return MurphyTraceTable(g, MappingProxyType(entries))
 
 
 def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:

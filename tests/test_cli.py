@@ -3,10 +3,12 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import heckeq
+import heckeq.verify
 from heckeq.cli import main
 from heckeq.diagrams import partitions
 
@@ -166,6 +168,33 @@ class TestVerify:
         code, doc, _ = run_json(capsys, "verify", "--n", "7")
         assert code == 1
         assert "verify runs" in doc["error"]["message"]
+
+    def test_failed_trace_check_carries_witness(self, capsys, monkeypatch):
+        real = heckeq.verify.simply_connected_trace
+        monkeypatch.setattr(heckeq.verify, "simply_connected_trace", lambda g, k: real(g, k) + 1)
+        code, doc, _ = run_json(capsys, "verify", "--n", "3")
+        assert code == 1
+        result = doc["result"]
+        assert result["all_pass"] is False
+        assert [name for name, ok in result["checks"].items() if not ok] == ["simply_connected_traces_agree"]
+        # tr(g_1) in the trivial irrep is q0 = 2; the patched symbolic side says 3
+        assert result["witness"] == {
+            "check": "simply_connected_traces_agree",
+            "diagram": "3",
+            "word": "1",
+            "symbolic": "3",
+            "oracle": "2",
+        }
+
+    def test_failed_element_check_names_a_basis_word(self, capsys, monkeypatch):
+        real = heckeq.verify.projector_element
+        monkeypatch.setattr(heckeq.verify, "projector_element", lambda p: real(p) * 2)
+        code, doc, _ = run_json(capsys, "verify", "--n", "3")
+        assert code == 1
+        witness = doc["result"]["witness"]
+        assert (witness["check"], witness["diagram"], witness["word"]) == ("projector_idempotent", "3", "")
+        assert witness["basis_word"] == ""  # the identity, first in lexicographic order
+        assert Fraction(witness["oracle"]) == 2 * Fraction(witness["symbolic"]) != 0
 
 
 class TestSuq:

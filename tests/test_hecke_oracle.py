@@ -1,9 +1,15 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
 import pytest
 
+import heckeq
 from heckeq.diagrams import dimension, partitions
 from heckeq.hecke_oracle import (
     DegenerateSpecialization,
@@ -21,6 +27,50 @@ from heckeq.hecke_oracle import (
 from heckeq.invariant import invariant_eigenvalue
 
 from conftest import F, Y
+
+
+# -- reference oracle: sparse Fraction dicts over the g basis ---------------
+
+
+def ref_times_generator(coeffs, q0, i, side="right"):
+    """coeffs * g_i (or g_i * coeffs) by the word-basis rewriting rule."""
+    out = {}
+    for w, c in coeffs.items():
+        if side == "right":
+            w2 = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+            ascent = w[i - 1] < w[i]
+        else:
+            w2 = tuple(i + 1 if v == i else i if v == i + 1 else v for v in w)
+            ascent = w.index(i) < w.index(i + 1)
+        if ascent:
+            out[w2] = out.get(w2, 0) + c
+        else:
+            out[w] = out.get(w, 0) + c * (q0 - 1)
+            out[w2] = out.get(w2, 0) + c * q0
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_mul(x, y, q0):
+    """x * y, applying y's basis words to x one generator at a time."""
+    out = {}
+    for w, c in y.items():
+        partial = x
+        for i in reduced_word(w):
+            partial = ref_times_generator(partial, q0, i)
+        for v, cv in partial.items():
+            out[v] = out.get(v, 0) + c * cv
+    return {w: c for w, c in out.items() if c}
+
+
+def ref_trace(x, n, q0):
+    """Trace of left multiplication by x: the coefficient of g_w in x * g_w, summed."""
+    return sum(ref_mul(x, {w: Fraction(1)}, q0).get(w, 0) for w in permutations(range(1, n + 1)))
+
+
+def random_coeffs(n, rng):
+    perms = list(permutations(range(1, n + 1)))
+    chosen = rng.sample(perms, rng.randint(1, len(perms)))
+    return {w: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for w in chosen}
 
 
 def random_element(n, q0, rng, size=3):
@@ -95,6 +145,40 @@ class TestGeneratorRelations:
                 a + other
             with pytest.raises(ValueError):
                 a * other
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("q0", [F(2), F(3, 2), F(2, 3), F(-3), F(-7, 5)])
+    def test_kernel_matches_reference(self, q0):
+        rng = random.Random(str(q0))
+        for n in (2, 3, 4):
+            for _ in range(3):
+                xc, yc = random_coeffs(n, rng), random_coeffs(n, rng)
+                x, y = HeckeElement(n, q0, xc), HeckeElement(n, q0, yc)
+                assert x.coeffs == {w: c for w, c in xc.items() if c}
+                for i in range(1, n):
+                    for side in ("right", "left"):
+                        assert x.times_generator(i, side).coeffs == ref_times_generator(xc, q0, i, side)
+                assert (x * y).coeffs == ref_mul(xc, yc, q0)
+                assert regular_trace(x) == ref_trace(xc, n, q0)
+
+
+class TestCachesAndTables:
+    def test_cached_elements_cannot_be_mutated(self):
+        p = hecke_projector(Y(2, 1), 3, 2)
+        projector_element(p).coeffs.clear()
+        assert irreducible_trace(Y(2, 1), (1,), 3, 2) == 1
+
+    def test_import_builds_no_tables(self):
+        # the per-n tables are built on first use, not when the CLI loads
+        code = (
+            "import heckeq.cli\n"
+            "from heckeq.hecke_oracle import _kernel\n"
+            "print(_kernel.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(heckeq.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "0"
 
 
 class TestFundamentalInvariant:

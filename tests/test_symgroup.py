@@ -11,6 +11,7 @@ from heckeq.symgroup import (
     NonIntegerCharacter,
     NotSeparated,
     _class_elements,
+    _structure_row,
     build_projector,
     character_table,
     character_table_json,
@@ -90,6 +91,12 @@ class TestClassProduct:
         assert class_product(t, t) == ClassVector(
             3, {(1, 1, 1): Fraction(3), (3,): Fraction(3)}
         )
+
+    def test_cached_structure_row_is_read_only(self):
+        with pytest.raises(TypeError):
+            _structure_row(3, (2, 1), (2, 1))[(3,)] = 0
+        t = single_cycle_class_sum(3, 2)
+        assert class_product(t, t) == ClassVector(3, {(1, 1, 1): Fraction(3), (3,): Fraction(3)})
 
     def test_identity_is_neutral(self):
         e = ClassVector.identity(4)

@@ -187,3 +187,8 @@ class TestJson:
         assert doc["n"] == 4
         assert doc["tables"]["3,1"] == {"2": "2*q-1", "3": "q^2+2*q-1", "4": "2*q^2+2*q-1"}
         assert set(doc["tables"]) == {str(g) for g in partitions(4)}
+
+    def test_cached_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            murphy_traces(Y(3, 1)).entries[4] = LaurentPoly.zero()
+        assert murphy_trace_table_json(4)["tables"]["3,1"]["4"] == "2*q^2+2*q-1"
