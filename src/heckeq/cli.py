@@ -259,7 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--unsafe-large-n",
         action="store_true",
-        help="lift the default scale guards (factorial growth ahead)",
+        help=(
+            "lift the default scale guards (factorial growth ahead); "
+            "S_n class enumeration, which the projector route needs, still stops at n = 9"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

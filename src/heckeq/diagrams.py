@@ -8,9 +8,9 @@ chains, and the hook-length formula for irrep dimensions all live here.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate
 from math import factorial, prod
 
 __all__ = [
@@ -57,8 +57,19 @@ class YoungDiagram:
         return [j - i for i, length in enumerate(self.rows, start=1) for j in range(1, length + 1)]
 
     def diagonal_counts(self) -> dict[int, int]:
-        """Map content k -> number of boxes on the k-th diagonal."""
-        return dict(Counter(self.contents()))
+        """Map content k -> number of boxes on the k-th diagonal.
+
+        The row of index i (from 0) holds the contents -i .. length - i - 1,
+        so one difference-array pass over the rows gives every count, in
+        ascending order of k, in O(#rows + #diagonals).
+        """
+        rows = self.rows
+        low = 1 - len(rows)
+        diff = [0] * (rows[0] - low + 1)
+        for i, length in enumerate(rows):
+            diff[-i - low] += 1
+            diff[length - i - low] -= 1
+        return dict(zip(range(low, rows[0]), accumulate(diff)))
 
     def branch_down(self) -> list["YoungDiagram"]:
         """All diagrams obtained by removing one corner box.

@@ -405,7 +405,8 @@ def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
     Requires all invariant eigenvalues to be distinct at q0, which is
     asserted rather than assumed.  q0 = 1 and q0 = -1 are refused
     outright: they are roots of unity, where the word basis stops being
-    semisimple-generic.
+    semisimple-generic.  Cached per (g, q0); the result is frozen, so
+    every caller can share it.
     """
     if g.n != n:
         raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
@@ -413,6 +414,12 @@ def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
     q0 = _check_q0(q0)
     if q0 == 1 or q0 == -1:
         raise DegenerateSpecialization(f"q0 = {q0} is a root of unity")
+    return _projector(g, q0)
+
+
+@cache
+def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
+    n = g.n
     parts = partitions(n)
     values = {h: invariant_eigenvalue(h).evaluate(q0) for h in parts}
     if len(set(values.values())) != len(parts):

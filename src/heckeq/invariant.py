@@ -16,9 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import LaurentPoly, exp_series, q_content
+from .laurent import LaurentPoly, exp_series
 
 __all__ = [
     "InvalidSpectrum",
@@ -60,11 +61,24 @@ def invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:
     The sum of q-contents q*[j-i]_q over the boxes (i, j) of g.  At q = 1
     it collapses to the content sum, the eigenvalue of the transposition
     class-sum of S_n.
+
+    A box of content c > 0 adds q + ... + q^c and one of content c < 0
+    subtracts 1 + q^-1 + ... + q^(c+1), so the sum is read off the
+    diagonal counts by running sums: the coefficient of q^k is the number
+    of boxes with content >= k for k >= 1, and minus the number with
+    content <= k - 1 for k <= 0.  That costs O(#rows + #diagonals).
     """
-    total = LaurentPoly.zero()
-    for c in g.contents():
-        total = total + q_content(c)
-    return total
+    beta = g.diagonal_counts()
+    terms: dict[int, int] = {}
+    above = 0
+    for k in range(max(beta), 0, -1):
+        above += beta[k]
+        terms[k] = above
+    below = 0
+    for k in range(min(beta) + 1, 1):
+        below += beta[k - 1]
+        terms[k] = -below
+    return LaurentPoly._make(terms)
 
 
 def rescaled_invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:
@@ -91,17 +105,15 @@ def _diagonals_to_rows(beta: dict[int, int]) -> tuple[int, ...]:
 
     Boxes of content k >= 0 occupy rows 1..beta_k; boxes of content
     k < 0 occupy rows 1-k..beta_k-k.  Row i collects one box from each
-    diagonal passing through it.
+    diagonal passing through it, so one difference-array pass over those
+    row intervals gives every row length in O(#diagonals + #rows).
     """
-    n_rows = 0
+    diff = [0] * (max(b + max(-k, 0) for k, b in beta.items()) + 1)
     for k, b in beta.items():
-        n_rows = max(n_rows, b if k >= 0 else b - k)
-    rows = []
-    for i in range(1, n_rows + 1):
-        length = sum(1 for k, b in beta.items() if k >= 0 and b >= i)
-        length += sum(1 for k, b in beta.items() if k < 0 and 1 <= i + k <= b)
-        rows.append(length)
-    return tuple(rows)
+        first = max(-k, 0)
+        diff[first] += 1
+        diff[first + b] -= 1
+    return tuple(accumulate(diff[:-1]))
 
 
 def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
@@ -110,15 +122,18 @@ def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
     The coefficient of q^k for k > 0 counts boxes of content >= k, and
     the coefficient of q^(k+1) for k < 0 counts (negated) boxes of
     content <= k; first differences give the diagonal lengths, which in
-    turn give the row lengths.  Rather than assuming the input is
-    well-formed, the reconstructed diagram is validated by recomputing
-    its eigenvalue, so malformed input raises `InvalidSpectrum`.
+    turn give the row lengths.  Neighbouring diagonals of a Young diagram
+    differ by at most one box, which is checked first: it keeps the row
+    count within the number of diagonals, whatever n is.  Rather than
+    assuming the input is otherwise well-formed, the reconstructed diagram
+    is validated by recomputing its eigenvalue, so malformed input raises
+    `InvalidSpectrum`.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     terms = p.terms
     for coeff in terms.values():
-        if coeff.denominator != 1:
+        if not isinstance(coeff, int):
             raise InvalidSpectrum(f"non-integer coefficient in {p}")
 
     pos = sorted(e for e in terms if e > 0)
@@ -142,8 +157,10 @@ def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
 
     if any(b < 0 for b in beta.values()) or beta[0] < 1:
         raise InvalidSpectrum(f"{p} does not yield valid diagonal lengths for n={n}")
-    if (k_max and beta[k_max] != 1) or (k_min and beta[k_min] != 1):
-        raise InvalidSpectrum(f"extreme diagonals of {p} must hold a single box")
+    # The diagonals past the extremes are empty, so the extremes hold one box.
+    lengths = [0, *(beta[k] for k in range(k_min, k_max + 1)), 0]
+    if any(abs(a - b) > 1 for a, b in zip(lengths, lengths[1:])):
+        raise InvalidSpectrum(f"neighbouring diagonals of {p} differ by more than one box for n={n}")
 
     rows = _diagonals_to_rows({k: b for k, b in beta.items() if b})
     try:

@@ -1,11 +1,13 @@
 """Exact Laurent-polynomial arithmetic over the rationals.
 
 Every q-dependent quantity in this package lives in a single coefficient
-domain: sparse Laurent polynomials in q with `fractions.Fraction`
-coefficients.  This module also supplies the q-integer family
-[k]_q = (q^k - 1)/(q - 1), q-contents q*[c]_q, the symmetric bracket
-(q^x - q^-x)/(q - q^-1), and truncated series expansion around
-q = exp(delta).
+domain: sparse Laurent polynomials in q with rational coefficients, each
+stored as an `int` when it is integral and as a `fractions.Fraction` only
+when it is not.  Every symbolic table of the package has integer
+coefficients, so its arithmetic runs on `int`s.  This module also
+supplies the q-integer family [k]_q = (q^k - 1)/(q - 1), q-contents
+q*[c]_q, the symmetric bracket (q^x - q^-x)/(q - q^-1), and truncated
+series expansion around q = exp(delta).
 
 Only exact operations exist here: division either succeeds exactly or
 raises `NotDivisible`, and rational functions are never materialized.
@@ -61,6 +63,18 @@ def _as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
+def _scalar(value: Scalar) -> Scalar:
+    """Validate a coefficient and give it its stored type."""
+    if isinstance(value, int):
+        return int(value)  # a bool becomes a plain int
+    return _tidy(_as_fraction(value))
+
+
+def _tidy(c: Scalar) -> Scalar:
+    """The stored form of a coefficient: an `int` whenever it is integral."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-])?\s*
         (?:
@@ -73,8 +87,10 @@ _TERM_RE = re.compile(
 
 
 class LaurentPoly:
-    """A Laurent polynomial in q: a finite map exponent -> nonzero Fraction.
+    """A Laurent polynomial in q: a finite map exponent -> nonzero rational.
 
+    A coefficient is an `int` when it is integral and a `Fraction` with
+    denominator > 1 otherwise, and every operation keeps that form.
     Exponents may be negative.  The zero polynomial is the empty map, and
     two polynomials are equal exactly when their term maps are equal.
     Instances are immutable; all arithmetic returns new objects.
@@ -83,15 +99,15 @@ class LaurentPoly:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] | None = None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, Scalar] = {}
         if terms is not None:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for exp, coeff in items:
                 if not isinstance(exp, int) or isinstance(exp, bool):
                     raise TypeError("exponents must be integers")
-                c = clean.get(exp, Fraction(0)) + _as_fraction(coeff)
+                c = clean.get(exp, 0) + _scalar(coeff)
                 if c:
-                    clean[exp] = c
+                    clean[exp] = _tidy(c)
                 elif exp in clean:
                     del clean[exp]
         self._terms = clean
@@ -99,8 +115,9 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def _make(cls, terms: dict[int, Fraction]) -> "LaurentPoly":
-        """Internal fast path: `terms` must already be normalized."""
+    def _make(cls, terms: dict[int, Scalar]) -> "LaurentPoly":
+        """Internal fast path: `terms` must already be normalized (nonzero
+        coefficients, each an `int` when integral)."""
         obj = cls.__new__(cls)
         obj._terms = terms
         return obj
@@ -111,20 +128,20 @@ class LaurentPoly:
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._make({0: Fraction(1)})
+        return cls._make({0: 1})
 
     @classmethod
     def q(cls) -> "LaurentPoly":
-        return cls._make({1: Fraction(1)})
+        return cls._make({1: 1})
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
-        f = _as_fraction(c)
+        f = _scalar(c)
         return cls._make({0: f} if f else {})
 
     @classmethod
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        f = _as_fraction(coeff)
+        f = _scalar(coeff)
         return cls._make({exp: f} if f else {})
 
     @classmethod
@@ -165,12 +182,12 @@ class LaurentPoly:
     # -- inspection ---------------------------------------------------
 
     @property
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, Scalar]:
         """A copy of the exponent -> coefficient map."""
         return dict(self._terms)
 
-    def coefficient(self, exp: int) -> Fraction:
-        return self._terms.get(exp, Fraction(0))
+    def coefficient(self, exp: int) -> Scalar:
+        return self._terms.get(exp, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -194,7 +211,7 @@ class LaurentPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def __iter__(self) -> Iterator[tuple[int, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[int, Scalar]]:
         return iter(sorted(self._terms.items()))
 
     # -- ring operations ----------------------------------------------
@@ -211,11 +228,15 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in o._terms.items():
-            s = out.get(e, Fraction(0)) + c
+        # copy the longer operand and walk the shorter one
+        big, small = self._terms, o._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for e, c in small.items():
+            s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _tidy(s)
             elif e in out:
                 del out[e]
         return LaurentPoly._make(out)
@@ -239,21 +260,21 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
-            out: dict[int, Fraction] = {}
+            out: dict[int, Scalar] = {}
             for e1, c1 in self._terms.items():
                 for e2, c2 in other._terms.items():
                     e = e1 + e2
-                    s = out.get(e, Fraction(0)) + c1 * c2
+                    s = out.get(e, 0) + c1 * c2
                     if s:
-                        out[e] = s
+                        out[e] = s if type(s) is int else _tidy(s)
                     elif e in out:
                         del out[e]
             return LaurentPoly._make(out)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            f = _as_fraction(other)
+            f = _scalar(other)
             if not f:
                 return LaurentPoly.zero()
-            return LaurentPoly._make({e: c * f for e, c in self._terms.items()})
+            return LaurentPoly._make({e: _tidy(c * f) for e, c in self._terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -290,10 +311,11 @@ class LaurentPoly:
         db = o.max_exp - vb
         if da < db:
             raise NotDivisible(f"({self}) is not divisible by ({other})")
+        # rem holds Fractions, so every `/` below is exact
         rem = [Fraction(0)] * (da + 1)
         for e, c in self._terms.items():
-            rem[e - va] = c
-        bs = [Fraction(0)] * (db + 1)
+            rem[e - va] = Fraction(c)
+        bs = [0] * (db + 1)
         for e, c in o._terms.items():
             bs[e - vb] = c
         lead = bs[db]
@@ -309,7 +331,11 @@ class LaurentPoly:
         return LaurentPoly({d + va - vb: c for d, c in enumerate(quot) if c})
 
     def evaluate(self, q0: Scalar) -> Fraction:
-        """Exact specialization at a nonzero rational q0."""
+        """Exact specialization at a nonzero rational q0.
+
+        q0 is made a `Fraction` before any power is taken, so a negative
+        exponent at an integer q0 still gives an exact value.
+        """
         v = _as_fraction(q0)
         if v == 0:
             raise ZeroSpecialization("cannot evaluate at q = 0")
@@ -389,10 +415,10 @@ def q_integer(k: int) -> LaurentPoly:
     -(q^-1 + q^-2 + ... + q^k) for k < 0.
     """
     if k > 0:
-        return LaurentPoly._make({e: Fraction(1) for e in range(k)})
+        return LaurentPoly._make(dict.fromkeys(range(k), 1))
     if k == 0:
         return LaurentPoly.zero()
-    return LaurentPoly._make({e: Fraction(-1) for e in range(k, 0)})
+    return LaurentPoly._make(dict.fromkeys(range(k, 0), -1))
 
 
 def q_content(c: int) -> LaurentPoly:
@@ -402,10 +428,10 @@ def q_content(c: int) -> LaurentPoly:
     -(1 + q^-1 + ... + q^(c+1)) for c < 0.  At q = 1 it collapses to c.
     """
     if c > 0:
-        return LaurentPoly._make({e: Fraction(1) for e in range(1, c + 1)})
+        return LaurentPoly._make(dict.fromkeys(range(1, c + 1), 1))
     if c == 0:
         return LaurentPoly.zero()
-    return LaurentPoly._make({e: Fraction(-1) for e in range(c + 1, 1)})
+    return LaurentPoly._make(dict.fromkeys(range(c + 1, 1), -1))
 
 
 def symmetric_bracket(x: int) -> LaurentPoly:
@@ -416,7 +442,7 @@ def symmetric_bracket(x: int) -> LaurentPoly:
     """
     if x == 0:
         return LaurentPoly.zero()
-    sign = Fraction(1) if x > 0 else Fraction(-1)
+    sign = 1 if x > 0 else -1
     a = abs(x)
     return LaurentPoly._make({a - 1 - 2 * i: sign for i in range(a)})
 

@@ -45,9 +45,9 @@ __all__ = [
     "character_table_json",
 ]
 
-# n! growth: class enumeration, structure constants and projector
-# products stay comfortable through S_8.
-MAX_BRUTE_FORCE_N = 8
+# n! growth: class enumeration lists every permutation, and S_9 (362880
+# of them) is the last group it lists in seconds.
+MAX_BRUTE_FORCE_N = 9
 
 
 class NotSeparated(ValueError):
@@ -133,7 +133,9 @@ def _class_elements(n: int) -> dict[CycleType, tuple[Permutation, ...]]:
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     if n > MAX_BRUTE_FORCE_N:
-        raise ValueError(f"class enumeration is capped at n <= {MAX_BRUTE_FORCE_N}")
+        raise ValueError(
+            f"S_n class enumeration stops at n = {MAX_BRUTE_FORCE_N}; it lists all n! permutations"
+        )
     grouped: dict[CycleType, list[Permutation]] = {}
     for perm in _iter_permutations(range(1, n + 1)):
         grouped.setdefault(cycle_type(perm), []).append(perm)

@@ -11,6 +11,7 @@ import heckeq
 import heckeq.verify
 from heckeq.cli import main
 from heckeq.diagrams import partitions
+from heckeq.laurent import LaurentPoly
 
 
 def run_cli(capsys, *args):
@@ -22,6 +23,19 @@ def run_cli(capsys, *args):
 def run_json(capsys, *args):
     code, out, err = run_cli(capsys, *args, "--format", "json")
     return code, json.loads(out), err
+
+
+def run_cold(*args, timeout=30):
+    """Run the CLI in a fresh interpreter, failing instead of hanging past `timeout` s.
+
+    The arguments go in through stdin, so a polynomial of any length fits.
+    """
+    script = f"import sys\nfrom heckeq.cli import main\nsys.exit(main({[*args, '--format', 'json']!r}))"
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(heckeq.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-"], input=script, env=env, capture_output=True, text=True, timeout=timeout
+    )
+    return done.returncode, json.loads(done.stdout)
 
 
 class TestEigenvalue:
@@ -69,6 +83,22 @@ class TestReconstruct:
         assert code == 1
         assert doc["error"]["type"] == "PolynomialParseError"
 
+    def test_huge_n_is_refused_promptly(self):
+        # "0" puts all n boxes on the main diagonal, which would mean n rows
+        code, doc = run_cold("reconstruct", "--n", "1000000000", "--poly=0")
+        assert code == 1
+        assert doc["error"]["type"] == "InvalidSpectrum"
+
+    def test_long_column_roundtrips_promptly(self):
+        n = 20_000
+        column = ",".join(["1"] * n)
+        # one box of each content 0, -1, ..., 1-n: q^k has coefficient -(n-1+k)
+        poly = str(LaurentPoly({k: -(n - 1 + k) for k in range(2 - n, 1)}))
+        code, doc = run_cold("eigenvalue", "--n", str(n), "--diagram", column)
+        assert (code, doc["result"]["eigenvalue"]) == (0, poly)
+        code, doc = run_cold("reconstruct", "--n", str(n), "--poly=" + poly)
+        assert (code, doc["result"]["diagram"]) == (0, column)
+
 
 class TestCharacters:
     def test_s3_row(self, capsys):
@@ -91,6 +121,20 @@ class TestCharacters:
         code, doc, _ = run_json(capsys, "characters", "--n", "9", "--method", "projector")
         assert code == 1
         assert "capped" in doc["error"]["message"]
+
+    def test_unsafe_flag_reaches_nine(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "characters", "--n", "9", "--method", "both", "--unsafe-large-n"
+        )
+        assert code == 0
+        assert doc["result"]["agreement"] is True
+
+    def test_enumeration_stops_at_nine(self, capsys):
+        code, doc, _ = run_json(
+            capsys, "characters", "--n", "10", "--method", "projector", "--unsafe-large-n"
+        )
+        assert code == 1
+        assert "stops at n = 9" in doc["error"]["message"]
 
 
 class TestTraces:

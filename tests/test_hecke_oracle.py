@@ -3,6 +3,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -167,6 +168,15 @@ class TestCachesAndTables:
     def test_cached_elements_cannot_be_mutated(self):
         p = hecke_projector(Y(2, 1), 3, 2)
         projector_element(p).coeffs.clear()
+        assert irreducible_trace(Y(2, 1), (1,), 3, 2) == 1
+
+    def test_cached_projector_cannot_be_mutated(self):
+        p = hecke_projector(Y(2, 1), 3, 2)
+        assert hecke_projector(Y(2, 1), 3, F(2)) is p
+        with pytest.raises(FrozenInstanceError):
+            p.coeffs = ()
+        with pytest.raises(TypeError):
+            p.coeffs[0] = 0
         assert irreducible_trace(Y(2, 1), (1,), 3, 2) == 1
 
     def test_import_builds_no_tables(self):

@@ -20,6 +20,11 @@ from heckeq.laurent import (
 from conftest import F, P
 
 
+def stored_canonically(p: LaurentPoly) -> bool:
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for _, c in p)
+
+
 def naive_product(a: dict, b: dict) -> dict:
     """Independent term-by-term convolution used as the multiplication oracle."""
     out: dict[int, Fraction] = {}
@@ -120,6 +125,11 @@ class TestEvaluation:
         with pytest.raises(ZeroSpecialization):
             P("q+1").evaluate(0)
 
+    def test_negative_power_at_integer_is_exact(self):
+        value = P("q^-1").evaluate(2)
+        assert value == Fraction(1, 2)
+        assert type(value) is Fraction
+
 
 class TestQFamilies:
     def test_q_integer_positive(self):
@@ -142,6 +152,11 @@ class TestQFamilies:
         for c in range(-6, 7):
             assert q_content(c) == q * q_integer(c)
             assert q_content(c).evaluate(1) == c
+
+    def test_families_store_ints(self):
+        for p in (LaurentPoly.one(), LaurentPoly.q(), q_integer(3), q_integer(-3),
+                  q_content(4), q_content(-4), symmetric_bracket(3), symmetric_bracket(-3)):
+            assert all(type(c) is int for _, c in p)
 
     def test_symmetric_bracket(self, q):
         assert symmetric_bracket(1) == LaurentPoly.one()
@@ -232,3 +247,12 @@ class TestRingProperties:
     @settings(max_examples=100, deadline=None)
     def test_text_roundtrip(self, a):
         assert LaurentPoly.from_string(str(a)) == a
+
+    @given(polys, polys, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_coefficients_are_int_or_proper_fraction(self, a, b, k):
+        results = [a, a + b, a - b, a * b, a**k, a * 2, a * F(3, 2) * F(2, 3)]
+        results.append(LaurentPoly.from_string(str(a)))
+        if not b.is_zero:
+            results.append((a * b).divide_exact(b))
+        assert all(stored_canonically(p) for p in results)

@@ -82,7 +82,7 @@ class TestClasses:
 
     def test_scale_guard(self):
         with pytest.raises(ValueError):
-            conjugacy_classes(9)
+            conjugacy_classes(10)
 
 
 class TestClassProduct:
@@ -182,7 +182,7 @@ class TestProjectors:
 
     def test_scale_guard(self):
         with pytest.raises(ValueError):
-            build_projector(Y(9), 9)
+            build_projector(Y(10), 10)
 
 
 class TestCharacters:
