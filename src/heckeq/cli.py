@@ -24,13 +24,11 @@ import sys
 from fractions import Fraction
 
 from .diagrams import YoungDiagram, partitions
-from .hecke_oracle import MAX_ORACLE_N
 from .invariant import invariant_eigenvalue, reconstruct_diagram
 from .laurent import LaurentPoly
 from .suq import (
     SuqIrrep,
     casimir_eigenvalue,
-    gz_patterns,
     hecke_casimir_correspondence,
     irrep_from_casimir,
 )
@@ -44,8 +42,16 @@ from .traces import (
 )
 from .verify import oracle_checks
 
-MAX_VERIFY_N = 6
-MAX_CHARACTER_TABLE_N = 8
+# The largest n each guarded command accepts without --unsafe-large-n.
+# Past these defaults the library's own ceilings still refuse the work
+# that grows super-polynomially (S_n class enumeration, the n! word-basis
+# oracle).  `traces` and `suq check --sweep-n` both walk the lattice of
+# partitions of n, so they share one default.
+SCALE_DEFAULTS = {
+    "character tables": 8,
+    "verify runs": 6,
+    "partition-lattice walks": 24,
+}
 
 
 class CommandError(ValueError):
@@ -69,8 +75,11 @@ def _parse_diagram(text: str, n: int | None = None) -> YoungDiagram:
     return g
 
 
-def _parse_poly(text: str) -> LaurentPoly:
-    return LaurentPoly.from_string(text)
+def _check_scale(args, guard: str, n: int) -> None:
+    """Refuse n above the guard's default unless --unsafe-large-n is given."""
+    limit = SCALE_DEFAULTS[guard]
+    if n > limit and not args.unsafe_large_n:
+        raise CommandError(f"{guard} are capped at n <= {limit} (pass --unsafe-large-n to override)")
 
 
 # -- command handlers -----------------------------------------------------
@@ -82,18 +91,14 @@ def _cmd_eigenvalue(args) -> tuple[dict, int]:
 
 
 def _cmd_reconstruct(args) -> tuple[dict, int]:
-    poly = _parse_poly(args.poly)
+    poly = LaurentPoly.from_string(args.poly)
     g = reconstruct_diagram(poly, args.n)
     return {"diagram": str(g), "eigenvalue": str(poly), "n": args.n}, 0
 
 
 def _cmd_characters(args) -> tuple[dict, int]:
     n, method = args.n, args.method
-    if n > MAX_CHARACTER_TABLE_N and not args.unsafe_large_n:
-        raise CommandError(
-            f"character tables are capped at n <= {MAX_CHARACTER_TABLE_N} "
-            "(pass --unsafe-large-n to override)"
-        )
+    _check_scale(args, "character tables", n)
     result: dict = {"n": n, "method": method}
     if method in ("mn", "both"):
         result["mn"] = character_table_json(n, "mn")
@@ -106,6 +111,7 @@ def _cmd_characters(args) -> tuple[dict, int]:
 
 def _cmd_traces(args) -> tuple[dict, int]:
     n, kind = args.n, args.kind
+    _check_scale(args, "partition-lattice walks", n)
     if kind == "murphy" and args.diagram is None:
         return {"n": n, "kind": kind, **murphy_trace_table_json(n)}, 0
     if args.diagram is None:
@@ -136,12 +142,9 @@ def _cmd_traces(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     n = args.n
     q0 = _parse_q0(args.q0)
-    limit = MAX_ORACLE_N if args.unsafe_large_n else MAX_VERIFY_N
-    if not 2 <= n <= limit:
-        raise CommandError(
-            f"verify runs for 2 <= n <= {limit}"
-            + ("" if args.unsafe_large_n else " (pass --unsafe-large-n for 7)")
-        )
+    if n < 2:
+        raise CommandError(f"verify runs need n >= 2, got n = {n}")
+    _check_scale(args, "verify runs", n)
     if q0 in (0, 1, -1):
         raise CommandError(f"q0 = {q0} is a degenerate specialization; pick any other rational")
     report = oracle_checks(n, q0)
@@ -162,11 +165,11 @@ def _cmd_suq(args) -> tuple[dict, int]:
     elif action == "dimension":
         irrep = _suq_irrep_from_args(args, N)
         doc["irrep"] = str(irrep)
-        doc["dimension"] = len(gz_patterns(irrep))
+        doc["dimension"] = irrep.dimension
     elif action == "reconstruct":
         if not args.poly:
             raise CommandError("--poly is required for action=reconstruct")
-        irrep = irrep_from_casimir(_parse_poly(args.poly), N)
+        irrep = irrep_from_casimir(LaurentPoly.from_string(args.poly), N)
         doc["irrep"] = str(irrep)
         doc["row_lengths"] = ",".join(str(h) for h in irrep.row_lengths)
     elif action == "check":
@@ -175,11 +178,12 @@ def _cmd_suq(args) -> tuple[dict, int]:
             doc["diagram"] = str(g)
             doc["holds"] = hecke_casimir_correspondence(g, N)
         elif args.sweep_n:
+            _check_scale(args, "partition-lattice walks", args.sweep_n)
             holds = True
             checked = 0
             for n in range(1, args.sweep_n + 1):
                 for g in partitions(n):
-                    for big_n in range(len(g.rows) + 1, 7):
+                    for big_n in range(len(g.rows) + 1, N + 1):
                         holds = holds and hecke_casimir_correspondence(g, big_n)
                         checked += 1
             doc["sweep_n"] = args.sweep_n
@@ -260,8 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--unsafe-large-n",
         action="store_true",
         help=(
-            "lift the default scale guards (factorial growth ahead); "
-            "S_n class enumeration, which the projector route needs, still stops at n = 9"
+            "lift every default scale guard; the library still refuses super-polynomial "
+            "work past its own ceilings (S_n class enumeration for the projector route, "
+            "the n! word-basis oracle behind verify)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -307,13 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         _emit_error(args.command, exc, args.format)
         return 1
-    if args.format == "json":
-        _emit(args.command, payload, "json")
-    else:
-        _emit(args.command, payload, "table")
+    _emit(args.command, payload, args.format)
     return code
 
 

@@ -193,10 +193,6 @@ class HeckeElement:
         vec[0] = 1
         return cls._make(n, _check_q0(q0), vec, 1)
 
-    @classmethod
-    def generator(cls, n: int, q0, i: int) -> "HeckeElement":
-        return cls.identity(n, q0).times_generator(i)
-
     @property
     def coeffs(self) -> dict[tuple[int, ...], Fraction]:
         """The nonzero word-basis coefficients {w: coefficient of g_w}, as a new dict."""

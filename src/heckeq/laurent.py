@@ -29,16 +29,11 @@ __all__ = [
     "NotDivisible",
     "ZeroSpecialization",
     "PolynomialParseError",
-    "MAX_SERIES_ORDER",
     "q_integer",
     "q_content",
     "symmetric_bracket",
     "exp_series",
 ]
-
-# exp_series refuses orders beyond this; content power sums only ever need
-# order n - 1 and the package targets desk-scale n
-MAX_SERIES_ORDER = 64
 
 Scalar = Union[int, Fraction]
 
@@ -78,9 +73,9 @@ def _tidy(c: Scalar) -> Scalar:
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-])?\s*
         (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*\*\s*q(?:\^(?P<exp1>[+-]?\d+))?
+            (?P<coeff>\d+(?:/\d*[1-9]\d*)?)\s*\*\s*q(?:\^(?P<exp1>[+-]?\d+))?
           | q(?:\^(?P<exp2>[+-]?\d+))?
-          | (?P<const>\d+(?:/\d+)?)
+          | (?P<const>\d+(?:/\d*[1-9]\d*)?)
         )\s*""",
     re.VERBOSE,
 )
@@ -454,8 +449,6 @@ def exp_series(p: LaurentPoly, order: int) -> DeltaSeries:
     """
     if not isinstance(order, int) or order < 0:
         raise ValueError("series order must be a nonnegative integer")
-    if order > MAX_SERIES_ORDER:
-        raise ValueError(f"series order capped at {MAX_SERIES_ORDER}")
     coeffs = []
     for k in range(order + 1):
         fact = factorial(k)

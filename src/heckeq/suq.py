@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iter_product
+from math import prod
 
 from .diagrams import YoungDiagram
 from .invariant import InvalidSpectrum, invariant_eigenvalue
@@ -101,6 +102,15 @@ class SuqIrrep:
     def boxes(self) -> int:
         return sum(self.top)
 
+    @property
+    def dimension(self) -> int:
+        """The number of Gelfand-Tsetlin patterns, by Weyl's formula
+        prod_{i<j} (m_i - m_j + j - i) / (j - i) over the top row m; pairs
+        of equal entries give 1, so i stops at the trailing zeros."""
+        m = self.top
+        pairs = [(i, j) for i in range(self.N - m.count(0)) for j in range(i + 1, self.N)]
+        return prod(m[i] - m[j] + j - i for i, j in pairs) // prod(j - i for i, j in pairs)
+
     def __str__(self) -> str:
         return f"{self.N}:" + ",".join(str(h) for h in self.row_lengths)
 
@@ -147,7 +157,7 @@ class GZPattern:
 
 
 def gz_patterns(irrep: SuqIrrep) -> list[GZPattern]:
-    """All patterns with the irrep's top row; their count is the dimension."""
+    """All patterns with the irrep's top row; their count is `SuqIrrep.dimension`."""
     levels: list[list[tuple[int, ...]]] = [[irrep.top]]
 
     def complete(acc: list[tuple[int, ...]], out: list[GZPattern]) -> None:

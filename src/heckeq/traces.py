@@ -57,9 +57,6 @@ class MurphyTraceTable:
     diagram: YoungDiagram
     entries: Mapping[int, LaurentPoly]
 
-    def trace(self, i: int) -> LaurentPoly:
-        return self.entries[i]
-
 
 def _removed_box_content(child: YoungDiagram, parent: YoungDiagram) -> int:
     """Content of the box removed from child to reach parent."""

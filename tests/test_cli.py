@@ -182,6 +182,14 @@ class TestTraces:
         assert code == 0
         assert doc["result"]["doubly_connected_traces"]["g1*g3"] == "q^2"
 
+    def test_deep_recursion_is_an_error_document(self):
+        # the branching recursion over a 1200-box row runs past Python's recursion limit
+        code, doc = run_cold(
+            "traces", "--n", "1200", "--kind", "murphy", "--diagram", "1200", "--unsafe-large-n"
+        )
+        assert code == 1
+        assert doc["error"]["type"] == "RecursionError"
+
 
 class TestVerify:
     def test_all_pass_at_four(self, capsys):
@@ -212,6 +220,16 @@ class TestVerify:
         code, doc, _ = run_json(capsys, "verify", "--n", "7")
         assert code == 1
         assert "verify runs" in doc["error"]["message"]
+
+    def test_needs_two_strands(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "--n", "1", "--unsafe-large-n")
+        assert code == 1
+        assert "n >= 2" in doc["error"]["message"]
+
+    def test_unsafe_flag_meets_the_oracle_ceiling(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "--n", "8", "--unsafe-large-n")
+        assert code == 1
+        assert doc["error"]["message"] == "the regular-representation oracle is capped at n <= 7"
 
     def test_failed_trace_check_carries_witness(self, capsys, monkeypatch):
         real = heckeq.verify.simply_connected_trace
@@ -275,6 +293,36 @@ class TestSuq:
         assert code == 0
         assert doc["result"]["holds"] is True
         assert doc["result"]["checked"] > 0
+
+    def test_check_sweep_stops_at_N(self, capsys):
+        # (1) and (2) for N = 2, 3; (1,1) for N = 3; (3) for N = 2, 3; (2,1) for N = 3
+        code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", "check", "--sweep-n", "3")
+        assert code == 0
+        assert doc["result"]["checked"] == 8
+
+
+# one command just above each default scale guard
+GUARDED = [
+    ("characters", "--n", "9", "--method", "mn"),
+    ("verify", "--n", "7"),
+    ("traces", "--n", "25", "--kind", "simply", "--diagram", "25"),
+    ("suq", "--N", "6", "--action", "check", "--sweep-n", "25"),
+]
+
+
+class TestScaleGuards:
+    @pytest.mark.parametrize("args", GUARDED, ids=lambda args: args[0])
+    def test_refused_above_default(self, capsys, args):
+        code, doc, _ = run_json(capsys, *args)
+        assert code == 1
+        assert doc["error"]["type"] == "CommandError"
+        assert "capped at n <= " in doc["error"]["message"]
+        assert "--unsafe-large-n" in doc["error"]["message"]
+
+    @pytest.mark.parametrize("args", GUARDED[2:], ids=lambda args: args[0])
+    def test_unsafe_flag_lifts_partition_lattice_guard(self, capsys, args):
+        code, _, _ = run_json(capsys, *args, "--unsafe-large-n")
+        assert code == 0
 
 
 class TestOutputDiscipline:

@@ -83,13 +83,19 @@ class TestPatternEnumeration:
 
     def test_trivial(self):
         assert len(gz_patterns(SuqIrrep(3, (0, 0, 0)))) == 1
+        assert SuqIrrep(3, (0, 0, 0)).dimension == 1
 
     def test_counts_match_weyl_oracle(self):
         for n in range(1, 5):
             for g in partitions(n):
                 for N in range(len(g.rows) + 1, 6):
-                    count = len(gz_patterns(SuqIrrep.from_diagram(g, N)))
-                    assert count == weyl_dimension(g.rows, N)
+                    irrep = SuqIrrep.from_diagram(g, N)
+                    count = len(gz_patterns(irrep))
+                    assert count == irrep.dimension == weyl_dimension(g.rows, N)
+        # far too many patterns to list: a 53-digit dimension
+        rows = (60, 55, 50, 40, 30, 20, 10, 5, 3, 2, 1)
+        big = SuqIrrep.from_rows(12, rows).dimension
+        assert big == weyl_dimension(rows, 12) and len(str(big)) == 53
 
     def test_pattern_validation(self):
         with pytest.raises(PatternViolation):
