@@ -37,6 +37,8 @@ COMMANDS = [
     "verify --n 4",
     "verify --n 3 --q0 3/2",
     "verify --n 3 --q0 1",
+    "verify --n 5 --q0=-3/2",
+    "verify --n 6",
     "suq --N 3 --action casimir --diagram 2,1",
     "suq --N 4 --action dimension --diagram 3,1,0",
     "suq --N 3 --action reconstruct --poly 1+q^-4",
