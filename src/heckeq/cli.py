@@ -42,15 +42,18 @@ from .traces import (
 )
 from .verify import oracle_checks
 
-# The largest n each guarded command accepts without --unsafe-large-n.
-# Past these defaults the library's own ceilings still refuse the work
-# that grows super-polynomially (S_n class enumeration, the n! word-basis
-# oracle).  `traces` and `suq check --sweep-n` both walk the lattice of
-# partitions of n, so they share one default.
+# The largest n (N for `suq`) each guarded command accepts without
+# --unsafe-large-n.  Past these defaults the library's own ceilings still
+# refuse the work that grows super-polynomially (S_n class enumeration,
+# the n! word-basis oracle).  `traces` and `suq check --sweep-n` both walk
+# the lattice of partitions of n, so they share one default.  SU_q(N)
+# work grows with N itself: `suq --action dimension` multiplies O(rows * N)
+# factors, and a sweep checks every N' up to N.
 SCALE_DEFAULTS = {
     "character tables": 8,
-    "verify runs": 6,
+    "verify runs": 7,
     "partition-lattice walks": 24,
+    "SU_q(N) ranks": 64,
 }
 
 
@@ -75,11 +78,11 @@ def _parse_diagram(text: str, n: int | None = None) -> YoungDiagram:
     return g
 
 
-def _check_scale(args, guard: str, n: int) -> None:
+def _check_scale(args, guard: str, n: int, name: str = "n") -> None:
     """Refuse n above the guard's default unless --unsafe-large-n is given."""
     limit = SCALE_DEFAULTS[guard]
     if n > limit and not args.unsafe_large_n:
-        raise CommandError(f"{guard} are capped at n <= {limit} (pass --unsafe-large-n to override)")
+        raise CommandError(f"{guard} are capped at {name} <= {limit} (pass --unsafe-large-n to override)")
 
 
 # -- command handlers -----------------------------------------------------
@@ -157,6 +160,7 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_suq(args) -> tuple[dict, int]:
     N, action = args.N, args.action
+    _check_scale(args, "SU_q(N) ranks", N, "N")
     doc: dict = {"N": N, "action": action}
     if action == "casimir":
         irrep = _suq_irrep_from_args(args, N)

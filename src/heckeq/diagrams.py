@@ -3,7 +3,8 @@
 Boxes are indexed matrix-style with 1-based (row, column) pairs, so the
 content of box (i, j) is j - i and sign conventions match throughout the
 package.  Branching (adding or removing a corner box), standard-tableau
-chains, and the hook-length formula for irrep dimensions all live here.
+chains, and the hook-length formulas for irrep dimensions and generic
+degrees all live here.
 """
 
 from __future__ import annotations
@@ -13,12 +14,15 @@ from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 
+from .laurent import LaurentPoly, q_integer
+
 __all__ = [
     "YoungDiagram",
     "TableauPath",
     "partitions",
     "paths",
     "dimension",
+    "generic_degree",
 ]
 
 
@@ -146,18 +150,36 @@ def paths(g: YoungDiagram) -> list[TableauPath]:
     return [chain + (g,) for parent in g.branch_down() for chain in paths(parent)]
 
 
+def _hooks(g: YoungDiagram) -> list[int]:
+    """Hook lengths of the boxes of g, row by row.
+
+    The hook of box (i, j) is the box itself plus the boxes to its right
+    in row i and below it in column j.
+    """
+    rows = g.rows
+    columns = [sum(1 for r in rows if r > j) for j in range(rows[0])]
+    return [(length - j) + (columns[j] - i) - 1 for i, length in enumerate(rows) for j in range(length)]
+
+
 @cache
 def dimension(g: YoungDiagram) -> int:
     """Irrep dimension by the hook-length formula (Frame-Robinson-Thrall).
 
-    dim(g) = n! / prod of the hook lengths of the boxes of g, where the
-    hook of box (i, j) is the box itself plus the boxes to its right in
-    row i and below it in column j.  It equals the number of standard
-    tableaux, which `paths` enumerates.
+    dim(g) = n! / prod of the hook lengths of the boxes of g.  It equals
+    the number of standard tableaux, which `paths` enumerates.
     """
-    rows = g.rows
-    columns = [sum(1 for r in rows if r > j) for j in range(rows[0])]
-    hooks = prod(
-        (length - j) + (columns[j] - i) - 1 for i, length in enumerate(rows) for j in range(length)
-    )
-    return factorial(g.n) // hooks
+    return factorial(g.n) // prod(_hooks(g))
+
+
+def generic_degree(g: YoungDiagram) -> LaurentPoly:
+    """The generic degree q^n(g) [n]_q! / prod of [hook]_q over the boxes of g.
+
+    n(g) = sum over rows of (i - 1) * g_i, rows counted from 1.  The
+    division is exact, so the result is a polynomial in q; at q = 1 it
+    is dim(g).  It is the Poincare polynomial [n]_q! divided by the
+    Schur element of g, so the symmetrizing trace of the central
+    idempotent is dim(g) * generic_degree(g) / [n]_q!.
+    """
+    shift = LaurentPoly.monomial(sum(i * r for i, r in enumerate(g.rows)))
+    factorial_q = prod((q_integer(k) for k in range(2, g.n + 1)), start=shift)
+    return factorial_q.divide_exact(prod((q_integer(h) for h in _hooks(g)), start=LaurentPoly.one()))

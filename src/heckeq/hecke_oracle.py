@@ -29,11 +29,25 @@ y's coefficients times the x T'_w it reaches.  The trace of left
 multiplication walks every node and sums the diagonal entries; the
 diagonal change of basis from g to T' does not change it.
 
+The algebra is symmetric: the linear form tau(g_w) = [w = e], the
+coefficient of the identity, satisfies tau(g_u g_v) = q0^len(u) when
+v = u^-1 and 0 otherwise, so tau(x y) = tau(y x).  In the T' basis
+tau(T'_u T'_v) = (ab)^len(u) [v = u^-1], and tau(x y) is a dot product
+of x's vector with y's vector read at the inverse words: O(n!) work, no
+product formed.  Decomposing tau over the irreps, tau = sum over
+diagrams of chi_g / c_g with Schur elements c_g, gives for the central
+idempotent e_g
+
+    chi_g(h) = dim(g) * tau(e_g h) / tau(e_g)
+
+(Geck-Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+Algebras, 2000, ch. 8), which is how irreducible traces are read off.
+
 On top of the arithmetic sit the fundamental invariant (the sum of the
 Murphy operators), central projectors obtained by Lagrange interpolation
-on its spectrum at q0, and the trace of left multiplication on the word
-basis.  Together these produce exact irreducible traces, the oracle
-every symbolic result in the package is checked against.
+on its spectrum at q0, and the two traces.  Together these produce
+exact irreducible traces, the oracle every symbolic result in the
+package is checked against.
 
 The representation is specialized at a rational q0 rather than kept
 symbolic because any rational with |q0| not in {0, 1} is never a root
@@ -61,6 +75,7 @@ __all__ = [
     "fundamental_invariant",
     "murphy_element",
     "regular_trace",
+    "symmetrizing_trace",
     "hecke_projector",
     "apply_projector",
     "projector_element",
@@ -94,9 +109,9 @@ def _check_q0(q0) -> Fraction:
 # each one's parent in the first-descent spanning tree, and for each
 # generator i the action tables right[i-1] and left[i-1], each a pair
 # (rank of the swapped permutation, whether the swap lengthens it).
-# `walk` lists the non-root nodes of the tree in depth-first order as
+# `inverse` gives the rank of each permutation's inverse.  `walk` lists the non-root nodes of the tree in depth-first order as
 # (rank, generator taking the parent to it, depth = length).
-_Kernel = namedtuple("_Kernel", "perms rank lengths parent right left walk")
+_Kernel = namedtuple("_Kernel", "perms rank lengths parent right left walk inverse")
 
 
 @cache
@@ -130,7 +145,11 @@ def _kernel(n: int) -> _Kernel:
         lengths[r] = depth
         walk.append((r, i, depth))
         stack.extend((c, j, depth + 1) for c, j in reversed(children[r]))
-    return _Kernel(perms, rank, tuple(lengths), tuple(parent), tuple(right), tuple(left), tuple(walk))
+    # the positions sorted by the values they hold spell the inverse
+    inverse = [rank[tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))] for w in perms]
+    return _Kernel(
+        perms, rank, tuple(lengths), tuple(parent), tuple(right), tuple(left), tuple(walk), tuple(inverse)
+    )
 
 
 def _act(v, table, ab: int, amb: int) -> list[int]:
@@ -381,6 +400,21 @@ def regular_trace(x: HeckeElement) -> Fraction:
     return Fraction(sum(column[r] for r, column in x._walk()), x._den)
 
 
+def symmetrizing_trace(x: HeckeElement, y: HeckeElement) -> Fraction:
+    """tau(x * y), the identity coefficient of the product, without forming it.
+
+    In the T' basis tau(T'_u T'_v) is (ab)^len(u) when v = u^-1 and 0
+    otherwise, so the trace is one integer dot product over the n! words.
+    """
+    x._check_compatible(y)
+    kernel = _kernel(x.n)
+    ab = x.q0.numerator * x.q0.denominator
+    powers = [ab**k for k in range(max(kernel.lengths) + 1)]
+    yv = y._vec
+    total = sum(c * yv[s] * powers[k] for c, s, k in zip(x._vec, kernel.inverse, kernel.lengths) if c)
+    return Fraction(total, x._den * y._den)
+
+
 @dataclass(frozen=True)
 class ProjectorPoly:
     """A central projector expressed as a polynomial in the invariant.
@@ -449,19 +483,34 @@ def apply_projector(p: ProjectorPoly, x: HeckeElement) -> HeckeElement:
     return result
 
 
+@lru_cache(maxsize=8)
+def _invariant_powers(n: int, q0: Fraction) -> tuple[HeckeElement, ...]:
+    """1, C, C^2, ... up to the projector degree, C the fundamental invariant.
+
+    Each power is the previous one times C, whose support is small.
+    """
+    invariant = fundamental_invariant(n, q0)
+    powers = [HeckeElement.identity(n, q0)]
+    for _ in range(len(partitions(n)) - 1):
+        powers.append(powers[-1] * invariant)
+    return tuple(powers)
+
+
 @lru_cache(maxsize=64)
 def projector_element(p: ProjectorPoly) -> HeckeElement:
-    """The projector itself as an element (the polynomial applied to 1)."""
-    return apply_projector(p, HeckeElement.identity(p.n, p.q0))
+    """The projector itself as an element: sum of c_k C^k over the cached powers of C."""
+    powers = _invariant_powers(p.n, p.q0)
+    return sum((power * c for power, c in zip(powers, p.coeffs)), HeckeElement.zero(p.n, p.q0))
 
 
 def irreducible_trace(g: YoungDiagram, word: tuple[int, ...], n: int, q0) -> Fraction:
     """Exact trace of a generator word in the irrep labeled by g.
 
-    The regular representation contains each irrep with multiplicity
-    equal to its dimension, so the irreducible trace is the regular
-    trace of (projector * word) divided by dim(g).
+    With e_g the central idempotent and tau the symmetrizing trace,
+    chi_g(h) = dim(g) * tau(e_g h) / tau(e_g); both traces are dot
+    products of e_g's coefficients, never a product of elements.
     """
-    p = hecke_projector(g, n, q0)
+    p = projector_element(hecke_projector(g, n, q0))
     x = word_element(n, p.q0, tuple(word))
-    return regular_trace(projector_element(p) * x) / dimension(g)
+    one = HeckeElement.identity(n, p.q0)
+    return dimension(g) * symmetrizing_trace(p, x) / symmetrizing_trace(p, one)

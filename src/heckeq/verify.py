@@ -6,7 +6,7 @@ computes at (n, q0).  The first comparison that fails is kept as a
 witness, every field a string:
 
     check       the name of the failing check
-    diagram     the irrep label, "g * h" for a product of two projectors,
+    diagram     the irrep label, "g * h" for a pair of irreps,
                 or "" when the check involves no single irrep
     word        the generator word multiplied in or traced ("" for none)
     symbolic    the predicted value
@@ -15,12 +15,24 @@ witness, every field a string:
 When the compared values are algebra elements, `symbolic` and `oracle`
 are their coefficients at the first basis word (in lexicographic order
 of permutations) where they differ, and `basis_word` is a reduced word
-for it ("" for the identity).
+for it ("" for the identity).  A symmetrizing trace is the coefficient
+of the identity, so its witness carries `basis_word` "" too.
+
+No check multiplies two elements of full support.  The projector
+identities are proved from relations that each cost O(n!) or one
+product by the invariant C, whose support is small:
+
+    p_g central (g_i p_g = p_g g_i for every generator) and
+    p_g C = ev_g p_g make p_g a multiple c e_g of the central idempotent;
+    tau(p_g p_g) = tau(p_g) != 0 then forces c = 1: idempotence.
+    C central gives ev_g p_g p_h = p_g C p_h = p_g p_h C = ev_h p_g p_h,
+    so distinct eigenvalues make p_g p_h = 0: orthogonality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .hecke_oracle import (
@@ -31,8 +43,9 @@ from .hecke_oracle import (
     projector_element,
     reduced_word,
     regular_trace,
-    word_element,
+    symmetrizing_trace,
 )
+from .invariant import invariant_eigenvalue
 from .traces import doubly_connected_traces, simply_connected_trace
 
 __all__ = ["OracleReport", "oracle_checks"]
@@ -46,12 +59,15 @@ class OracleReport:
         self.witness: dict[str, str] | None = None
 
     def compare(self, check: str, symbolic, oracle, diagram: YoungDiagram | str = "",
-                word: tuple[int, ...] = ()) -> bool:
+                word: tuple[int, ...] = (), basis_word: tuple[int, ...] | None = None) -> bool:
         """True when the values agree; otherwise keep the first witness and return False."""
-        if symbolic == oracle:
-            return True
+        return symbolic == oracle or self.fail(check, symbolic, oracle, diagram, word, basis_word)
+
+    def fail(self, check: str, symbolic, oracle, diagram: YoungDiagram | str = "",
+             word: tuple[int, ...] = (), basis_word: tuple[int, ...] | None = None) -> bool:
+        """Keep the first witness and return False."""
         if self.witness is None:
-            self.witness = _witness(check, symbolic, oracle, str(diagram), word)
+            self.witness = _witness(check, symbolic, oracle, str(diagram), word, basis_word)
         return False
 
 
@@ -59,13 +75,16 @@ def _words(word: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in word)
 
 
-def _witness(check: str, symbolic, oracle, diagram: str, word: tuple[int, ...]) -> dict[str, str]:
+def _witness(check: str, symbolic, oracle, diagram: str, word: tuple[int, ...],
+             basis_word: tuple[int, ...] | None) -> dict[str, str]:
     doc = {"check": check, "diagram": diagram, "word": _words(word)}
     if isinstance(symbolic, HeckeElement):
         expected, got = symbolic.coeffs, oracle.coeffs
         w = min(w for w in expected.keys() | got.keys() if expected.get(w) != got.get(w))
-        doc["basis_word"] = _words(reduced_word(w))
+        basis_word = reduced_word(w)
         symbolic, oracle = expected.get(w, Fraction(0)), got.get(w, Fraction(0))
+    if basis_word is not None:
+        doc["basis_word"] = _words(basis_word)
     doc["symbolic"], doc["oracle"] = str(symbolic), str(oracle)
     return doc
 
@@ -83,26 +102,41 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     checks, compare = report.checks, report.compare
     parts = partitions(n)
     invariant = fundamental_invariant(n, q0)
+    one = HeckeElement.identity(n, q0)
+
+    def central(name: str, x: HeckeElement, g: YoungDiagram | str = "") -> bool:
+        return all(
+            compare(name, x.times_generator(i, "left"), x.times_generator(i), g, (i,)) for i in range(1, n)
+        )
 
     name = "fundamental_invariant_central"
-    generators = [word_element(n, q0, (i,)) for i in range(1, n)]
-    checks[name] = all(
-        compare(name, gi * invariant, invariant * gi, word=(i,)) for i, gi in enumerate(generators, 1)
-    )
+    checks[name] = central(name, invariant)
 
     projectors = {g: projector_element(hecke_projector(g, n, q0)) for g in parts}
+    eigenvalues = {g: invariant_eigenvalue(g).evaluate(q0) for g in parts}
+    shifted = {g: p * invariant for g, p in projectors.items()}
+
+    def eigenvector(name: str, g: YoungDiagram) -> bool:
+        return compare(name, projectors[g] * eigenvalues[g], shifted[g], g)
+
+    def idempotent(name: str, g: YoungDiagram, p: HeckeElement) -> bool:
+        tau = symmetrizing_trace(p, one)
+        return (
+            central(name, p, g)
+            and eigenvector(name, g)
+            and compare(name, tau, symmetrizing_trace(p, p), g, basis_word=())
+            and (tau != 0 or report.fail(name, "nonzero", tau, g, basis_word=()))
+        )
+
     name = "projector_idempotent"
-    checks[name] = all(compare(name, p, p * p, g) for g, p in projectors.items())
+    checks[name] = all(idempotent(name, g, p) for g, p in projectors.items())
     name = "projector_pairwise_orthogonal"
-    zero = HeckeElement.zero(n, q0)
-    checks[name] = all(
-        compare(name, zero, p * p2, f"{g} * {h}")
-        for g, p in projectors.items()
-        for h, p2 in projectors.items()
-        if g != h
+    checks[name] = all(eigenvector(name, g) for g in parts) and all(
+        eigenvalues[g] != eigenvalues[h] or report.fail(name, "distinct", eigenvalues[h], f"{g} * {h}")
+        for g, h in combinations(parts, 2)
     )
     name = "projector_resolution_of_identity"
-    checks[name] = compare(name, HeckeElement.identity(n, q0), sum(projectors.values(), zero))
+    checks[name] = compare(name, one, sum(projectors.values(), HeckeElement.zero(n, q0)))
     name = "projector_regular_trace_dimension"
     checks[name] = all(
         compare(name, Fraction(dimension(g)) ** 2, regular_trace(p), g) for g, p in projectors.items()

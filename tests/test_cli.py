@@ -217,7 +217,7 @@ class TestVerify:
         assert doc["result"]["all_pass"] is True
 
     def test_scale_guard(self, capsys):
-        code, doc, _ = run_json(capsys, "verify", "--n", "7")
+        code, doc, _ = run_json(capsys, "verify", "--n", "8")
         assert code == 1
         assert "verify runs" in doc["error"]["message"]
 
@@ -301,28 +301,35 @@ class TestSuq:
         assert doc["result"]["checked"] == 8
 
 
-# one command just above each default scale guard
-GUARDED = [
-    ("characters", "--n", "9", "--method", "mn"),
-    ("verify", "--n", "7"),
-    ("traces", "--n", "25", "--kind", "simply", "--diagram", "25"),
-    ("suq", "--N", "6", "--action", "check", "--sweep-n", "25"),
-]
+# one command just above each default scale guard, and the variable it caps
+GUARDED = {
+    "characters": (("characters", "--n", "9", "--method", "mn"), "n"),
+    "verify": (("verify", "--n", "8"), "n"),
+    "traces": (("traces", "--n", "25", "--kind", "simply", "--diagram", "25"), "n"),
+    "suq": (("suq", "--N", "6", "--action", "check", "--sweep-n", "25"), "n"),
+    "suq-rank": (("suq", "--N", "65", "--action", "dimension", "--diagram", "3,1"), "N"),
+}
 
 
 class TestScaleGuards:
-    @pytest.mark.parametrize("args", GUARDED, ids=lambda args: args[0])
-    def test_refused_above_default(self, capsys, args):
+    @pytest.mark.parametrize("args,name", GUARDED.values(), ids=GUARDED.keys())
+    def test_refused_above_default(self, capsys, args, name):
         code, doc, _ = run_json(capsys, *args)
         assert code == 1
         assert doc["error"]["type"] == "CommandError"
-        assert "capped at n <= " in doc["error"]["message"]
+        assert f"capped at {name} <= " in doc["error"]["message"]
         assert "--unsafe-large-n" in doc["error"]["message"]
 
-    @pytest.mark.parametrize("args", GUARDED[2:], ids=lambda args: args[0])
-    def test_unsafe_flag_lifts_partition_lattice_guard(self, capsys, args):
-        code, _, _ = run_json(capsys, *args, "--unsafe-large-n")
+    @pytest.mark.parametrize("guard", ["traces", "suq"])
+    def test_unsafe_flag_lifts_partition_lattice_guard(self, capsys, guard):
+        code, _, _ = run_json(capsys, *GUARDED[guard][0], "--unsafe-large-n")
         assert code == 0
+
+    def test_unsafe_flag_lifts_rank_guard(self, capsys):
+        code, doc, _ = run_json(capsys, *GUARDED["suq-rank"][0], "--unsafe-large-n")
+        assert code == 0
+        # hook-content formula for the rows (3, 1): N (N + 1)(N + 2)(N - 1) / (4 * 2)
+        assert doc["result"]["dimension"] == 65 * 66 * 67 * 64 // 8
 
 
 class TestOutputDiscipline:

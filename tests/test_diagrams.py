@@ -7,11 +7,13 @@ import pytest
 from heckeq.diagrams import (
     YoungDiagram,
     dimension,
+    generic_degree,
     partitions,
     paths,
 )
+from heckeq.laurent import LaurentPoly
 
-from conftest import Y
+from conftest import P, Y
 
 
 @lru_cache(maxsize=None)
@@ -169,3 +171,38 @@ class TestPathsAndDimension:
             for g in partitions(n):
                 assert dimension(g) == sum(dimension(h) for h in g.branch_down())
 
+
+
+def major_index_sum(g: YoungDiagram) -> LaurentPoly:
+    """Independent oracle: the sum of q^maj(T) over the standard tableaux T of g.
+
+    Along a chain of diagrams, box k lands in the row that grew at step
+    k; k is a descent when box k + 1 lands in a lower row.
+    """
+    total = LaurentPoly.zero()
+    for chain in paths(g):
+        rows = [0] + [
+            next(i for i, (a, b) in enumerate(zip(big.rows, small.rows + (0,))) if a != b)
+            for small, big in zip(chain, chain[1:])
+        ]
+        total = total + LaurentPoly.monomial(sum(k for k in range(1, g.n) if rows[k] > rows[k - 1]))
+    return total
+
+
+class TestGenericDegree:
+    def test_examples(self):
+        assert generic_degree(Y(1)) == P("1")
+        assert generic_degree(Y(2, 1)) == P("q^2+q")
+        assert generic_degree(Y(2, 2)) == P("q^4+q^2")
+        assert generic_degree(Y(1, 1, 1, 1)) == P("q^6")
+
+    def test_is_the_major_index_generating_function(self):
+        # Stanley, EC2 7.21.5: sum over SYT of q^maj = q^n(g) [n]_q! / prod [hook]_q
+        for n in range(1, 8):
+            for g in partitions(n):
+                assert generic_degree(g) == major_index_sum(g)
+
+    def test_at_one_is_the_dimension(self):
+        for n in range(1, 11):
+            for g in partitions(n):
+                assert generic_degree(g).evaluate(1) == dimension(g)

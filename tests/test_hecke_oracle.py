@@ -11,7 +11,8 @@ from math import factorial
 import pytest
 
 import heckeq
-from heckeq.diagrams import dimension, partitions
+import heckeq.verify
+from heckeq.diagrams import dimension, generic_degree, partitions
 from heckeq.hecke_oracle import (
     DegenerateSpecialization,
     HeckeElement,
@@ -23,9 +24,13 @@ from heckeq.hecke_oracle import (
     projector_element,
     regular_trace,
     reduced_word,
+    symmetrizing_trace,
     word_element,
 )
 from heckeq.invariant import invariant_eigenvalue
+from heckeq.laurent import q_integer
+from heckeq.traces import doubly_connected_traces, simply_connected_trace
+from heckeq.verify import oracle_checks
 
 from conftest import F, Y
 
@@ -66,6 +71,12 @@ def ref_mul(x, y, q0):
 def ref_trace(x, n, q0):
     """Trace of left multiplication by x: the coefficient of g_w in x * g_w, summed."""
     return sum(ref_mul(x, {w: Fraction(1)}, q0).get(w, 0) for w in permutations(range(1, n + 1)))
+
+
+def ref_irreducible_trace(g, word, n, q0):
+    """The regular-representation route: tr_reg(e_g * word) / dim(g)."""
+    p = projector_element(hecke_projector(g, n, q0))
+    return regular_trace(p * word_element(n, q0, word)) / dimension(g)
 
 
 def random_coeffs(n, rng):
@@ -162,6 +173,8 @@ class TestAgainstReference:
                         assert x.times_generator(i, side).coeffs == ref_times_generator(xc, q0, i, side)
                 assert (x * y).coeffs == ref_mul(xc, yc, q0)
                 assert regular_trace(x) == ref_trace(xc, n, q0)
+                identity = tuple(range(1, n + 1))
+                assert symmetrizing_trace(x, y) == ref_mul(xc, yc, q0).get(identity, 0)
 
 
 class TestCachesAndTables:
@@ -304,7 +317,116 @@ class TestRegularTrace:
         assert regular_trace(a + b) == regular_trace(a) + regular_trace(b)
 
 
+class TestSymmetrizingTrace:
+    def test_is_the_identity_coefficient(self):
+        rng = random.Random(17)
+        for q0 in (F(2), F(-3, 2), F(2, 3)):
+            for _ in range(4):
+                a, b = random_element(4, q0, rng), random_element(4, q0, rng)
+                assert symmetrizing_trace(a, b) == (a * b).coefficient((1, 2, 3, 4))
+                assert symmetrizing_trace(a, b) == symmetrizing_trace(b, a)
+
+    def test_word_pairs(self):
+        # tau(g_u g_v) = q0^len(u) when v = u^-1, else 0
+        q0 = F(5, 3)
+        u = word_element(4, q0, (1, 2, 3))
+        assert symmetrizing_trace(u, word_element(4, q0, (3, 2, 1))) == q0**3
+        assert symmetrizing_trace(u, word_element(4, q0, (1, 2, 3))) == 0
+
+    def test_mixed_algebras_rejected(self):
+        with pytest.raises(ValueError):
+            symmetrizing_trace(HeckeElement.identity(3, 2), HeckeElement.identity(3, 3))
+
+
+class TestTauRouteAgainstRegularTrace:
+    @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2), F(2, 3)])
+    def test_every_diagram_up_to_five(self, q0):
+        for n in (2, 3, 4, 5):
+            words = [(), (1,), (1, 1), tuple(range(1, n))]
+            if n >= 3:
+                words.append((2, 1, 2, 1))
+            if n >= 4:
+                words.append((1, 3))
+            for g in partitions(n):
+                for word in words:
+                    assert irreducible_trace(g, word, n, q0) == ref_irreducible_trace(g, word, n, q0)
+
+    def test_every_symbolic_trace_at_seven(self):
+        q0 = F(2)
+        words = {"g1*g3": (1, 3), "g1*g3*g4": (1, 3, 4)}
+        for g in partitions(7):
+            for k in range(2, 8):
+                assert simply_connected_trace(g, k).evaluate(q0) == irreducible_trace(g, tuple(range(1, k)), 7, q0)
+            solved = doubly_connected_traces(g)
+            for label, word in words.items():
+                assert solved[label].evaluate(q0) == irreducible_trace(g, word, 7, q0)
+
+
+class TestGenericDegreeAgainstOracle:
+    @pytest.mark.parametrize("q0", [F(2), F(-3, 2)])
+    def test_trace_of_central_idempotent(self, q0):
+        for n in range(2, 7):
+            one = HeckeElement.identity(n, q0)
+            factorial_q = 1
+            for k in range(2, n + 1):
+                factorial_q *= q_integer(k).evaluate(q0)
+            for g in partitions(n):
+                tau = symmetrizing_trace(projector_element(hecke_projector(g, n, q0)), one)
+                hooks = 1
+                for i, length in enumerate(g.rows):
+                    for j in range(length):
+                        hooks *= q_integer(length - j + sum(1 for r in g.rows[i + 1 :] if r > j)).evaluate(q0)
+                n_g = sum(i * r for i, r in enumerate(g.rows))
+                assert tau == dimension(g) * q0**n_g / hooks
+                assert tau == dimension(g) * generic_degree(g).evaluate(q0) / factorial_q
+
+
+class TestVerifyMutations:
+    def test_non_central_perturbation_fails_idempotence(self, monkeypatch):
+        real = heckeq.verify.projector_element
+        monkeypatch.setattr(
+            heckeq.verify, "projector_element", lambda p: real(p) + word_element(p.n, p.q0, (1,))
+        )
+        report = oracle_checks(4, F(2))
+        assert report.checks["projector_idempotent"] is False
+        # g_1 commutes with itself, so the first failing generator is g_2
+        assert (report.witness["check"], report.witness["diagram"], report.witness["word"]) == (
+            "projector_idempotent", "4", "2"
+        )
+
+    def test_zero_projector_fails_idempotence(self, monkeypatch):
+        monkeypatch.setattr(heckeq.verify, "projector_element", lambda p: HeckeElement.zero(p.n, p.q0))
+        report = oracle_checks(3, F(2))
+        assert report.checks["projector_idempotent"] is False
+        assert report.witness == {
+            "check": "projector_idempotent", "diagram": "3", "word": "", "basis_word": "",
+            "symbolic": "nonzero", "oracle": "0",
+        }
+
+    def test_projector_off_its_eigenspace_fails_orthogonality(self, monkeypatch):
+        # a sum of two central idempotents is central and idempotent, but
+        # not an eigenvector of the invariant
+        real = heckeq.verify.projector_element
+        parts = partitions(4)
+
+        def shifted(p):
+            other = parts[(parts.index(p.diagram) + 1) % len(parts)]
+            return real(p) + real(hecke_projector(other, p.n, p.q0))
+
+        monkeypatch.setattr(heckeq.verify, "projector_element", shifted)
+        report = oracle_checks(4, F(5, 3))
+        assert report.checks["projector_pairwise_orthogonal"] is False
+        assert report.checks["fundamental_invariant_central"] is True
+
+
 class TestProjectors:
+    def test_powers_match_horner(self):
+        for q0 in (F(2), F(5, 3), F(-3, 2)):
+            for n in (2, 3, 4, 5):
+                for g in partitions(n):
+                    p = hecke_projector(g, n, q0)
+                    assert projector_element(p) == apply_projector(p, HeckeElement.identity(n, q0))
+
     def test_two_point_lagrange(self):
         p = hecke_projector(Y(2), 2, 2)
         assert p.coeffs == (F(1, 3), F(1, 3))
