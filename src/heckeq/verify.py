@@ -115,12 +115,13 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
 
     projectors = {g: projector_element(hecke_projector(g, n, q0)) for g in parts}
     eigenvalues = {g: invariant_eigenvalue(g).evaluate(q0) for g in parts}
-    shifted = {g: p * invariant for g, p in projectors.items()}
+    times_invariant = {g: p * invariant for g, p in projectors.items()}
 
     def eigenvector(name: str, g: YoungDiagram) -> bool:
-        return compare(name, projectors[g] * eigenvalues[g], shifted[g], g)
+        return compare(name, projectors[g] * eigenvalues[g], times_invariant[g], g)
 
-    def idempotent(name: str, g: YoungDiagram, p: HeckeElement) -> bool:
+    def idempotent(name: str, g: YoungDiagram) -> bool:
+        p = projectors[g]
         tau = symmetrizing_trace(p, one)
         return (
             central(name, p, g)
@@ -130,7 +131,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
         )
 
     name = "projector_idempotent"
-    checks[name] = all(idempotent(name, g, p) for g, p in projectors.items())
+    checks[name] = all(idempotent(name, g) for g in parts)
     name = "projector_pairwise_orthogonal"
     checks[name] = all(eigenvector(name, g) for g in parts)
     name = "projector_resolution_of_identity"
