@@ -109,8 +109,9 @@ def _check_q0(q0) -> Fraction:
 # each one's parent in the first-descent spanning tree, and for each
 # generator i the action tables right[i-1] and left[i-1], each a pair
 # (rank of the swapped permutation, whether the swap lengthens it).
-# `inverse` gives the rank of each permutation's inverse.  `walk` lists the non-root nodes of the tree in depth-first order as
-# (rank, generator taking the parent to it, depth = length).
+# `walk` lists the non-root nodes of the tree in depth-first order as
+# (rank, generator taking the parent to it, depth = length), and
+# `inverse` gives the rank of each permutation's inverse.
 _Kernel = namedtuple("_Kernel", "perms rank lengths parent right left walk inverse")
 
 
