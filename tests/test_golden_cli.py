@@ -26,8 +26,10 @@ COMMANDS = [
     "reconstruct --n 6 --poly q^2+3*q-1",
     "reconstruct --n 4 --poly=-3-2*q^-1-q^-2",
     "characters --n 3 --method projector",
+    "characters --n 5 --method projector",
     "characters --n 6 --method mn",
     "characters --n 7 --method both",
+    "characters --n 8 --method both",
     "characters --n 9 --method mn",
     "traces --n 4 --kind murphy --diagram 3,1",
     "traces --n 12 --kind murphy",
