@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Character tables without character theory.
 
-A central projector for an irrep of S_n can be assembled from one or two
-class-sums: a Lagrange product over transposition eigenvalues, plus one
-3-cycle factor when two irreps share a transposition eigenvalue.
+A central projector for an irrep of S_n can be assembled from a few
+class-sums: a Lagrange product over transposition eigenvalues, plus
+3-, 4- or 5-cycle factors when two irreps share a transposition
+eigenvalue (S_6 is the first group that needs a 3-cycle factor).
 Expanding the projector back in the class-sum basis and rescaling by
 n!/dim yields the full character row.  An independent Murnaghan-Nakayama
 recursion confirms every entry.

@@ -1,20 +1,22 @@
 """The class algebra of the symmetric group.
 
-Conjugacy classes and their structure constants are computed by brute
-force (multiplying one fixed class representative against every element
-of the second class and sorting the products by cycle type), which keeps
-the machinery trivially auditable at the n <= 8 scale this package
-targets.  On top of that sit central projectors built from at most two
-class-sums, the character rows they expose, and an independent
-Murnaghan-Nakayama recursion used to cross-check every character value.
+S_n itself is never listed.  A structure constant fixes one canonical
+representative of one class (its cycles on consecutive points) and
+multiplies it by every element of the other, smaller class, generated
+cycle by cycle; class sizes have a closed form.  Central projectors are
+the paper's construction: a Lagrange polynomial in the transposition
+class-sum, summed over cached integer powers [(2)]^k, then factors
+linear in the p-cycle class-sums, p = 3, 4, 5, for the irreps that share
+the transposition eigenvalue.  Their class coefficients give the
+character rows, and an independent Murnaghan-Nakayama recursion
+cross-checks every value.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cache
-from itertools import permutations as _iter_permutations
 from math import factorial
 from types import MappingProxyType
 
@@ -22,7 +24,6 @@ from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import central_character
 
 __all__ = [
-    "MAX_BRUTE_FORCE_N",
     "NotSeparated",
     "NonIntegerCharacter",
     "Permutation",
@@ -45,13 +46,9 @@ __all__ = [
     "character_table_json",
 ]
 
-# n! growth: class enumeration lists every permutation, and S_9 (362880
-# of them) is the last group it lists in seconds.
-MAX_BRUTE_FORCE_N = 9
-
 
 class NotSeparated(ValueError):
-    """Transposition and 3-cycle eigenvalues fail to single out the irrep."""
+    """The 2- to 5-cycle class-sum eigenvalues fail to single out the irrep."""
 
 
 class NonIntegerCharacter(ArithmeticError):
@@ -70,7 +67,7 @@ def identity_perm(n: int) -> Permutation:
 
 def perm_mul(u: Permutation, v: Permutation) -> Permutation:
     """Composition (u o v)(i) = u(v(i))."""
-    return tuple(u[x - 1] for x in v)
+    return tuple([u[x - 1] for x in v])
 
 
 def cycle_type(perm: Permutation) -> CycleType:
@@ -117,35 +114,75 @@ def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
     return "".join(groups)
 
 
+def _normalise(t: CycleType) -> CycleType:
+    """The cycle type sorted descending; a part below 1 is an error."""
+    if any(p < 1 for p in t):
+        raise ValueError(f"cycle lengths must be positive, got {t}")
+    return tuple(sorted(t, reverse=True))
+
+
 def class_size(t: CycleType) -> int:
     """Size of the conjugacy class with this cycle type: n! / z_t."""
-    n = sum(t)
+    t = _normalise(t)
     z = 1
     for p in set(t):
         m = t.count(p)
         z *= p**m * factorial(m)
-    return factorial(n) // z
-
-
-@cache
-def _class_elements(n: int) -> dict[CycleType, tuple[Permutation, ...]]:
-    """Every element of S_n grouped by cycle type (brute force)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > MAX_BRUTE_FORCE_N:
-        raise ValueError(
-            f"S_n class enumeration stops at n = {MAX_BRUTE_FORCE_N}; it lists all n! permutations"
-        )
-    grouped: dict[CycleType, list[Permutation]] = {}
-    for perm in _iter_permutations(range(1, n + 1)):
-        grouped.setdefault(cycle_type(perm), []).append(perm)
-    return {t: tuple(elems) for t, elems in grouped.items()}
+    return factorial(sum(t)) // z
 
 
 def conjugacy_classes(n: int) -> list[tuple[CycleType, int]]:
     """All cycle types of S_n with class sizes, in canonical table order."""
-    elements = _class_elements(n)
-    return [(g.rows, len(elements[g.rows])) for g in partitions(n)]
+    return [(g.rows, class_size(g.rows)) for g in partitions(n)]
+
+
+def _representative(t: CycleType) -> Permutation:
+    """The element of class t whose cycles run over consecutive points."""
+    perm: list[int] = []
+    for length in t:
+        first = len(perm) + 1
+        perm.extend(range(first + 1, first + length))
+        perm.append(first)
+    return tuple(perm)
+
+
+def _class_members(t: CycleType) -> Iterator[Permutation]:
+    """Every permutation of cycle type t, each once, built cycle by cycle.
+
+    Each new cycle starts at the least free point and runs through free
+    points in every order; once only unit cycles are left the remaining
+    points are fixed.
+    """
+    n = sum(t)
+    image = list(range(1, n + 1))
+    free = set(image)
+
+    def open_cycle(lengths: tuple[int, ...]) -> Iterator[Permutation]:
+        if not lengths or lengths[0] == 1:
+            for x in free:
+                image[x - 1] = x
+            yield tuple(image)
+            return
+        first = min(free)
+        free.remove(first)
+        for length in sorted(set(lengths), reverse=True):
+            rest = list(lengths)
+            rest.remove(length)
+            yield from extend(first, first, length - 1, tuple(rest))
+        free.add(first)
+
+    def extend(first: int, last: int, missing: int, lengths: tuple[int, ...]) -> Iterator[Permutation]:
+        if not missing:
+            image[last - 1] = first
+            yield from open_cycle(lengths)
+            return
+        for x in sorted(free):
+            free.remove(x)
+            image[last - 1] = x
+            yield from extend(first, x, missing - 1, lengths)
+            free.add(x)
+
+    return open_cycle(t)
 
 
 class ClassVector:
@@ -160,14 +197,12 @@ class ClassVector:
     def __init__(self, n: int, coeffs: dict[CycleType, Fraction] | None = None):
         self.n = n
         clean: dict[CycleType, Fraction] = {}
-        if coeffs:
-            for t, c in coeffs.items():
-                if sum(t) != n:
-                    raise ValueError(f"cycle type {t} does not partition n={n}")
-                f = Fraction(c)
-                if f:
-                    clean[t] = f
-        self.coeffs = clean
+        for t, c in (coeffs or {}).items():
+            key = _normalise(t)
+            if sum(key) != n:
+                raise ValueError(f"cycle type {t} does not partition n={n}")
+            clean[key] = clean.get(key, 0) + Fraction(c)
+        self.coeffs = {t: c for t, c in clean.items() if c}
 
     @classmethod
     def zero(cls, n: int) -> "ClassVector":
@@ -179,10 +214,10 @@ class ClassVector:
 
     @classmethod
     def class_sum(cls, n: int, t: CycleType) -> "ClassVector":
-        return cls(n, {tuple(sorted(t, reverse=True)): Fraction(1)})
+        return cls(n, {t: Fraction(1)})
 
     def coefficient(self, t: CycleType) -> Fraction:
-        return self.coeffs.get(t, Fraction(0))
+        return self.coeffs.get(_normalise(t), Fraction(0))
 
     def _check_compatible(self, other: "ClassVector") -> None:
         if self.n != other.n:
@@ -271,22 +306,24 @@ def single_cycle_class_sum(n: int, p: int) -> ClassVector:
 def _structure_row(n: int, s: CycleType, t: CycleType) -> Mapping[CycleType, int]:
     """Integer constants N such that [s]_n [t]_n = sum_u N_u [u]_n.
 
-    Brute force: fix one representative x of class s, multiply it by
-    every element y of class t, and count the cycle types of the
-    products; N_u = |C_s| * count_u / |C_u| is an exact integer.  The
-    row is cached, so it is returned as a read-only view.
+    Fix the representative x of class s, multiply it by every element y
+    of class t, and count the cycle types of the products; then
+    N_u = |C_s| * count_u / |C_u| is an exact integer.  The class algebra
+    is commutative, so the smaller of the two classes is the one listed.
+    The row is cached, so it is returned as a read-only view.
     """
-    elements = _class_elements(n)
-    x0 = elements[s][0]
+    if class_size(t) > class_size(s):
+        return _structure_row(n, t, s)
+    x0 = _representative(s)
     counts: dict[CycleType, int] = {}
-    for y in elements[t]:
+    for y in _class_members(t):
         u = cycle_type(perm_mul(x0, y))
         counts[u] = counts.get(u, 0) + 1
-    size_s = len(elements[s])
+    size_s = class_size(s)
     row: dict[CycleType, int] = {}
     for u, m in counts.items():
         total = size_s * m
-        size_u = len(elements[u])
+        size_u = class_size(u)
         if total % size_u:
             raise AssertionError(f"non-integer structure constant for {s} * {t} at {u}")
         row[u] = total // size_u
@@ -312,39 +349,90 @@ def class_product(a: ClassVector, b: ClassVector) -> ClassVector:
     return result
 
 
+def _times_cycle_sum(n: int, vector: Mapping[CycleType, int], p: int) -> dict[CycleType, int]:
+    """An integer class vector times the class-sum of p-cycles."""
+    t = (p,) + (1,) * (n - p)
+    out: dict[CycleType, int] = {}
+    for s, c in vector.items():
+        for u, constant in _structure_row(n, s, t).items():
+            out[u] = out.get(u, 0) + c * constant
+    return {u: c for u, c in out.items() if c}
+
+
+@cache
+def _eigenvalues(p: int, n: int) -> Mapping[YoungDiagram, int]:
+    """The p-cycle class-sum's eigenvalue on each irrep of S_n.
+
+    A class-sum's eigenvalue is an algebraic integer, so each value of
+    `central_character` must be a whole number.
+    """
+    values: dict[YoungDiagram, int] = {}
+    for g in partitions(n):
+        value = central_character(p, n, g)
+        if value.denominator != 1:
+            raise AssertionError(f"non-integer {p}-cycle class-sum eigenvalue {value} on {g}")
+        values[g] = value.numerator
+    return MappingProxyType(values)
+
+
+@cache
+def _transposition_powers(n: int) -> tuple[Mapping[CycleType, int], ...]:
+    """[(2)]^k * 1 for k = 0, 1, ... up to the Lagrange degree, as integer class vectors.
+
+    That degree is the number of distinct transposition eigenvalues
+    minus one.  The powers are cached, so each is a read-only view.
+    """
+    powers = [{(1,) * n: 1}]
+    for _ in range(len(set(_eigenvalues(2, n).values())) - 1):
+        powers.append(_times_cycle_sum(n, powers[-1], 2))
+    return tuple(MappingProxyType(power) for power in powers)
+
+
 def build_projector(g: YoungDiagram, n: int) -> ClassVector:
     """Central idempotent projecting onto the irrep labeled by g.
 
-    Stage one is a Lagrange product over the distinct transposition
-    class-sum eigenvalues of the other irreps, which annihilates every
-    irrep whose transposition eigenvalue differs from g's.  Any surviving
-    degenerate partner is then annihilated by one factor linear in the
-    3-cycle class-sum.  Through n = 14 those two eigenvalues always
-    separate the irreps, so within the n <= 8 scale of the class algebra a
-    `NotSeparated` failure cannot occur.
+    Stage one is the Lagrange polynomial in the transposition class-sum
+    that is 1 at g's eigenvalue and 0 at every other irrep's: its integer
+    numerator coefficients weight the cached powers [(2)]^k * 1, summed
+    in integers over one common denominator.  That annihilates every
+    irrep whose transposition eigenvalue differs from g's.  Stage two
+    annihilates the surviving partners one p-cycle class-sum at a time,
+    p = 3, 4, 5: one factor linear in [(p)] for each distinct p-cycle
+    eigenvalue of the partners left that differs from g's.  These
+    eigenvalues are the content power sums s_1..s_4 in disguise, which
+    separate the partitions of n through n = 41, so `NotSeparated`
+    cannot occur up to there.
     """
     if g.n != n:
         raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
-    parts = partitions(n)
-    lam2 = {h: central_character(2, n, h) for h in parts}
+    lam2 = _eigenvalues(2, n)
     mine = lam2[g]
+    # numerator of prod (x - v) / (mine - v), lowest degree first
+    weights = [1]
+    denominator = 1
+    for v in sorted(set(lam2.values()) - {mine}):
+        weights = [a - v * b for a, b in zip([0] + weights, weights + [0])]
+        denominator *= mine - v
+    numerator: dict[CycleType, int] = {}
+    for weight, power in zip(weights, _transposition_powers(n)):
+        for u, c in power.items():
+            numerator[u] = numerator.get(u, 0) + weight * c
 
-    result = ClassVector.identity(n)
-    if n >= 2:
-        transposition = single_cycle_class_sum(n, 2)
-        for value in sorted(set(lam2[h] for h in parts if lam2[h] != mine)):
-            result = class_product(result, transposition - value) / (mine - value)
-
-    partners = [h for h in parts if h != g and lam2[h] == mine]
+    partners = [h for h in lam2 if h != g and lam2[h] == mine]
+    for p in (3, 4, 5):
+        if not partners:
+            break
+        lam = _eigenvalues(p, n)
+        for v in sorted({lam[h] for h in partners} - {lam[g]}):
+            shifted = _times_cycle_sum(n, numerator, p)
+            for u, c in numerator.items():
+                shifted[u] = shifted.get(u, 0) - v * c
+            numerator = shifted
+            denominator *= lam[g] - v
+        partners = [h for h in partners if lam[h] == lam[g]]
     if partners:
-        three_cycle = single_cycle_class_sum(n, 3)
-        lam3_mine = central_character(3, n, g)
-        for h in partners:
-            lam3_other = central_character(3, n, h)
-            if lam3_other == lam3_mine:
-                raise NotSeparated(f"{g} and {h} share transposition and 3-cycle eigenvalues")
-            result = class_product(result, three_cycle - lam3_other) / (lam3_mine - lam3_other)
-    return result
+        raise NotSeparated(f"{g} and {partners[0]} share their 2- to 5-cycle class-sum eigenvalues")
+    return ClassVector(n, {u: Fraction(c, denominator) for u, c in numerator.items()})
 
 
 def characters_from_projector(p: ClassVector, g: YoungDiagram) -> dict[CycleType, int]:

@@ -68,7 +68,6 @@ class TestReconstruct:
         assert doc["result"]["diagram"] == "3,3"
 
     def test_roundtrip_sweep(self, capsys):
-        # the --poly=... form is needed when the polynomial starts with '-'
         for g in partitions(7):
             code, doc, _ = run_json(capsys, "eigenvalue", "--n", "7", "--diagram", str(g))
             assert code == 0
@@ -77,6 +76,20 @@ class TestReconstruct:
             )
             assert code == 0
             assert doc["result"]["diagram"] == str(g)
+
+    @pytest.mark.parametrize(
+        "command,option,value",
+        [
+            ("reconstruct --n 4", "--poly", "-3-2*q^-1-q^-2"),
+            ("verify --n 4", "--q0", "-3/2"),
+            ("verify --n 3", "--q0", "-3"),
+        ],
+    )
+    def test_value_with_leading_minus_after_a_space(self, capsys, command, option, value):
+        spaced = run_cli(capsys, *command.split(), option, value, "--format", "json")
+        joined = run_cli(capsys, *command.split(), f"{option}={value}", "--format", "json")
+        assert spaced[0] == 0
+        assert spaced == joined
 
     def test_malformed_poly(self, capsys):
         code, doc, _ = run_json(capsys, "reconstruct", "--n", "3", "--poly", "q^^2")
@@ -129,12 +142,12 @@ class TestCharacters:
         assert code == 0
         assert doc["result"]["agreement"] is True
 
-    def test_enumeration_stops_at_nine(self, capsys):
+    def test_unsafe_flag_reaches_twelve(self, capsys):
         code, doc, _ = run_json(
-            capsys, "characters", "--n", "10", "--method", "projector", "--unsafe-large-n"
+            capsys, "characters", "--n", "12", "--method", "both", "--unsafe-large-n"
         )
-        assert code == 1
-        assert "stops at n = 9" in doc["error"]["message"]
+        assert code == 0
+        assert doc["result"]["agreement"] is True
 
 
 class TestTraces:

@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
 from math import factorial
 
 import pytest
 
+from heckeq import symgroup
 from heckeq.diagrams import dimension, partitions
 from heckeq.invariant import central_character
 from heckeq.symgroup import (
     ClassVector,
     NonIntegerCharacter,
     NotSeparated,
-    _class_elements,
+    _class_members,
+    _representative,
     _structure_row,
     build_projector,
     character_table,
@@ -32,10 +36,30 @@ from heckeq.symgroup import (
 from conftest import Y
 
 
+@cache
+def ref_class_elements(n: int) -> dict:
+    """Every element of S_n grouped by cycle type (brute force, oracle side)."""
+    grouped: dict[tuple, list] = {}
+    for perm in permutations(range(1, n + 1)):
+        grouped.setdefault(cycle_type(perm), []).append(perm)
+    return grouped
+
+
+def ref_structure_row(n: int, s: tuple, t: tuple) -> dict:
+    """[s][t] in the class basis: one element x0 of class s times every
+    element of class t, counted by cycle type (brute force, oracle side)."""
+    elements = ref_class_elements(n)
+    counts: dict[tuple, int] = {}
+    for y in elements[t]:
+        u = cycle_type(perm_mul(elements[s][0], y))
+        counts[u] = counts.get(u, 0) + 1
+    return {u: len(elements[s]) * m // len(elements[u]) for u, m in counts.items()}
+
+
 def group_algebra_expand(v: ClassVector) -> dict:
     """Expand a class vector into the full group algebra (oracle side)."""
     out: dict[tuple, Fraction] = {}
-    elements = _class_elements(v.n)
+    elements = ref_class_elements(v.n)
     for t, c in v.coeffs.items():
         for perm in elements[t]:
             out[perm] = out.get(perm, Fraction(0)) + c
@@ -77,12 +101,45 @@ class TestClasses:
 
     def test_size_formula_matches_brute_force(self):
         for n in range(1, 7):
+            elements = ref_class_elements(n)
+            assert [t for t, _ in conjugacy_classes(n)] == sorted(elements, reverse=True)
             for t, size in conjugacy_classes(n):
-                assert class_size(t) == size
+                assert class_size(t) == size == len(elements[t])
 
-    def test_scale_guard(self):
-        with pytest.raises(ValueError):
-            conjugacy_classes(10)
+    def test_classes_past_the_old_enumeration_cap(self):
+        classes = conjugacy_classes(10)
+        assert len(classes) == 42
+        assert sum(size for _, size in classes) == factorial(10)
+
+    def test_class_size_rejects_non_positive_parts(self):
+        assert class_size((1, 2)) == class_size((2, 1)) == 3
+        for t in ((2, 0, 1), (0, 3), (3, -1)):
+            with pytest.raises(ValueError):
+                class_size(t)
+
+    def test_members_match_brute_force(self):
+        for n in range(1, 7):
+            for t, elements in ref_class_elements(n).items():
+                assert sorted(_class_members(t)) == elements
+                assert cycle_type(_representative(t)) == t
+
+
+class TestClassVectorKeys:
+    def test_unsorted_keys_are_sorted(self):
+        assert ClassVector(3, {(1, 2): 1}) == ClassVector(3, {(2, 1): 1})
+        assert ClassVector(3, {(1, 2): 1, (2, 1): 1}) == ClassVector(3, {(2, 1): 2})
+        assert ClassVector(3, {(1, 2): 1, (2, 1): -1}) == ClassVector.zero(3)
+        assert repr(ClassVector(3, {(1, 2): 1})) == "[(2)]_3"
+        assert ClassVector(3, {(1, 2): 1}).coefficient((1, 2)) == 1
+
+    def test_product_of_unsorted_keys(self):
+        t = ClassVector(3, {(1, 2): 1})
+        assert class_product(t, t) == ClassVector(3, {(1, 1, 1): 3, (3,): 3})
+
+    def test_non_positive_parts_are_refused(self):
+        for t in ((0, 3), (3, 0), (4, -1)):
+            with pytest.raises(ValueError):
+                ClassVector(3, {t: 1})
 
 
 class TestClassProduct:
@@ -91,6 +148,13 @@ class TestClassProduct:
         assert class_product(t, t) == ClassVector(
             3, {(1, 1, 1): Fraction(3), (3,): Fraction(3)}
         )
+
+    def test_structure_rows_match_brute_force(self):
+        for n in range(1, 7):
+            types = [g.rows for g in partitions(n)]
+            for s in types:
+                for t in types:
+                    assert dict(_structure_row(n, s, t)) == ref_structure_row(n, s, t), (s, t)
 
     def test_cached_structure_row_is_read_only(self):
         with pytest.raises(TypeError):
@@ -149,6 +213,20 @@ class TestProjectors:
         companion = (single_cycle_class_sum(n, 3) - 4) / -12
         assert build_projector(Y(3, 3), n) == class_product(companion, prefilter)
 
+    def test_partners_left_after_five_cycles_are_refused(self, monkeypatch):
+        # pretend the 3-, 4- and 5-cycle class-sums cannot tell the S_6 pair
+        # (4,1,1), (3,3) apart, as may happen past n = 41
+        eigenvalues = symgroup._eigenvalues
+
+        def blind(p, n):
+            return eigenvalues(p, n) if p == 2 else dict.fromkeys(partitions(n), 0)
+
+        monkeypatch.setattr(symgroup, "_eigenvalues", blind)
+        with pytest.raises(NotSeparated):
+            build_projector(Y(4, 1, 1), 6)
+        # a diagram without partners needs no p-cycle eigenvalue
+        assert build_projector(Y(6), 6) == ClassVector(6, dict.fromkeys(ref_class_elements(6), Fraction(1, 720)))
+
     def test_resolution_of_identity(self):
         for n in (3, 4, 5):
             total = ClassVector.zero(n)
@@ -180,9 +258,11 @@ class TestProjectors:
                 p = build_projector(g, n)
                 assert p.coefficient((1,) * n) == Fraction(dimension(g) ** 2, factorial(n))
 
-    def test_scale_guard(self):
-        with pytest.raises(ValueError):
-            build_projector(Y(10), 10)
+    def test_projector_past_the_old_enumeration_cap(self):
+        p = build_projector(Y(10), 10)
+        assert p.coefficient((1,) * 10) == Fraction(1, factorial(10))
+        row = characters_from_projector(p, Y(10))
+        assert row == {h.rows: murnaghan_nakayama_character(Y(10), h.rows) for h in partitions(10)}
 
 
 class TestCharacters:
@@ -198,6 +278,18 @@ class TestCharacters:
     def test_projector_route_matches_mn(self):
         for n in range(2, 6):
             assert character_table(n, "projector") == character_table(n, "mn")
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_projector_route_matches_mn_past_the_old_cap(self, n):
+        # s_1 and s_2 separate the partitions of n here: stage two stops at p = 3
+        assert character_table(n, "projector") == character_table(n, "mn")
+
+    @pytest.mark.slow
+    def test_projector_route_needs_four_cycles_at_fifteen(self):
+        # n = 15 is the first size where s_1, s_2 fail to separate: [(4)] enters
+        lam = {p: {g: central_character(p, 15, g) for g in partitions(15)} for p in (2, 3)}
+        assert len({(lam[2][g], lam[3][g]) for g in partitions(15)}) < len(partitions(15))
+        assert character_table(15, "projector") == character_table(15, "mn")
 
     def test_non_integer_character_detected(self):
         corrupted = ClassVector(3, {(1, 1, 1): Fraction(1, 7)})
