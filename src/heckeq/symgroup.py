@@ -114,7 +114,7 @@ def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
     return "".join(groups)
 
 
-def _normalise(t: CycleType) -> CycleType:
+def _canonical_type(t: CycleType) -> CycleType:
     """The cycle type sorted descending; a part below 1 is an error."""
     if any(p < 1 for p in t):
         raise ValueError(f"cycle lengths must be positive, got {t}")
@@ -123,7 +123,7 @@ def _normalise(t: CycleType) -> CycleType:
 
 def class_size(t: CycleType) -> int:
     """Size of the conjugacy class with this cycle type: n! / z_t."""
-    t = _normalise(t)
+    t = _canonical_type(t)
     z = 1
     for p in set(t):
         m = t.count(p)
@@ -198,7 +198,7 @@ class ClassVector:
         self.n = n
         clean: dict[CycleType, Fraction] = {}
         for t, c in (coeffs or {}).items():
-            key = _normalise(t)
+            key = _canonical_type(t)
             if sum(key) != n:
                 raise ValueError(f"cycle type {t} does not partition n={n}")
             clean[key] = clean.get(key, 0) + Fraction(c)
@@ -217,7 +217,7 @@ class ClassVector:
         return cls(n, {t: Fraction(1)})
 
     def coefficient(self, t: CycleType) -> Fraction:
-        return self.coeffs.get(_normalise(t), Fraction(0))
+        return self.coeffs.get(_canonical_type(t), Fraction(0))
 
     def _check_compatible(self, other: "ClassVector") -> None:
         if self.n != other.n:
