@@ -75,8 +75,8 @@ class YoungDiagram:
             diff[length - i - low] -= 1
         return dict(zip(range(low, rows[0]), accumulate(diff)))
 
-    def branch_down(self) -> list["YoungDiagram"]:
-        """All diagrams obtained by removing one corner box.
+    def removals(self) -> list[tuple["YoungDiagram", int]]:
+        """Each diagram obtained by removing one corner box, with that box's content.
 
         Ordered by the row the box is removed from.  The one-box diagram
         has nothing below it and yields the empty list.
@@ -91,8 +91,12 @@ class YoungDiagram:
                 else:
                     shrunk = rows[:i] + (length - 1,) + rows[i + 1 :]
                 if shrunk:
-                    out.append(YoungDiagram(shrunk))
+                    out.append((YoungDiagram(shrunk), length - 1 - i))
         return out
+
+    def branch_down(self) -> list["YoungDiagram"]:
+        """All diagrams obtained by removing one corner box, ordered by row."""
+        return [below for below, _ in self.removals()]
 
     def branch_up(self) -> list["YoungDiagram"]:
         """All diagrams obtained by adding one box, ordered by row."""

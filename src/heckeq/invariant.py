@@ -137,13 +137,13 @@ def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
             raise InvalidSpectrum(f"non-integer coefficient in {p}")
 
     pos = sorted(e for e in terms if e > 0)
-    if pos and pos != list(range(1, pos[-1] + 1)):
+    if pos and pos[-1] != len(pos):
         raise InvalidSpectrum(f"positive exponents of {p} are not contiguous from 1")
     k_max = pos[-1] if pos else 0
     pi = {k: int(terms[k]) for k in pos}
 
     nonpos = sorted((e for e in terms if e <= 0), reverse=True)
-    if nonpos and nonpos != list(range(0, nonpos[-1] - 1, -1)):
+    if nonpos and nonpos[-1] != 1 - len(nonpos):
         raise InvalidSpectrum(f"nonpositive exponents of {p} are not contiguous from 0")
     k_min = (nonpos[-1] - 1) if nonpos else 0
     nu = {e - 1: -int(terms[e]) for e in nonpos}

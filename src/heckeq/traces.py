@@ -4,14 +4,15 @@ Every basis state of an irrep is a chain of Young diagrams, and each
 Murphy operator acts diagonally on those chains with the q-content of
 the box added at its step.  That single fact drives everything here:
 
-* Murphy traces tr(L_i) satisfy a branching recursion in the diagram and
-  are computed bottom-up with a memo over the lattice.
+* Murphy traces tr(L_i), and traces of products of distinct Murphy
+  operators, are path sums over the chains of diagrams.  One iterative
+  walk climbs the branching lattice a level at a time and holds the
+  values of one level only, so no depth of diagram exhausts the stack.
 * The traces of the words g_1 g_2 ... g_{k-1} (one for each connected
   interval of generators) follow from the Murphy traces by a binomial
   inversion whose (q/(q-1))^(k-2) prefactor must divide exactly.
-* Traces of products of non-consecutive Murphy operators are path sums
-  over chains, and the two printed reductions for tr(g_1 g_3) and
-  tr(g_1 g_3 g_4) are solved from them.
+* The two printed reductions for tr(g_1 g_3) and tr(g_1 g_3 g_4) are
+  solved from tr(L_2 L_4), tr(L_2 L_5) and the connected traces.
 
 All tables are kept symbolic in q; specialization happens only in the
 regular-representation oracle that cross-checks them.
@@ -40,7 +41,7 @@ __all__ = [
 ]
 
 _Q = LaurentPoly.q()
-_ONE = LaurentPoly.one()
+_ZERO = LaurentPoly.zero()
 _QM1 = _Q - 1
 
 
@@ -58,40 +59,55 @@ class MurphyTraceTable:
     entries: Mapping[int, LaurentPoly]
 
 
-def _removed_box_content(child: YoungDiagram, parent: YoungDiagram) -> int:
-    """Content of the box removed from child to reach parent."""
-    child_rows = child.rows
-    parent_rows = parent.rows + (0,) * (len(child_rows) - len(parent.rows))
-    for index, (a, b) in enumerate(zip(child_rows, parent_rows)):
-        if a != b:
-            return a - 1 - index
-    raise ValueError(f"{parent} is not obtained from {child} by removing one box")
+_Level = list[tuple[YoungDiagram, list[tuple[int, int]]]]
+
+
+def _lattice(tops: list[YoungDiagram], bottom: int) -> list[_Level]:
+    """The branching lattice from level `bottom` up to the level of `tops`.
+
+    One list per level, bottom first.  Each entry pairs a diagram with
+    its steps down: the position in the previous level of each diagram
+    one box below it, and the content of the removed box.  The bottom
+    level's entries have no steps.
+    """
+    levels: list[_Level] = []
+    level = tops
+    for _ in range(tops[0].n - bottom):
+        position: dict[YoungDiagram, int] = {}
+        steps = [[(position.setdefault(below, len(position)), c) for below, c in d.removals()] for d in level]
+        levels.append(list(zip(level, steps)))
+        level = list(position)
+    levels.append([(d, []) for d in level])
+    return levels[::-1]
+
+
+def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPoly]:
+    """tr(L_a1 ... L_al) at each diagram of the top level, by one climb.
+
+    `levels[0]` is level a1 - 1.  Summed over every chain from there up
+    to the top, the chain's first diagram contributes its dimension and
+    each marked level the q-content of the box added there.  Only one
+    level of values is held at a time.
+    """
+    marked = frozenset(alphas)
+    values = [dimension(d) for d, _ in levels[0]]
+    for level, entries in enumerate(levels[1:], start=alphas[0]):
+        if level in marked:
+            values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for _, steps in entries]
+        else:
+            values = [sum((values[j] for j, _ in steps), _ZERO) for _, steps in entries]
+    return values
 
 
 @cache
 def murphy_traces(g: YoungDiagram) -> MurphyTraceTable:
-    """All Murphy traces of the irrep labeled by g, by branching.
+    """All Murphy traces of the irrep labeled by g.
 
-    For i < n the trace restricts along the branching rule,
-    tr(L_i) = sum over covered diagrams of tr(L_i) there, while the top
-    operator sums dim(parent) times the q-content of the removed box
-    over the covered diagrams.  Memoized over the lattice, which the
-    recursion revisits combinatorially many times.
+    tr(L_i) is the path sum of the single marked level i over the
+    branching lattice below g, which is built once for all i.
     """
-    n = g.n
-    entries: dict[int, LaurentPoly] = {}
-    if n >= 2:
-        parents = g.branch_down()
-        parent_tables = [murphy_traces(parent) for parent in parents]
-        for i in range(2, n):
-            total = LaurentPoly.zero()
-            for table in parent_tables:
-                total = total + table.entries[i]
-            entries[i] = total
-        top = LaurentPoly.zero()
-        for parent in parents:
-            top = top + q_content(_removed_box_content(g, parent)) * dimension(parent)
-        entries[n] = top
+    levels = _lattice([g], 1)
+    entries = {i: _path_sums(levels[i - 2 :], (i,))[0] for i in range(2, g.n + 1)}
     return MurphyTraceTable(g, MappingProxyType(entries))
 
 
@@ -103,7 +119,7 @@ def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:
         tau_k = (q/(q-1))^(k-2) * sum_{i=0}^{k-2} (-1)^i C(k-1, i) tr(L_{k-i})
 
     The prefactor must divide exactly; a `NotDivisible` failure would
-    mean the recursion produced an inconsistent table.
+    mean the lattice walk produced an inconsistent table.
     """
     n = g.n
     if not 2 <= k <= n:
@@ -141,10 +157,9 @@ def invariant_trace_consistency(g: YoungDiagram) -> bool:
 def murphy_product_trace(g: YoungDiagram, alphas: tuple[int, ...] | list[int]) -> LaurentPoly:
     """Trace of a product of distinct Murphy operators L_{a1} ... L_{al}.
 
-    A path sum: over every chain of diagrams climbing one box at a time
-    from level a1 - 1 up to g, the starting diagram contributes its
-    dimension and each marked level contributes the q-content of the box
-    added there.  Indices must be strictly increasing within 2..n.
+    A path sum over the branching lattice below g, from level a1 - 1 up
+    to g, walked by `_path_sums`.  Indices must be strictly increasing
+    within 2..n.
     """
     alphas = tuple(alphas)
     n = g.n
@@ -154,27 +169,7 @@ def murphy_product_trace(g: YoungDiagram, alphas: tuple[int, ...] | list[int]) -
         raise ValueError(f"Murphy indices {alphas} must lie in 2..{n}")
     if any(a >= b for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"Murphy indices {alphas} must be strictly increasing")
-    base_level = alphas[0] - 1
-    marked = frozenset(alphas)
-    memo: dict[tuple[int, ...], LaurentPoly] = {}
-
-    def climb(d: YoungDiagram) -> LaurentPoly:
-        if d.n == base_level:
-            return LaurentPoly.constant(dimension(d))
-        got = memo.get(d.rows)
-        if got is not None:
-            return got
-        total = LaurentPoly.zero()
-        mark = d.n in marked
-        for parent in d.branch_down():
-            below = climb(parent)
-            if mark:
-                below = below * q_content(_removed_box_content(d, parent))
-            total = total + below
-        memo[d.rows] = total
-        return total
-
-    return climb(g)
+    return _path_sums(_lattice([g], alphas[0] - 1), alphas)[0]
 
 
 def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
@@ -229,8 +224,8 @@ def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
 
 def murphy_trace_table_json(n: int) -> dict:
     """JSON-ready Murphy trace tables: per diagram, per index, a string."""
-    tables = {}
-    for g in partitions(n):
-        entries = murphy_traces(g).entries
-        tables[str(g)] = {str(i): str(entries[i]) for i in sorted(entries)}
+    tops = partitions(n)
+    levels = _lattice(tops, 1)
+    columns = {i: _path_sums(levels[i - 2 :], (i,)) for i in range(2, n + 1)}
+    tables = {str(g): {str(i): str(column[k]) for i, column in columns.items()} for k, g in enumerate(tops)}
     return {"n": n, "tables": tables}

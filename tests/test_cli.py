@@ -102,6 +102,12 @@ class TestReconstruct:
         assert code == 1
         assert doc["error"]["type"] == "InvalidSpectrum"
 
+    @pytest.mark.parametrize("exponent", ["1000000000000", "-1000000000000"])
+    def test_huge_exponent_is_refused_promptly(self, exponent):
+        code, doc = run_cold("reconstruct", "--n", "5", f"--poly=q^{exponent}", timeout=10)
+        assert code == 1
+        assert doc["error"]["type"] == "InvalidSpectrum"
+
     def test_long_column_roundtrips_promptly(self):
         n = 20_000
         column = ",".join(["1"] * n)
@@ -195,13 +201,14 @@ class TestTraces:
         assert code == 0
         assert doc["result"]["doubly_connected_traces"]["g1*g3"] == "q^2"
 
-    def test_deep_recursion_is_an_error_document(self):
-        # the branching recursion over a 1200-box row runs past Python's recursion limit
+    def test_deep_row_products(self):
+        # a 1200-box row is far deeper than Python's default recursion limit
         code, doc = run_cold(
-            "traces", "--n", "1200", "--kind", "murphy", "--diagram", "1200", "--unsafe-large-n"
+            "traces", "--n", "1200", "--kind", "products", "--diagram", "1200", "--alphas", "2,5",
+            "--unsafe-large-n",
         )
-        assert code == 1
-        assert doc["error"]["type"] == "RecursionError"
+        assert code == 0
+        assert doc["result"]["trace"] == "q^5+q^4+q^3+q^2"
 
 
 class TestVerify:

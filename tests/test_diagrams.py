@@ -121,6 +121,11 @@ class TestBranching:
         assert [h.rows for h in Y(2, 1).branch_down()] == [(1, 1), (2,)]
         assert Y(1).branch_down() == []
 
+    def test_removals_carry_the_removed_box_content(self):
+        assert [(h.rows, c) for h, c in Y(3, 1).removals()] == [((2, 1), 2), ((3,), -1)]
+        assert [(h.rows, c) for h, c in Y(2, 2).removals()] == [((2, 1), 0)]
+        assert Y(1).removals() == []
+
     def test_branch_up_examples(self):
         assert [h.rows for h in Y(2).branch_up()] == [(3,), (2, 1)]
         assert [h.rows for h in Y(2, 1).branch_up()] == [(3, 1), (2, 2), (2, 1, 1)]

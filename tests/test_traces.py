@@ -1,8 +1,11 @@
+import sys
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
-from heckeq.diagrams import dimension, partitions
+from heckeq.diagrams import YoungDiagram, dimension, partitions, paths
 from heckeq.hecke_oracle import irreducible_trace
 from heckeq.invariant import invariant_eigenvalue
 from heckeq.laurent import LaurentPoly, q_content
@@ -60,6 +63,59 @@ class TestMurphyTraces:
 
     def test_single_box_table_is_empty(self):
         assert murphy_traces(Y(1)).entries == {}
+
+
+def added_content(smaller: YoungDiagram, larger: YoungDiagram) -> int:
+    """Content of the one box by which larger exceeds smaller."""
+    padded = smaller.rows + (0,)
+    i = next(i for i, r in enumerate(larger.rows) if r != padded[i])
+    return larger.rows[i] - 1 - i
+
+
+def tableau_trace(g: YoungDiagram, alphas: tuple[int, ...]) -> LaurentPoly:
+    """tr(L_a1 ... L_al) summed over the standard tableaux of g one by one."""
+    total = LaurentPoly.zero()
+    for chain in paths(g):
+        steps = (q_content(added_content(chain[a - 2], chain[a - 1])) for a in alphas)
+        total = total + prod(steps, start=LaurentPoly.one())
+    return total
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+class TestTableauReference:
+    def test_products_match_tableau_enumeration(self):
+        for n in range(2, 8):
+            for g in partitions(n):
+                for size in range(1, n):
+                    for alphas in combinations(range(2, n + 1), size):
+                        assert murphy_product_trace(g, alphas) == tableau_trace(g, alphas), (g, alphas)
+
+    def test_murphy_traces_match_tableau_enumeration(self):
+        for n in range(2, 8):
+            for g in partitions(n):
+                expected = {i: tableau_trace(g, (i,)) for i in range(2, n + 1)}
+                assert murphy_traces(g).entries == expected, g
+
+
+class TestDeepDiagrams:
+    def test_walk_needs_no_stack_per_box(self):
+        # 300 boxes deep, under a recursion limit of only 60 frames above the caller
+        row, column = YoungDiagram((300,)), YoungDiagram((1,) * 300)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(stack_depth() + 60)
+        try:
+            table = murphy_traces(row).entries
+            product = murphy_product_trace(column, (2, 150, 300))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert table == {i: q_content(i - 1) for i in range(2, 301)}
+        assert product == q_content(-1) * q_content(-149) * q_content(-299)
 
 
 class TestConnectedTraces:
