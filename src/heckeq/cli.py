@@ -43,16 +43,14 @@ from .traces import (
 from .verify import oracle_checks
 
 # The largest n (N for `suq`) each guarded command accepts without
-# --unsafe-large-n.  Past these defaults the library's own ceiling still
-# refuses the n! word-basis oracle behind `verify`.  The projector route of
-# `characters` has no ceiling: its class algebra never lists S_n, and
-# n = 12 takes about a second.  `traces` and `suq check --sweep-n` both walk
-# the lattice of partitions of n, so they share one default.  SU_q(N)
-# work grows with N itself: `suq --action dimension` multiplies O(rows * N)
-# factors, and a sweep checks every N' up to N.
+# --unsafe-large-n.  `verify` answers to the library's `MAX_ORACLE_N` alone.
+# The projector route of `characters` has no ceiling: its class algebra
+# never lists S_n, and n = 12 takes about a second.  `traces` and `suq check
+# --sweep-n` both walk the lattice of partitions of n, so they share one
+# default.  SU_q(N) work grows with N itself: `suq --action dimension`
+# multiplies O(rows * N) factors, and a sweep checks every N' up to N.
 SCALE_DEFAULTS = {
     "character tables": 8,
-    "verify runs": 7,
     "partition-lattice walks": 24,
     "SU_q(N) ranks": 64,
 }
@@ -163,7 +161,6 @@ def _cmd_verify(args) -> tuple[dict, int]:
     q0 = _parse_q0(args.q0)
     if n < 2:
         raise CommandError(f"verify runs need n >= 2, got n = {n}")
-    _check_scale(args, "verify runs", n)
     if q0 in (0, 1, -1):
         raise CommandError(f"q0 = {q0} is a degenerate specialization; pick any other rational")
     report = oracle_checks(n, q0)
@@ -197,7 +194,9 @@ def _cmd_suq(args) -> tuple[dict, int]:
             g = _parse_diagram(args.diagram)
             doc["diagram"] = str(g)
             doc["holds"] = hecke_casimir_correspondence(g, N)
-        elif args.sweep_n:
+        elif args.sweep_n is not None:
+            if args.sweep_n < 1:
+                raise CommandError(f"--sweep-n must be at least 1, got {args.sweep_n}")
             _check_scale(args, "partition-lattice walks", args.sweep_n)
             holds = True
             checked = 0
@@ -279,13 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument("--q0", default="2", help="rational specialization point (default 2)")
     common.add_argument(
         "--unsafe-large-n",
         action="store_true",
         help=(
-            "lift every default scale guard; the library still refuses the n! word-basis "
-            "oracle behind verify past n = 7 (characters --n 12 --method both takes about 1 s)"
+            "lift the default scale guards of characters, traces and suq; verify's n! oracle "
+            "stays capped at n = 7 (characters --n 12 --method both takes about 1 s)"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -314,6 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[common], help="run the oracle suite")
     p.add_argument("--n", type=int, required=True)
+    p.add_argument("--q0", default="2", help="rational specialization point (default 2)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("suq", parents=[common], help="quantum-group Casimir machinery")

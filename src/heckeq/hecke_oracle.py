@@ -64,7 +64,7 @@ from itertools import permutations
 from math import gcd, lcm
 
 from .diagrams import YoungDiagram, dimension, partitions
-from .invariant import invariant_eigenvalue
+from .invariant import invariant_eigenvalue, lagrange_numerator
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -433,11 +433,12 @@ class ProjectorPoly:
 def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
     """Lagrange interpolation onto g's eigenvalue of the invariant.
 
-    Requires all invariant eigenvalues to be distinct at q0, which is
-    asserted rather than assumed.  q0 = 1 and q0 = -1 are refused
-    outright: they are roots of unity, where the word basis stops being
-    semisimple-generic.  Cached per (g, q0); the result is frozen, so
-    every caller can share it.
+    Its coefficients come from `invariant.lagrange_numerator`, which
+    `symgroup.build_projector` uses too.  Requires all invariant
+    eigenvalues to be distinct at q0, which is asserted rather than
+    assumed.  q0 = 1 and q0 = -1 are refused outright: they are roots of
+    unity, where the word basis stops being semisimple-generic.  Cached
+    per (g, q0); the result is frozen, so every caller can share it.
     """
     if g.n != n:
         raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
@@ -450,23 +451,13 @@ def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
 
 @cache
 def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
-    n = g.n
-    parts = partitions(n)
+    """g's Lagrange polynomial on the invariant's spectrum at q0."""
+    parts = partitions(g.n)
     values = {h: invariant_eigenvalue(h).evaluate(q0) for h in parts}
     if len(set(values.values())) != len(parts):
         raise DegenerateSpecialization(f"invariant eigenvalues collide at q0 = {q0}")
-    mine = values[g]
-    coeffs: list[Fraction] = [Fraction(1)]
-    denominator = Fraction(1)
-    for h in parts:
-        if h == g:
-            continue
-        ev = values[h]
-        denominator *= mine - ev
-        # multiply the accumulated polynomial by (X - ev)
-        shifted = [Fraction(0)] + coeffs
-        coeffs = [shifted[k] - (coeffs[k] if k < len(coeffs) else Fraction(0)) * ev for k in range(len(shifted))]
-    return ProjectorPoly(g, n, q0, tuple(c / denominator for c in coeffs))
+    weights, denominator = lagrange_numerator(values.values(), values[g])
+    return ProjectorPoly(g, g.n, q0, tuple(Fraction(c) / denominator for c in weights))
 
 
 def apply_projector(p: ProjectorPoly, x: HeckeElement) -> HeckeElement:

@@ -8,30 +8,33 @@ the substitution q = exp(delta), generates the power sums of the box
 contents and hence the central characters of the symmetric group.  This
 module implements the eigenvalue, its inversion back to a diagram, the
 content power sums, the closed-form central characters of the
-single-cycle class-sums for cycle lengths 2 through 5, and the depth at
-which consecutive power sums separate the irreps of S_n.
+single-cycle class-sums for cycle lengths 2 through 5, the depth at
+which consecutive power sums separate the irreps of S_n, and the
+Lagrange interpolation that turns a spectrum into a central projector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
+from types import MappingProxyType
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import LaurentPoly, exp_series
+from .laurent import LaurentPoly, Scalar, exp_series
 
 __all__ = [
     "InvalidSpectrum",
     "NonIntegerPowerSum",
     "UnsupportedCycle",
-    "CentralCharacterTable",
     "invariant_eigenvalue",
     "rescaled_invariant_eigenvalue",
     "reconstruct_diagram",
     "content_power_sum",
     "central_character",
     "central_character_table",
+    "lagrange_numerator",
     "power_sums_from_eigenvalue",
     "separating_depth",
     "MAX_SEPARATION_N",
@@ -201,24 +204,37 @@ def central_character(p: int, n: int, g: YoungDiagram) -> Fraction:
     raise UnsupportedCycle(f"no closed form for cycle length {p} (supported: 2..5)")
 
 
-@dataclass(frozen=True)
-class CentralCharacterTable:
-    """Central characters of the single-cycle class-sums, p in 2..5."""
+@cache
+def central_character_table(p: int, n: int) -> Mapping[YoungDiagram, int]:
+    """The p-cycle class-sum's eigenvalue on each irrep of S_n, p in 2..5.
 
-    n: int
-    entries: dict[tuple[int, YoungDiagram], Fraction]
+    A class-sum's eigenvalue is an algebraic integer, so each value of
+    `central_character` must be a whole number.  The table is cached, so
+    it is returned as a read-only view.
+    """
+    values: dict[YoungDiagram, int] = {}
+    for g in partitions(n):
+        value = central_character(p, n, g)
+        if value.denominator != 1:
+            raise AssertionError(f"non-integer {p}-cycle class-sum eigenvalue {value} on {g}")
+        values[g] = value.numerator
+    return MappingProxyType(values)
 
-    def value(self, p: int, g: YoungDiagram) -> Fraction:
-        return self.entries[(p, g)]
 
+def lagrange_numerator(values: Iterable[Scalar], target: Scalar) -> tuple[list[Scalar], Scalar]:
+    """The Lagrange polynomial prod (x - v) / (target - v) over the distinct v != target.
 
-def central_character_table(n: int) -> CentralCharacterTable:
-    entries = {
-        (p, g): central_character(p, n, g)
-        for p in (2, 3, 4, 5)
-        for g in partitions(n)
-    }
-    return CentralCharacterTable(n, entries)
+    Returns (weights, denominator): the coefficients of prod (x - v),
+    lowest degree first, and prod (target - v).  weights / denominator
+    is 1 at target and 0 at every other value; a value listed twice
+    counts once.  Integer values give integer weights.
+    """
+    weights = [1]
+    denominator = 1
+    for v in sorted(set(values) - {target}):
+        weights = [a - v * b for a, b in zip([0] + weights, weights + [0])]
+        denominator *= target - v
+    return weights, denominator
 
 
 def power_sums_from_eigenvalue(p: LaurentPoly, kmax: int) -> list[int]:

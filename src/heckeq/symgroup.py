@@ -4,12 +4,14 @@ S_n itself is never listed.  A structure constant fixes one canonical
 representative of one class (its cycles on consecutive points) and
 multiplies it by every element of the other, smaller class, generated
 cycle by cycle; class sizes have a closed form.  Central projectors are
-the paper's construction: a Lagrange polynomial in the transposition
-class-sum, summed over cached integer powers [(2)]^k, then factors
-linear in the p-cycle class-sums, p = 3, 4, 5, for the irreps that share
-the transposition eigenvalue.  Their class coefficients give the
-character rows, and an independent Murnaghan-Nakayama recursion
-cross-checks every value.
+the paper's construction: the Lagrange polynomial of
+`invariant.lagrange_numerator` in the transposition class-sum, summed
+over its cached powers [(2)]^k, then factors linear in the p-cycle
+class-sums, p = 3, 4, 5, for the irreps that share the transposition
+eigenvalue.  Every product is a `class_product` of `ClassVector`s,
+whose coefficients stay integers until the final division.  A
+projector's class coefficients give its character row, and an
+independent Murnaghan-Nakayama recursion cross-checks every value.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from math import factorial
 from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions
-from .invariant import central_character
+from .invariant import central_character_table, lagrange_numerator
+from .laurent import Scalar, _scalar, _tidy
 
 __all__ = [
     "NotSeparated",
@@ -185,24 +188,40 @@ def _class_members(t: CycleType) -> Iterator[Permutation]:
     return open_cycle(t)
 
 
+def _stored(coeffs: dict[CycleType, Scalar]) -> dict[CycleType, Scalar]:
+    """The nonzero coefficients, each an `int` when it is integral."""
+    return {t: c if type(c) is int else _tidy(c) for t, c in coeffs.items() if c}
+
+
 class ClassVector:
     """An element of the center of the group algebra of S_n.
 
-    Stored as a finite map cycle type -> Fraction coefficient with
-    respect to the class-sum basis.
+    A finite map cycle type -> nonzero coefficient with respect to the
+    class-sum basis.  A coefficient is an `int` when it is integral and a
+    `Fraction` otherwise, as in `LaurentPoly`, so integer class vectors
+    multiply in integers.  Instances are immutable: `coeffs` is a
+    read-only view and all arithmetic returns new objects.
     """
 
-    __slots__ = ("n", "coeffs")
+    __slots__ = ("_n", "_coeffs")
 
-    def __init__(self, n: int, coeffs: dict[CycleType, Fraction] | None = None):
-        self.n = n
-        clean: dict[CycleType, Fraction] = {}
+    def __init__(self, n: int, coeffs: Mapping[CycleType, Scalar] | None = None):
+        clean: dict[CycleType, Scalar] = {}
         for t, c in (coeffs or {}).items():
             key = _canonical_type(t)
             if sum(key) != n:
                 raise ValueError(f"cycle type {t} does not partition n={n}")
-            clean[key] = clean.get(key, 0) + Fraction(c)
-        self.coeffs = {t: c for t, c in clean.items() if c}
+            clean[key] = clean.get(key, 0) + _scalar(c)
+        self._n = n
+        self._coeffs = _stored(clean)
+
+    @classmethod
+    def _make(cls, n: int, coeffs: dict[CycleType, Scalar]) -> "ClassVector":
+        """Internal fast path: `coeffs` must have canonical keys and be `_stored`."""
+        obj = cls.__new__(cls)
+        obj._n = n
+        obj._coeffs = coeffs
+        return obj
 
     @classmethod
     def zero(cls, n: int) -> "ClassVector":
@@ -210,35 +229,42 @@ class ClassVector:
 
     @classmethod
     def identity(cls, n: int) -> "ClassVector":
-        return cls(n, {(1,) * n: Fraction(1)})
+        return cls(n, {(1,) * n: 1})
 
-    @classmethod
-    def class_sum(cls, n: int, t: CycleType) -> "ClassVector":
-        return cls(n, {t: Fraction(1)})
+    @property
+    def n(self) -> int:
+        return self._n
 
-    def coefficient(self, t: CycleType) -> Fraction:
-        return self.coeffs.get(_canonical_type(t), Fraction(0))
+    @property
+    def coeffs(self) -> Mapping[CycleType, Scalar]:
+        """The nonzero coefficients {cycle type: coefficient}, read-only."""
+        return MappingProxyType(self._coeffs)
+
+    def coefficient(self, t: CycleType) -> Scalar:
+        return self._coeffs.get(_canonical_type(t), 0)
 
     def _check_compatible(self, other: "ClassVector") -> None:
-        if self.n != other.n:
-            raise ValueError(f"mixing class vectors of S_{self.n} and S_{other.n}")
+        if self._n != other._n:
+            raise ValueError(f"mixing class vectors of S_{self._n} and S_{other._n}")
 
     def __add__(self, other):
-        if isinstance(other, ClassVector):
-            self._check_compatible(other)
-            out = dict(self.coeffs)
-            for t, c in other.coeffs.items():
-                s = out.get(t, Fraction(0)) + c
-                if s:
-                    out[t] = s
-                elif t in out:
-                    del out[t]
-            result = ClassVector(self.n)
-            result.coeffs = out
-            return result
         if isinstance(other, (int, Fraction)):
-            return self + (ClassVector.identity(self.n) * other)
-        return NotImplemented
+            other = ClassVector.identity(self._n) * other
+        if not isinstance(other, ClassVector):
+            return NotImplemented
+        self._check_compatible(other)
+        # copy the longer operand and walk the shorter one
+        big, small = self._coeffs, other._coeffs
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for t, c in small.items():
+            s = out.get(t, 0) + c
+            if s:
+                out[t] = s if type(s) is int else _tidy(s)
+            else:
+                del out[t]
+        return ClassVector._make(self._n, out)
 
     __radd__ = __add__
 
@@ -247,46 +273,44 @@ class ClassVector:
 
     def __sub__(self, other):
         if isinstance(other, (ClassVector, int, Fraction)):
-            return self + (-(other if isinstance(other, ClassVector) else ClassVector.identity(self.n) * other))
+            return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, (int, Fraction)):
-            return (ClassVector.identity(self.n) * other) + (-self)
+            return -self + other
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, ClassVector):
             return class_product(self, other)
         if isinstance(other, (int, Fraction)):
-            f = Fraction(other)
-            result = ClassVector(self.n)
-            result.coeffs = {t: c * f for t, c in self.coeffs.items()} if f else {}
-            return result
+            f = _scalar(other)
+            return ClassVector._make(self._n, _stored({t: c * f for t, c in self._coeffs.items()}))
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+            return self * Fraction(1, other)
         return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, ClassVector):
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        return self._n == other._n and self._coeffs == other._coeffs
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._coeffs:
             return "0"
         parts = []
-        for g in partitions(self.n):
+        for g in partitions(self._n):
             t = g.rows
-            if t not in self.coeffs:
+            if t not in self._coeffs:
                 continue
-            c = self.coeffs[t]
-            label = "" if all(p == 1 for p in t) else f"[{display_cycle_type(t, suppress_units=True)}]_{self.n}"
+            c = self._coeffs[t]
+            label = "" if all(p == 1 for p in t) else f"[{display_cycle_type(t, suppress_units=True)}]_{self._n}"
             if label:
                 text = label if c == 1 else (f"-{label}" if c == -1 else f"{c}*{label}")
             else:
@@ -299,7 +323,7 @@ def single_cycle_class_sum(n: int, p: int) -> ClassVector:
     """The class-sum of p-cycles in S_n (unit cycles filled in)."""
     if not 2 <= p <= n:
         raise ValueError(f"cycle length {p} must lie in 2..{n}")
-    return ClassVector.class_sum(n, (p,) + (1,) * (n - p))
+    return ClassVector(n, {(p,) + (1,) * (n - p): 1})
 
 
 @cache
@@ -333,106 +357,73 @@ def _structure_row(n: int, s: CycleType, t: CycleType) -> Mapping[CycleType, int
 def class_product(a: ClassVector, b: ClassVector) -> ClassVector:
     """Product in the group algebra, re-expressed in the class basis."""
     a._check_compatible(b)
-    n = a.n
-    out: dict[CycleType, Fraction] = {}
-    for s, cs in a.coeffs.items():
-        for t, ct in b.coeffs.items():
+    n = a._n
+    out: dict[CycleType, Scalar] = {}
+    for s, cs in a._coeffs.items():
+        for t, ct in b._coeffs.items():
             scale = cs * ct
             for u, constant in _structure_row(n, s, t).items():
-                value = out.get(u, Fraction(0)) + scale * constant
-                if value:
-                    out[u] = value
-                elif u in out:
-                    del out[u]
-    result = ClassVector(n)
-    result.coeffs = out
-    return result
-
-
-def _times_cycle_sum(n: int, vector: Mapping[CycleType, int], p: int) -> dict[CycleType, int]:
-    """An integer class vector times the class-sum of p-cycles."""
-    t = (p,) + (1,) * (n - p)
-    out: dict[CycleType, int] = {}
-    for s, c in vector.items():
-        for u, constant in _structure_row(n, s, t).items():
-            out[u] = out.get(u, 0) + c * constant
-    return {u: c for u, c in out.items() if c}
+                out[u] = out.get(u, 0) + scale * constant
+    return ClassVector._make(n, _stored(out))
 
 
 @cache
-def _eigenvalues(p: int, n: int) -> Mapping[YoungDiagram, int]:
-    """The p-cycle class-sum's eigenvalue on each irrep of S_n.
-
-    A class-sum's eigenvalue is an algebraic integer, so each value of
-    `central_character` must be a whole number.
-    """
-    values: dict[YoungDiagram, int] = {}
-    for g in partitions(n):
-        value = central_character(p, n, g)
-        if value.denominator != 1:
-            raise AssertionError(f"non-integer {p}-cycle class-sum eigenvalue {value} on {g}")
-        values[g] = value.numerator
-    return MappingProxyType(values)
-
-
-@cache
-def _transposition_powers(n: int) -> tuple[Mapping[CycleType, int], ...]:
-    """[(2)]^k * 1 for k = 0, 1, ... up to the Lagrange degree, as integer class vectors.
+def _transposition_powers(n: int) -> tuple[ClassVector, ...]:
+    """[(2)]^k for k = 0, 1, ... up to the Lagrange degree.
 
     That degree is the number of distinct transposition eigenvalues
-    minus one.  The powers are cached, so each is a read-only view.
+    minus one.
     """
-    powers = [{(1,) * n: 1}]
-    for _ in range(len(set(_eigenvalues(2, n).values())) - 1):
-        powers.append(_times_cycle_sum(n, powers[-1], 2))
-    return tuple(MappingProxyType(power) for power in powers)
+    powers = [ClassVector.identity(n)]
+    for _ in range(len(set(central_character_table(2, n).values())) - 1):
+        powers.append(class_product(powers[-1], single_cycle_class_sum(n, 2)))
+    return tuple(powers)
+
+
+@cache
+def _transposition_lagrange(n: int, value: int) -> tuple[ClassVector, int]:
+    """The Lagrange polynomial in [(2)] that is 1 at `value`, as (numerator, denominator).
+
+    Its `lagrange_numerator` weights sum the cached powers [(2)]^k.  It
+    depends on the eigenvalue only, so diagrams that share one share it.
+    """
+    weights, denominator = lagrange_numerator(central_character_table(2, n).values(), value)
+    powers = _transposition_powers(n)
+    return sum((power * weight for weight, power in zip(weights, powers)), ClassVector.zero(n)), denominator
 
 
 def build_projector(g: YoungDiagram, n: int) -> ClassVector:
     """Central idempotent projecting onto the irrep labeled by g.
 
     Stage one is the Lagrange polynomial in the transposition class-sum
-    that is 1 at g's eigenvalue and 0 at every other irrep's: its integer
-    numerator coefficients weight the cached powers [(2)]^k * 1, summed
-    in integers over one common denominator.  That annihilates every
-    irrep whose transposition eigenvalue differs from g's.  Stage two
-    annihilates the surviving partners one p-cycle class-sum at a time,
-    p = 3, 4, 5: one factor linear in [(p)] for each distinct p-cycle
-    eigenvalue of the partners left that differs from g's.  These
-    eigenvalues are the content power sums s_1..s_4 in disguise, which
-    separate the partitions of n through n = 41, so `NotSeparated`
-    cannot occur up to there.
+    that is 1 at g's eigenvalue and 0 at every other irrep's: the
+    integer weights of `lagrange_numerator` on the cached powers
+    [(2)]^k, over one common denominator, built once per eigenvalue.
+    That annihilates every irrep whose transposition eigenvalue differs
+    from g's.  Stage two annihilates the surviving partners one p-cycle
+    class-sum at a time, p = 3, 4, 5: one factor [(p)] - v for each
+    distinct p-cycle eigenvalue v of the partners left that differs from
+    g's.  These eigenvalues are the content power sums s_1..s_4 in
+    disguise, which separate the partitions of n through n = 41, so
+    `NotSeparated` cannot occur up to there.
     """
     if g.n != n:
         raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
-    lam2 = _eigenvalues(2, n)
+    lam2 = central_character_table(2, n)
     mine = lam2[g]
-    # numerator of prod (x - v) / (mine - v), lowest degree first
-    weights = [1]
-    denominator = 1
-    for v in sorted(set(lam2.values()) - {mine}):
-        weights = [a - v * b for a, b in zip([0] + weights, weights + [0])]
-        denominator *= mine - v
-    numerator: dict[CycleType, int] = {}
-    for weight, power in zip(weights, _transposition_powers(n)):
-        for u, c in power.items():
-            numerator[u] = numerator.get(u, 0) + weight * c
-
+    numerator, denominator = _transposition_lagrange(n, mine)
     partners = [h for h in lam2 if h != g and lam2[h] == mine]
     for p in (3, 4, 5):
         if not partners:
             break
-        lam = _eigenvalues(p, n)
+        lam = central_character_table(p, n)
         for v in sorted({lam[h] for h in partners} - {lam[g]}):
-            shifted = _times_cycle_sum(n, numerator, p)
-            for u, c in numerator.items():
-                shifted[u] = shifted.get(u, 0) - v * c
-            numerator = shifted
+            numerator = class_product(numerator, single_cycle_class_sum(n, p) - v)
             denominator *= lam[g] - v
         partners = [h for h in partners if lam[h] == lam[g]]
     if partners:
         raise NotSeparated(f"{g} and {partners[0]} share their 2- to 5-cycle class-sum eigenvalues")
-    return ClassVector(n, {u: Fraction(c, denominator) for u, c in numerator.items()})
+    return numerator / denominator
 
 
 def characters_from_projector(p: ClassVector, g: YoungDiagram) -> dict[CycleType, int]:

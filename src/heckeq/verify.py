@@ -38,6 +38,7 @@ from fractions import Fraction
 from .diagrams import YoungDiagram, dimension, partitions
 from .hecke_oracle import (
     HeckeElement,
+    _check_n,
     fundamental_invariant,
     hecke_projector,
     irreducible_trace,
@@ -99,6 +100,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     symbolic connected and doubly-connected traces with the oracle.
     Each check stops at its first failing comparison.
     """
+    _check_n(n)
     report = OracleReport()
     checks, compare = report.checks, report.compare
     parts = partitions(n)

@@ -54,6 +54,13 @@ class TestEigenvalue:
         assert code == 1
         assert doc["error"]["type"] == "CommandError"
 
+    def test_q0_is_a_usage_error(self, capsys):
+        # only verify specializes q
+        with pytest.raises(SystemExit) as exc:
+            main(["eigenvalue", "--n", "3", "--diagram", "2,1", "--q0", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --q0 2" in capsys.readouterr().err
+
     def test_table_error_goes_to_stderr(self, capsys):
         code, out, err = run_cli(capsys, "eigenvalue", "--n", "5", "--diagram", "2,2,2")
         assert code == 1
@@ -237,9 +244,10 @@ class TestVerify:
         assert doc["result"]["all_pass"] is True
 
     def test_scale_guard(self, capsys):
+        # no CLI default: the library's ceiling answers, and no flag lifts it
         code, doc, _ = run_json(capsys, "verify", "--n", "8")
         assert code == 1
-        assert "verify runs" in doc["error"]["message"]
+        assert doc["error"]["message"] == "the regular-representation oracle is capped at n <= 7"
 
     def test_needs_two_strands(self, capsys):
         code, doc, _ = run_json(capsys, "verify", "--n", "1", "--unsafe-large-n")
@@ -250,6 +258,15 @@ class TestVerify:
         code, doc, _ = run_json(capsys, "verify", "--n", "8", "--unsafe-large-n")
         assert code == 1
         assert doc["error"]["message"] == "the regular-representation oracle is capped at n <= 7"
+
+    def test_huge_n_is_refused_promptly(self):
+        # the ceiling is checked before the partitions of n are listed
+        code, doc = run_cold("verify", "--n", "100", "--unsafe-large-n", timeout=10)
+        assert code == 1
+        assert doc["error"] == {
+            "type": "ValueError",
+            "message": "the regular-representation oracle is capped at n <= 7",
+        }
 
     def test_failed_trace_check_carries_witness(self, capsys, monkeypatch):
         real = heckeq.verify.simply_connected_trace
@@ -320,11 +337,16 @@ class TestSuq:
         assert code == 0
         assert doc["result"]["checked"] == 8
 
+    @pytest.mark.parametrize("sweep_n", ["0", "-5"])
+    def test_check_sweep_below_one_is_refused(self, capsys, sweep_n):
+        code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", "check", "--sweep-n", sweep_n)
+        assert code == 1
+        assert doc["error"] == {"type": "CommandError", "message": f"--sweep-n must be at least 1, got {sweep_n}"}
+
 
 # one command just above each default scale guard, and the variable it caps
 GUARDED = {
     "characters": (("characters", "--n", "9", "--method", "mn"), "n"),
-    "verify": (("verify", "--n", "8"), "n"),
     "traces": (("traces", "--n", "25", "--kind", "simply", "--diagram", "25"), "n"),
     "suq": (("suq", "--N", "6", "--action", "check", "--sweep-n", "25"), "n"),
     "suq-rank": (("suq", "--N", "65", "--action", "dimension", "--diagram", "3,1"), "N"),

@@ -376,6 +376,14 @@ class TestGenericDegreeAgainstOracle:
 
 
 class TestVerifyMutations:
+    def test_ceiling_is_checked_before_partitions_are_listed(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"partitions({n}) listed before the ceiling check")
+
+        monkeypatch.setattr(heckeq.verify, "partitions", refuse)
+        with pytest.raises(ValueError, match=r"capped at n <= 7"):
+            oracle_checks(8, F(2))
+
     def test_non_central_perturbation_fails_idempotence(self, monkeypatch):
         real = heckeq.verify.projector_element
         monkeypatch.setattr(

@@ -11,6 +11,7 @@ from heckeq.invariant import (
     central_character_table,
     content_power_sum,
     invariant_eigenvalue,
+    lagrange_numerator,
     power_sums_from_eigenvalue,
     reconstruct_diagram,
     rescaled_invariant_eigenvalue,
@@ -173,10 +174,44 @@ class TestCentralCharacters:
             central_character(2, 4, Y(2, 1))
 
     def test_table(self):
-        table = central_character_table(4)
-        assert table.n == 4
-        assert table.value(2, Y(4)) == 6
-        assert len(table.entries) == 4 * len(partitions(4))
+        for p in (2, 3, 4, 5):
+            table = central_character_table(p, 6)
+            assert list(table) == partitions(6)
+            for g, value in table.items():
+                assert type(value) is int and value == central_character(p, 6, g)
+        assert central_character_table(2, 4)[Y(4)] == 6
+        with pytest.raises(TypeError):
+            central_character_table(2, 4)[Y(4)] = 0
+        with pytest.raises(UnsupportedCycle):
+            central_character_table(6, 7)
+
+
+class TestLagrangeNumerator:
+    @staticmethod
+    def evaluate(weights, denominator, x):
+        return sum(w * x**k for k, w in enumerate(weights)) / Fraction(denominator)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[-3, 0, 1, 6], [F(-5, 2), F(1, 3), 2, F(7, 4)], [4]],
+        ids=["int", "fraction", "single"],
+    )
+    def test_one_at_the_target_and_zero_elsewhere(self, values):
+        for target in values:
+            weights, denominator = lagrange_numerator(values, target)
+            assert len(weights) == len(values)
+            assert weights[-1] == 1
+            for v in values:
+                assert self.evaluate(weights, denominator, v) == (1 if v == target else 0)
+
+    def test_integer_values_give_integer_weights(self):
+        weights, denominator = lagrange_numerator([-3, 0, 1, 6], 1)
+        assert all(type(w) is int for w in weights + [denominator])
+        # (x + 3) x (x - 6) over (1 + 3)(1 - 0)(1 - 6)
+        assert (weights, denominator) == ([0, -18, -3, 1], -20)
+
+    def test_duplicate_values_count_once(self):
+        assert lagrange_numerator([2, 5, 5, 2, -1, -1], 2) == lagrange_numerator([5, -1], 2)
 
 
 class TestSeriesCorrespondence:

@@ -142,6 +142,35 @@ class TestClassVectorKeys:
                 ClassVector(3, {t: 1})
 
 
+class TestClassVectorCoefficients:
+    def test_integer_vectors_multiply_in_integers(self):
+        t = single_cycle_class_sum(5, 2)
+        product = class_product(t + 2, single_cycle_class_sum(5, 3) - 1)
+        assert product.coeffs and all(type(c) is int for c in product.coeffs.values())
+
+    def test_division_undone_gives_integers_again(self):
+        x = single_cycle_class_sum(4, 2) + 2
+        third = x / 3
+        assert set(third.coeffs.values()) == {Fraction(1, 3), Fraction(2, 3)}
+        assert third * 3 == x
+        assert all(type(c) is int for c in (third * 3).coeffs.values())
+
+    def test_coefficients_are_read_only(self):
+        x = single_cycle_class_sum(3, 2)
+        with pytest.raises(TypeError):
+            x.coeffs[(3,)] = 1
+        with pytest.raises(AttributeError):
+            x.coeffs = {}
+        with pytest.raises(AttributeError):
+            x.n = 4
+        assert x == ClassVector(3, {(2, 1): 1})
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3"])
+    def test_non_rational_coefficients_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            ClassVector(3, {(3,): bad})
+
+
 class TestClassProduct:
     def test_transposition_square_in_s3(self):
         t = single_cycle_class_sum(3, 2)
@@ -216,12 +245,12 @@ class TestProjectors:
     def test_partners_left_after_five_cycles_are_refused(self, monkeypatch):
         # pretend the 3-, 4- and 5-cycle class-sums cannot tell the S_6 pair
         # (4,1,1), (3,3) apart, as may happen past n = 41
-        eigenvalues = symgroup._eigenvalues
+        eigenvalues = symgroup.central_character_table
 
         def blind(p, n):
             return eigenvalues(p, n) if p == 2 else dict.fromkeys(partitions(n), 0)
 
-        monkeypatch.setattr(symgroup, "_eigenvalues", blind)
+        monkeypatch.setattr(symgroup, "central_character_table", blind)
         with pytest.raises(NotSeparated):
             build_projector(Y(4, 1, 1), 6)
         # a diagram without partners needs no p-cycle eigenvalue
