@@ -344,23 +344,30 @@ class TestSuq:
         assert doc["error"] == {"type": "CommandError", "message": f"--sweep-n must be at least 1, got {sweep_n}"}
 
 
-# one command just above each default scale guard, and the variable it caps
+# one command just above each scale guard, the variable it caps, and whether
+# --unsafe-large-n lifts it; verify has no CLI default, only the library's ceiling
 GUARDED = {
-    "characters": (("characters", "--n", "9", "--method", "mn"), "n"),
-    "traces": (("traces", "--n", "25", "--kind", "simply", "--diagram", "25"), "n"),
-    "suq": (("suq", "--N", "6", "--action", "check", "--sweep-n", "25"), "n"),
-    "suq-rank": (("suq", "--N", "65", "--action", "dimension", "--diagram", "3,1"), "N"),
+    "characters": (("characters", "--n", "9", "--method", "mn"), "n", True),
+    "verify": (("verify", "--n", "8"), "n", False),
+    "traces": (("traces", "--n", "25", "--kind", "simply", "--diagram", "25"), "n", True),
+    "suq": (("suq", "--N", "6", "--action", "check", "--sweep-n", "25"), "n", True),
+    "suq-rank": (("suq", "--N", "65", "--action", "dimension", "--diagram", "3,1"), "N", True),
 }
 
 
 class TestScaleGuards:
-    @pytest.mark.parametrize("args,name", GUARDED.values(), ids=GUARDED.keys())
-    def test_refused_above_default(self, capsys, args, name):
+    @pytest.mark.parametrize("args,name,lifted", GUARDED.values(), ids=GUARDED.keys())
+    def test_refused_above_default(self, capsys, args, name, lifted):
         code, doc, _ = run_json(capsys, *args)
         assert code == 1
-        assert doc["error"]["type"] == "CommandError"
         assert f"capped at {name} <= " in doc["error"]["message"]
-        assert "--unsafe-large-n" in doc["error"]["message"]
+        if lifted:
+            assert doc["error"]["type"] == "CommandError"
+            assert "--unsafe-large-n" in doc["error"]["message"]
+        else:
+            # the library's ceiling promises no override, since the flag cannot give one
+            assert doc["error"]["type"] == "ValueError"
+            assert "--unsafe-large-n" not in doc["error"]["message"]
 
     @pytest.mark.parametrize("guard", ["traces", "suq"])
     def test_unsafe_flag_lifts_partition_lattice_guard(self, capsys, guard):
