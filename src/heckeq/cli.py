@@ -173,6 +173,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 def _cmd_suq(args) -> tuple[dict, int]:
     N, action = args.N, args.action
+    if N < 2:
+        raise CommandError(f"SU_q(N) needs N >= 2, got N = {N}")
     _check_scale(args, "SU_q(N) ranks", N, "N")
     doc: dict = {"N": N, "action": action}
     if action == "casimir":
@@ -278,13 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("table", "json"), default="table")
-    common.add_argument(
+    # only the commands with a default in SCALE_DEFAULTS take the flag that lifts it
+    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
+    guarded.add_argument(
         "--unsafe-large-n",
         action="store_true",
-        help=(
-            "lift the default scale guards of characters, traces and suq; verify's n! oracle "
-            "stays capped at n = 7 (characters --n 12 --method both takes about 1 s)"
-        ),
+        help="lift this command's default scale guards",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True, help="e.g. 'q^2+3*q-1'")
     p.set_defaults(handler=_cmd_reconstruct)
 
-    p = sub.add_parser("characters", parents=[common], help="S_n character table")
+    p = sub.add_parser("characters", parents=[guarded], help="S_n character table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("projector", "mn", "both"), default="both")
     p.set_defaults(handler=_cmd_characters)
 
-    p = sub.add_parser("traces", parents=[common], help="symbolic Hecke trace tables")
+    p = sub.add_parser("traces", parents=[guarded], help="symbolic Hecke trace tables")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--diagram")
     p.add_argument("--kind", choices=("murphy", "simply", "products", "doubly"), required=True)
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q0", default="2", help="rational specialization point (default 2)")
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("suq", parents=[common], help="quantum-group Casimir machinery")
+    p = sub.add_parser("suq", parents=[guarded], help="quantum-group Casimir machinery")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--action", choices=("casimir", "reconstruct", "check", "dimension"), required=True)
     p.add_argument("--diagram", help="Young-diagram rows, trailing zeros optional")

@@ -1,13 +1,17 @@
-"""Exact Laurent-polynomial arithmetic over the rationals.
+"""Exact sparse arithmetic over the rationals, and Laurent polynomials in q.
 
-Every q-dependent quantity in this package lives in a single coefficient
-domain: sparse Laurent polynomials in q with rational coefficients, each
-stored as an `int` when it is integral and as a `fractions.Fraction` only
-when it is not.  Every symbolic table of the package has integer
-coefficients, so its arithmetic runs on `int`s.  This module also
-supplies the q-integer family [k]_q = (q^k - 1)/(q - 1), q-contents
-q*[c]_q, the symmetric bracket (q^x - q^-x)/(q - q^-1), and truncated
-series expansion around q = exp(delta).
+`SparseVector` is the one sparse-coefficient arithmetic of the package: a
+finite map key -> nonzero rational, each coefficient stored as an `int`
+when it is integral and as a `fractions.Fraction` only when it is not.
+It owns that normal form and the linear operations (sum, difference,
+negation, scalar multiple, equality).  Two types are built on it: the
+`LaurentPoly` here, keyed by exponents of q, in which every q-dependent
+quantity of the package lives, and `symgroup.ClassVector`, keyed by cycle
+types.  Every symbolic table of the package has integer coefficients, so
+its arithmetic runs on `int`s.  This module also supplies the q-integer
+family [k]_q = (q^k - 1)/(q - 1), q-contents q*[c]_q, the symmetric
+bracket (q^x - q^-x)/(q - q^-1), and truncated series expansion around
+q = exp(delta).
 
 Only exact operations exist here: division either succeeds exactly or
 raises `NotDivisible`, and rational functions are never materialized.
@@ -18,14 +22,12 @@ be evaluated at a specialized rational q0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "LaurentPoly",
-    "DeltaSeries",
     "NotDivisible",
     "ZeroSpecialization",
     "PolynomialParseError",
@@ -70,6 +72,86 @@ def _tidy(c: Scalar) -> Scalar:
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
+class SparseVector:
+    """A finite map key -> nonzero rational coefficient.
+
+    `_terms` holds the coefficients in normal form: no zero is stored,
+    and a coefficient is an `int` when it is integral and a `Fraction`
+    otherwise.  The linear operations are written once here.  A subclass
+    supplies `_key(key)`, which validates a key and gives its canonical
+    form; `_like(terms)`, a vector of its own kind and space with terms
+    already in normal form; and `_coerce(other)`, which reads another
+    vector or a scalar as such a vector, raises where the two cannot mix,
+    and gives None where it cannot read `other` at all.  Vectors in
+    different `_space`s are never equal.  Instances are immutable; all
+    arithmetic returns new objects.
+    """
+
+    __slots__ = ("_terms",)
+    _space = None
+
+    def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
+        items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
+        self._terms = self._collect((self._key(k), _scalar(c)) for k, c in items)
+
+    @staticmethod
+    def _collect(pairs: Iterable[tuple]) -> dict:
+        """The normal form of (key, coefficient) pairs, summed by key.
+
+        The coefficients must already be `int`s or `Fraction`s.
+        """
+        out: dict = {}
+        for k, c in pairs:
+            out[k] = out.get(k, 0) + c
+        return {k: c if type(c) is int else _tidy(c) for k, c in out.items() if c}
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        # copy the longer operand and walk the shorter one
+        big, small = self._terms, o._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for k, c in small.items():
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s if type(s) is int else _tidy(s)
+            else:
+                del out[k]
+        return self._like(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o + (-self)
+
+    def _scale(self, c: Scalar):
+        """This vector times the scalar c."""
+        f = _scalar(c)
+        return self._like({k: _tidy(v * f) for k, v in self._terms.items()} if f else {})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._space == other._space and self._terms == other._terms
+
+
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-])?\s*
         (?:
@@ -81,31 +163,20 @@ _TERM_RE = re.compile(
 )
 
 
-class LaurentPoly:
-    """A Laurent polynomial in q: a finite map exponent -> nonzero rational.
+class LaurentPoly(SparseVector):
+    """A Laurent polynomial in q: a `SparseVector` keyed by exponents of q.
 
-    A coefficient is an `int` when it is integral and a `Fraction` with
-    denominator > 1 otherwise, and every operation keeps that form.
     Exponents may be negative.  The zero polynomial is the empty map, and
     two polynomials are equal exactly when their term maps are equal.
-    Instances are immutable; all arithmetic returns new objects.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] | None = None):
-        clean: dict[int, Scalar] = {}
-        if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for exp, coeff in items:
-                if not isinstance(exp, int) or isinstance(exp, bool):
-                    raise TypeError("exponents must be integers")
-                c = clean.get(exp, 0) + _scalar(coeff)
-                if c:
-                    clean[exp] = _tidy(c)
-                elif exp in clean:
-                    del clean[exp]
-        self._terms = clean
+    @staticmethod
+    def _key(exp: int) -> int:
+        if not isinstance(exp, int) or isinstance(exp, bool):
+            raise TypeError("exponents must be integers")
+        return exp
 
     # -- constructors -------------------------------------------------
 
@@ -219,39 +290,13 @@ class LaurentPoly:
             return cls.constant(other)
         return None
 
-    def __add__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        # copy the longer operand and walk the shorter one
-        big, small = self._terms, o._terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for e, c in small.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s if type(s) is int else _tidy(s)
-            elif e in out:
-                del out[e]
-        return LaurentPoly._make(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._make({e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other) -> "LaurentPoly":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+    _like = _make
+    # The linear operations are `SparseVector`'s, bound here by name
+    # because bench/tracer.py times the ones it finds in this class body.
+    __add__ = __radd__ = SparseVector.__add__
+    __neg__ = SparseVector.__neg__
+    __sub__ = SparseVector.__sub__
+    __rsub__ = SparseVector.__rsub__
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, LaurentPoly):
@@ -266,10 +311,7 @@ class LaurentPoly:
                         del out[e]
             return LaurentPoly._make(out)
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            f = _scalar(other)
-            if not f:
-                return LaurentPoly.zero()
-            return LaurentPoly._make({e: _tidy(c * f) for e, c in self._terms.items()})
+            return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -344,13 +386,7 @@ class LaurentPoly:
             raise ValueError("substitution power must be a nonzero integer")
         return LaurentPoly._make({e * m: c for e, c in self._terms.items()})
 
-    # -- equality and text --------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
+    # -- hash and text ------------------------------------------------
 
     def __hash__(self) -> int:
         # A constant equals its scalar under ==, so it must hash like it too.
@@ -378,29 +414,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"
-
-
-@dataclass(frozen=True)
-class DeltaSeries:
-    """Coefficients c_0..c_m of a series sum(c_k * delta^k) truncated at m."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(_as_fraction(c) for c in self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coeffs)
 
 
 def q_integer(k: int) -> LaurentPoly:
@@ -442,15 +455,15 @@ def symmetric_bracket(x: int) -> LaurentPoly:
     return LaurentPoly._make({a - 1 - 2 * i: sign for i in range(a)})
 
 
-def exp_series(p: LaurentPoly, order: int) -> DeltaSeries:
+def exp_series(p: LaurentPoly, order: int) -> tuple[Fraction, ...]:
     """Expand p(exp(delta)) as a series in delta, exactly, up to `order`.
 
-    The coefficient of delta^k is sum over terms a_e * e^k / k!.
+    Returns the coefficients c_0..c_order of sum(c_k * delta^k); the
+    coefficient of delta^k is sum over terms a_e * e^k / k!.
     """
     if not isinstance(order, int) or order < 0:
         raise ValueError("series order must be a nonnegative integer")
-    coeffs = []
-    for k in range(order + 1):
-        fact = factorial(k)
-        coeffs.append(sum((c * Fraction(e**k, fact) for e, c in p._terms.items()), Fraction(0)))
-    return DeltaSeries(tuple(coeffs))
+    return tuple(
+        sum((c * Fraction(e**k, factorial(k)) for e, c in p._terms.items()), Fraction(0))
+        for k in range(order + 1)
+    )

@@ -9,8 +9,11 @@ the paper's construction: the Lagrange polynomial of
 over its cached powers [(2)]^k, then factors linear in the p-cycle
 class-sums, p = 3, 4, 5, for the irreps that share the transposition
 eigenvalue.  Every product is a `class_product` of `ClassVector`s,
-whose coefficients stay integers until the final division.  A
-projector's class coefficients give its character row, and an
+whose coefficients stay integers until the final division.
+`ClassVector` is a `laurent.SparseVector` keyed by cycle types, so its
+coefficient normal form and its linear operations are `LaurentPoly`'s;
+only the product, the division and the check of keys against n are its
+own.  A projector's class coefficients give its character row, and an
 independent Murnaghan-Nakayama recursion cross-checks every value.
 """
 
@@ -24,7 +27,7 @@ from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import central_character_table, lagrange_numerator
-from .laurent import Scalar, _scalar, _tidy
+from .laurent import Scalar, SparseVector
 
 __all__ = [
     "NotSeparated",
@@ -188,40 +191,41 @@ def _class_members(t: CycleType) -> Iterator[Permutation]:
     return open_cycle(t)
 
 
-def _stored(coeffs: dict[CycleType, Scalar]) -> dict[CycleType, Scalar]:
-    """The nonzero coefficients, each an `int` when it is integral."""
-    return {t: c if type(c) is int else _tidy(c) for t, c in coeffs.items() if c}
-
-
-class ClassVector:
+class ClassVector(SparseVector):
     """An element of the center of the group algebra of S_n.
 
-    A finite map cycle type -> nonzero coefficient with respect to the
-    class-sum basis.  A coefficient is an `int` when it is integral and a
-    `Fraction` otherwise, as in `LaurentPoly`, so integer class vectors
-    multiply in integers.  Instances are immutable: `coeffs` is a
-    read-only view and all arithmetic returns new objects.
+    A `SparseVector` keyed by cycle types of n: the coefficients with
+    respect to the class-sum basis.  Integer class vectors multiply in
+    integers.  A scalar c stands for c times the identity class, and
+    vectors of different n do not mix.  `n` and `coeffs` are read-only.
     """
 
-    __slots__ = ("_n", "_coeffs")
+    __slots__ = ("_space",)
 
     def __init__(self, n: int, coeffs: Mapping[CycleType, Scalar] | None = None):
-        clean: dict[CycleType, Scalar] = {}
-        for t, c in (coeffs or {}).items():
-            key = _canonical_type(t)
-            if sum(key) != n:
-                raise ValueError(f"cycle type {t} does not partition n={n}")
-            clean[key] = clean.get(key, 0) + _scalar(c)
-        self._n = n
-        self._coeffs = _stored(clean)
+        self._space = n
+        super().__init__(coeffs)
 
-    @classmethod
-    def _make(cls, n: int, coeffs: dict[CycleType, Scalar]) -> "ClassVector":
-        """Internal fast path: `coeffs` must have canonical keys and be `_stored`."""
-        obj = cls.__new__(cls)
-        obj._n = n
-        obj._coeffs = coeffs
+    def _key(self, t: CycleType) -> CycleType:
+        key = _canonical_type(t)
+        if sum(key) != self._space:
+            raise ValueError(f"cycle type {t} does not partition n={self._space}")
+        return key
+
+    def _like(self, terms: dict[CycleType, Scalar]) -> "ClassVector":
+        obj = ClassVector.__new__(ClassVector)
+        obj._space = self._space
+        obj._terms = terms
         return obj
+
+    def _coerce(self, other) -> "ClassVector | None":
+        if isinstance(other, ClassVector):
+            if other._space != self._space:
+                raise ValueError(f"mixing class vectors of S_{self._space} and S_{other._space}")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ClassVector.identity(self._space) * other
+        return None
 
     @classmethod
     def zero(cls, n: int) -> "ClassVector":
@@ -233,60 +237,21 @@ class ClassVector:
 
     @property
     def n(self) -> int:
-        return self._n
+        return self._space
 
     @property
     def coeffs(self) -> Mapping[CycleType, Scalar]:
         """The nonzero coefficients {cycle type: coefficient}, read-only."""
-        return MappingProxyType(self._coeffs)
+        return MappingProxyType(self._terms)
 
     def coefficient(self, t: CycleType) -> Scalar:
-        return self._coeffs.get(_canonical_type(t), 0)
-
-    def _check_compatible(self, other: "ClassVector") -> None:
-        if self._n != other._n:
-            raise ValueError(f"mixing class vectors of S_{self._n} and S_{other._n}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ClassVector.identity(self._n) * other
-        if not isinstance(other, ClassVector):
-            return NotImplemented
-        self._check_compatible(other)
-        # copy the longer operand and walk the shorter one
-        big, small = self._coeffs, other._coeffs
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        for t, c in small.items():
-            s = out.get(t, 0) + c
-            if s:
-                out[t] = s if type(s) is int else _tidy(s)
-            else:
-                del out[t]
-        return ClassVector._make(self._n, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        if isinstance(other, (ClassVector, int, Fraction)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return -self + other
-        return NotImplemented
+        return self._terms.get(_canonical_type(t), 0)
 
     def __mul__(self, other):
         if isinstance(other, ClassVector):
             return class_product(self, other)
         if isinstance(other, (int, Fraction)):
-            f = _scalar(other)
-            return ClassVector._make(self._n, _stored({t: c * f for t, c in self._coeffs.items()}))
+            return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -296,21 +261,16 @@ class ClassVector:
             return self * Fraction(1, other)
         return NotImplemented
 
-    def __eq__(self, other):
-        if not isinstance(other, ClassVector):
-            return NotImplemented
-        return self._n == other._n and self._coeffs == other._coeffs
-
     def __repr__(self):
-        if not self._coeffs:
+        if not self._terms:
             return "0"
         parts = []
-        for g in partitions(self._n):
+        for g in partitions(self._space):
             t = g.rows
-            if t not in self._coeffs:
+            if t not in self._terms:
                 continue
-            c = self._coeffs[t]
-            label = "" if all(p == 1 for p in t) else f"[{display_cycle_type(t, suppress_units=True)}]_{self._n}"
+            c = self._terms[t]
+            label = "" if all(p == 1 for p in t) else f"[{display_cycle_type(t, suppress_units=True)}]_{self._space}"
             if label:
                 text = label if c == 1 else (f"-{label}" if c == -1 else f"{c}*{label}")
             else:
@@ -355,16 +315,20 @@ def _structure_row(n: int, s: CycleType, t: CycleType) -> Mapping[CycleType, int
 
 
 def class_product(a: ClassVector, b: ClassVector) -> ClassVector:
-    """Product in the group algebra, re-expressed in the class basis."""
-    a._check_compatible(b)
-    n = a._n
-    out: dict[CycleType, Scalar] = {}
-    for s, cs in a._coeffs.items():
-        for t, ct in b._coeffs.items():
-            scale = cs * ct
-            for u, constant in _structure_row(n, s, t).items():
-                out[u] = out.get(u, 0) + scale * constant
-    return ClassVector._make(n, _stored(out))
+    """Product in the group algebra, re-expressed in the class basis.
+
+    The identity class is the unit, [s]·1 = [s], so its products take no
+    structure row.
+    """
+    b = a._coerce(b)
+    n = a.n
+    unit = (1,) * n
+    pairs: list[tuple[CycleType, Scalar]] = []
+    for s, cs in a._terms.items():
+        for t, ct in b._terms.items():
+            row = {t: 1} if s == unit else {s: 1} if t == unit else _structure_row(n, s, t)
+            pairs.extend((u, cs * ct * constant) for u, constant in row.items())
+    return a._like(a._collect(pairs))
 
 
 @cache

@@ -250,18 +250,20 @@ class TestVerify:
         assert doc["error"]["message"] == "the regular-representation oracle is capped at n <= 7"
 
     def test_needs_two_strands(self, capsys):
-        code, doc, _ = run_json(capsys, "verify", "--n", "1", "--unsafe-large-n")
+        code, doc, _ = run_json(capsys, "verify", "--n", "1")
         assert code == 1
         assert "n >= 2" in doc["error"]["message"]
 
     def test_unsafe_flag_meets_the_oracle_ceiling(self, capsys):
-        code, doc, _ = run_json(capsys, "verify", "--n", "8", "--unsafe-large-n")
-        assert code == 1
-        assert doc["error"]["message"] == "the regular-representation oracle is capped at n <= 7"
+        # verify has no scale guard to lift, so the flag is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "8", "--unsafe-large-n"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unsafe-large-n" in capsys.readouterr().err
 
     def test_huge_n_is_refused_promptly(self):
         # the ceiling is checked before the partitions of n are listed
-        code, doc = run_cold("verify", "--n", "100", "--unsafe-large-n", timeout=10)
+        code, doc = run_cold("verify", "--n", "100", timeout=10)
         assert code == 1
         assert doc["error"] == {
             "type": "ValueError",
@@ -343,6 +345,13 @@ class TestSuq:
         assert code == 1
         assert doc["error"] == {"type": "CommandError", "message": f"--sweep-n must be at least 1, got {sweep_n}"}
 
+    @pytest.mark.parametrize("big_n", ["-4", "0", "1"])
+    def test_rank_below_two_is_refused(self, capsys, big_n):
+        # no SU_q(N) exists, so an empty sweep must not report that it holds
+        code, doc, _ = run_json(capsys, "suq", "--N", big_n, "--action", "check", "--sweep-n", "3")
+        assert code == 1
+        assert doc["error"] == {"type": "CommandError", "message": f"SU_q(N) needs N >= 2, got N = {big_n}"}
+
 
 # one command just above each scale guard, the variable it caps, and whether
 # --unsafe-large-n lifts it; verify has no CLI default, only the library's ceiling
@@ -373,6 +382,15 @@ class TestScaleGuards:
     def test_unsafe_flag_lifts_partition_lattice_guard(self, capsys, guard):
         code, _, _ = run_json(capsys, *GUARDED[guard][0], "--unsafe-large-n")
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "args", [("eigenvalue", "--n", "3", "--diagram", "2,1"), ("reconstruct", "--n", "3", "--poly", "q-1")]
+    )
+    def test_unguarded_commands_refuse_the_flag(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--unsafe-large-n"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --unsafe-large-n" in capsys.readouterr().err
 
     def test_unsafe_flag_lifts_rank_guard(self, capsys):
         code, doc, _ = run_json(capsys, *GUARDED["suq-rank"][0], "--unsafe-large-n")

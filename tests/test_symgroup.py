@@ -193,9 +193,12 @@ class TestClassProduct:
 
     def test_identity_is_neutral(self):
         e = ClassVector.identity(4)
-        x = single_cycle_class_sum(4, 3) * Fraction(2, 7) + single_cycle_class_sum(4, 2)
+        x = single_cycle_class_sum(4, 3) * Fraction(2, 7) + single_cycle_class_sum(4, 2) + 1
+        _structure_row.cache_clear()
         assert class_product(e, x) == x
         assert class_product(x, e) == x
+        # [s]·1 = [s] takes no structure row: nothing is listed or cached
+        assert _structure_row.cache_info().currsize == 0
 
     def test_against_group_algebra_oracle(self):
         # expand both factors to permutation level, multiply naively there,
