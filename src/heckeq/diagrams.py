@@ -9,7 +9,6 @@ degrees all live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 from math import factorial, prod
@@ -26,15 +25,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class YoungDiagram:
+class FrozenRecord:
+    """A record of the fields `__match_args__` names, given positionally and read-only.
+
+    `==` holds only within one class, field by field; the hash is that of
+    the tuple of fields, `_values`, and the repr names each field.
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__match_args__)}")
+        object.__setattr__(self, "_values", fields)
+        for name, value in zip(self.__match_args__, fields):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class YoungDiagram(FrozenRecord):
     """Weakly decreasing positive row lengths; labels an irrep."""
 
+    __slots__ = __match_args__ = ("rows",)
     rows: tuple[int, ...]
 
-    def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[int, ...]):
+        rows = tuple(rows)
+        super().__init__(rows)
         if not rows:
             raise ValueError("a Young diagram needs at least one row")
         for r in rows:

@@ -57,14 +57,14 @@ of unity, which is all the genericity the spectrum needs.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import permutations
 from math import gcd, lcm
 
-from .diagrams import YoungDiagram, dimension, partitions
+from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue, lagrange_numerator
+from .laurent import is_scalar
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -303,14 +303,14 @@ class HeckeElement:
                 if c:
                     total = [s + c * x for s, x in zip(total, column)]
             return HeckeElement._make(self.n, self.q0, total, self._den * other._den)
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             f = Fraction(other)
             scaled = [f.numerator * x for x in self._vec]
             return HeckeElement._make(self.n, self.q0, scaled, self._den * f.denominator)
         return NotImplemented
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return self * other
         return NotImplemented
 
@@ -416,14 +416,14 @@ def symmetrizing_trace(x: HeckeElement, y: HeckeElement) -> Fraction:
     return Fraction(total, x._den * y._den)
 
 
-@dataclass(frozen=True)
-class ProjectorPoly:
+class ProjectorPoly(FrozenRecord):
     """A central projector expressed as a polynomial in the invariant.
 
     `coeffs` lists the coefficients in ascending degree; the degree is
     one less than the number of partitions of n.
     """
 
+    __slots__ = __match_args__ = ("diagram", "n", "q0", "coeffs")
     diagram: YoungDiagram
     n: int
     q0: Fraction
@@ -438,7 +438,7 @@ def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
     eigenvalues to be distinct at q0, which is asserted rather than
     assumed.  q0 = 1 and q0 = -1 are refused outright: they are roots of
     unity, where the word basis stops being semisimple-generic.  Cached
-    per (g, q0); the result is frozen, so every caller can share it.
+    per (g, q0); the result is read-only, so every caller can share it.
     """
     if g.n != n:
         raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")

@@ -22,9 +22,9 @@ be evaluated at a specialized rational q0.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "LaurentPoly",
@@ -37,7 +37,7 @@ __all__ = [
     "exp_series",
 ]
 
-Scalar = Union[int, Fraction]
+Scalar = int | Fraction
 
 
 class NotDivisible(ArithmeticError):
@@ -70,6 +70,11 @@ def _scalar(value: Scalar) -> Scalar:
 def _tidy(c: Scalar) -> Scalar:
     """The stored form of a coefficient: an `int` whenever it is integral."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def is_scalar(value) -> bool:
+    """Whether `value` can scale a vector: an `int` or a `Fraction`, never a `bool`."""
+    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 class SparseVector:
@@ -286,7 +291,7 @@ class LaurentPoly(SparseVector):
     def _coerce(cls, other) -> "LaurentPoly | None":
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if is_scalar(other):
             return cls.constant(other)
         return None
 

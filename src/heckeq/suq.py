@@ -21,12 +21,11 @@ enter the diagonal commutator checks they are used for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iter_product
 from math import prod
 
-from .diagrams import YoungDiagram
+from .diagrams import FrozenRecord, YoungDiagram
 from .invariant import InvalidSpectrum, invariant_eigenvalue
 from .laurent import LaurentPoly, q_integer, symmetric_bracket
 
@@ -48,23 +47,23 @@ class PatternViolation(ValueError):
     """A pattern shift left the Gelfand-Tsetlin cone."""
 
 
-@dataclass(frozen=True)
-class SuqIrrep:
+class SuqIrrep(FrozenRecord):
     """An irrep label: N and the top row, normalized so the last entry is 0."""
 
+    __slots__ = __match_args__ = ("N", "top")
     N: int
     top: tuple[int, ...]
 
-    def __post_init__(self):
-        top = tuple(self.top)
-        object.__setattr__(self, "top", top)
-        if not isinstance(self.N, int) or self.N < 2:
+    def __init__(self, N: int, top: tuple[int, ...]):
+        top = tuple(top)
+        super().__init__(N, top)
+        if not isinstance(N, int) or N < 2:
             raise ValueError("N must be an integer >= 2")
-        if len(top) != self.N:
-            raise ValueError(f"top row must have {self.N} entries, got {top}")
+        if len(top) != N:
+            raise ValueError(f"top row must have {N} entries, got {top}")
         if any(not isinstance(h, int) or h < 0 for h in top):
             raise ValueError(f"top row entries must be nonnegative integers, got {top}")
-        if any(top[i] < top[i + 1] for i in range(self.N - 1)):
+        if any(top[i] < top[i + 1] for i in range(N - 1)):
             raise ValueError(f"top row must be weakly decreasing, got {top}")
         if top[-1] != 0:
             raise ValueError(f"top row must be normalized to end in 0, got {top}")
@@ -119,16 +118,16 @@ def _interlaces(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
     return all(upper[i] >= lower[i] >= upper[i + 1] for i in range(len(lower)))
 
 
-@dataclass(frozen=True)
-class GZPattern:
+class GZPattern(FrozenRecord):
     """A Gelfand-Tsetlin pattern: rows[j-1] is row j (length j), rows[N-1]
     is the irrep's top row, and consecutive rows interlace."""
 
+    __slots__ = __match_args__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(r) for r in rows)
+        super().__init__(rows)
         if not rows or any(len(r) != j for j, r in enumerate(rows, start=1)):
             raise ValueError("row j of a pattern must have length j")
         for j in range(len(rows) - 1):

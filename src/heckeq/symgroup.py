@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import central_character_table, lagrange_numerator
-from .laurent import Scalar, SparseVector
+from .laurent import Scalar, SparseVector, is_scalar
 
 __all__ = [
     "NotSeparated",
@@ -223,7 +223,7 @@ class ClassVector(SparseVector):
             if other._space != self._space:
                 raise ValueError(f"mixing class vectors of S_{self._space} and S_{other._space}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return ClassVector.identity(self._space) * other
         return None
 
@@ -250,14 +250,14 @@ class ClassVector(SparseVector):
     def __mul__(self, other):
         if isinstance(other, ClassVector):
             return class_product(self, other)
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return self._scale(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if is_scalar(other):
             return self * Fraction(1, other)
         return NotImplemented
 

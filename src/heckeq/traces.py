@@ -21,12 +21,11 @@ regular-representation oracle that cross-checks them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import cache
 from math import comb
 from types import MappingProxyType
 
-from .diagrams import YoungDiagram, dimension, partitions
+from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue
 from .laurent import LaurentPoly, q_content
 
@@ -45,8 +44,7 @@ _ZERO = LaurentPoly.zero()
 _QM1 = _Q - 1
 
 
-@dataclass(frozen=True)
-class MurphyTraceTable:
+class MurphyTraceTable(FrozenRecord):
     """Traces of the Murphy operators L_2..L_n in one irrep.
 
     The entries sum to dim(diagram) times the invariant eigenvalue,
@@ -55,6 +53,7 @@ class MurphyTraceTable:
     table to every caller.
     """
 
+    __slots__ = __match_args__ = ("diagram", "entries")
     diagram: YoungDiagram
     entries: Mapping[int, LaurentPoly]
 
@@ -87,7 +86,8 @@ def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPol
     `levels[0]` is level a1 - 1.  Summed over every chain from there up
     to the top, the chain's first diagram contributes its dimension and
     each marked level the q-content of the box added there.  Only one
-    level of values is held at a time.
+    level of values is held at a time, and at an unmarked level a single
+    step down passes its value on uncopied.
     """
     marked = frozenset(alphas)
     values = [dimension(d) for d, _ in levels[0]]
@@ -95,7 +95,7 @@ def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPol
         if level in marked:
             values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for _, steps in entries]
         else:
-            values = [sum((values[j] for j, _ in steps), _ZERO) for _, steps in entries]
+            values = [values[s[0][0]] if len(s) == 1 else sum((values[j] for j, _ in s), _ZERO) for _, s in entries]
     return values
 
 

@@ -432,3 +432,16 @@ def test_cache_directory_cannot_change_results(tmp_path):
     assert chars["projector"]["rows"]["2,1"]["1,1,1"] == 2
     traces = cold("traces", "--n", "4", "--kind", "murphy", "--diagram", "3,1")
     assert traces["murphy_traces"]["4"] == "2*q^2+2*q-1"
+
+
+def test_import_set():
+    # `-S` skips site, so no .pth file preloads a module; the package must
+    # not import the slow standard modules, and must import eagerly every
+    # module that bench/tracer.py reads right after `import heckeq.cli`
+    src = str(pathlib.Path(heckeq.__file__).parents[1])
+    code = f"import sys\nsys.path.insert(0, {src!r})\nimport heckeq.cli\nprint(' '.join(sys.modules))"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "typing"}
+    layers = ("laurent", "diagrams", "invariant", "symgroup", "hecke_oracle", "traces", "suq", "cli")
+    assert {f"heckeq.{name}" for name in layers} <= loaded

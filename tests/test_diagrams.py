@@ -1,4 +1,6 @@
+import pickle
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -11,7 +13,10 @@ from heckeq.diagrams import (
     partitions,
     paths,
 )
+from heckeq.hecke_oracle import hecke_projector
 from heckeq.laurent import LaurentPoly
+from heckeq.suq import GZPattern, SuqIrrep
+from heckeq.traces import MurphyTraceTable, murphy_traces
 
 from conftest import P, Y
 
@@ -51,6 +56,66 @@ class TestYoungDiagram:
 
     def test_n(self):
         assert Y(4, 1, 1).n == 6
+
+
+# The package's read-only records, each with its positional fields and
+# the repr it must keep.
+RECORDS = {
+    "YoungDiagram": (lambda: YoungDiagram((2, 1)), ((2, 1),), "YoungDiagram((2, 1))"),
+    "SuqIrrep": (lambda: SuqIrrep(3, (2, 1, 0)), (3, (2, 1, 0)), "SuqIrrep(N=3, top=(2, 1, 0))"),
+    "GZPattern": (lambda: GZPattern(((1,), (1, 0))), (((1,), (1, 0)),), "GZPattern(rows=((1,), (1, 0)))"),
+    "ProjectorPoly": (
+        lambda: hecke_projector(Y(2, 1), 3, 2),
+        (Y(2, 1), 3, Fraction(2), (Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49))),
+        "ProjectorPoly(diagram=YoungDiagram((2, 1)), n=3, q0=Fraction(2, 1), "
+        "coeffs=(Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49)))",
+    ),
+    "MurphyTraceTable": (
+        lambda: murphy_traces(Y(2, 1)),
+        (Y(2, 1), murphy_traces(Y(2, 1)).entries),
+        "MurphyTraceTable(diagram=YoungDiagram((2, 1)), entries=mappingproxy({2: LaurentPoly('q-1'), 3: LaurentPoly('q-1')}))",
+    ),
+}
+
+
+@pytest.mark.parametrize("make,fields,text", RECORDS.values(), ids=RECORDS.keys())
+class TestRecords:
+    def test_fields_cannot_be_assigned_or_deleted(self, make, fields, text):
+        record = make()
+        for name, value in zip(type(record).__match_args__, fields):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name) == value
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_positional_construction_equality_and_repr(self, make, fields, text):
+        record = make()
+        again = type(record)(*fields)
+        assert again == record and not again != record
+        assert record != fields and fields != record
+        assert repr(record) == repr(again) == text
+
+    def test_hash_is_the_hash_of_the_fields(self, make, fields, text):
+        record = make()
+        if isinstance(record, MurphyTraceTable):  # its entries are a mappingproxy
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(fields)
+            assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_records_equal_only_within_one_class():
+    class Subclass(YoungDiagram):
+        __slots__ = ()
+
+    assert YoungDiagram((2, 1)) != (2, 1)
+    assert hash(YoungDiagram((2, 1))) == hash(((2, 1),))
+    assert Subclass((2, 1)) != YoungDiagram((2, 1)) and YoungDiagram((2, 1)) != Subclass((2, 1))
+    assert len({YoungDiagram((2, 1)), Subclass((2, 1)), ((2, 1),)}) == 3
 
 
 class TestPartitions:

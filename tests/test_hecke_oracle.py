@@ -3,7 +3,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
@@ -187,10 +186,12 @@ class TestCachesAndTables:
     def test_cached_projector_cannot_be_mutated(self):
         p = hecke_projector(Y(2, 1), 3, 2)
         assert hecke_projector(Y(2, 1), 3, F(2)) is p
-        with pytest.raises(FrozenInstanceError):
+        coeffs = p.coeffs
+        with pytest.raises(AttributeError):
             p.coeffs = ()
         with pytest.raises(TypeError):
             p.coeffs[0] = 0
+        assert p.coeffs is coeffs and p.coeffs == (F(40, 49), F(11, 49), F(-2, 49))
         assert irreducible_trace(Y(2, 1), (1,), 3, 2) == 1
 
     def test_import_builds_no_tables(self):

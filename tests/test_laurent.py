@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -15,6 +16,7 @@ from heckeq.laurent import (
     q_integer,
     symmetric_bracket,
 )
+from heckeq.hecke_oracle import HeckeElement
 from heckeq.symgroup import ClassVector
 
 from conftest import F, P
@@ -145,6 +147,25 @@ class TestSharedArithmetic:
         assert 2 - x == make({a: -3, unit: 1})
         assert x * F(1, 3) == F(1, 3) * x == make({a: 1, unit: F(1, 3)})
         assert make({unit: 5}) == 5 and make({}) == 0
+
+
+# A bool is an int to Python but never a scalar of the arithmetic.
+@pytest.mark.parametrize(
+    "make",
+    [LaurentPoly.q, lambda: ClassVector.identity(3), lambda: HeckeElement.identity(3, 2)],
+    ids=["LaurentPoly", "ClassVector", "HeckeElement"],
+)
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"])
+@pytest.mark.parametrize("left", [False, True], ids=["right", "left"])
+def test_bool_scalars_are_refused(make, op, left):
+    x = make()
+    with pytest.raises(TypeError):
+        op(True, x) if left else op(x, True)
+
+
+def test_bool_divisor_is_refused():
+    with pytest.raises(TypeError):
+        ClassVector.identity(3) / True
 
 
 class TestMixing:

@@ -111,10 +111,13 @@ class TestDeepDiagrams:
         sys.setrecursionlimit(stack_depth() + 60)
         try:
             table = murphy_traces(row).entries
+            column_table = murphy_traces(column).entries
             product = murphy_product_trace(column, (2, 150, 300))
         finally:
             sys.setrecursionlimit(limit)
+        # one standard tableau each: tr(L_i) is the q-content of box i
         assert table == {i: q_content(i - 1) for i in range(2, 301)}
+        assert column_table == {i: q_content(1 - i) for i in range(2, 301)}
         assert product == q_content(-1) * q_content(-149) * q_content(-299)
 
 
