@@ -113,7 +113,6 @@ def test_records_equal_only_within_one_class():
         __slots__ = ()
 
     assert YoungDiagram((2, 1)) != (2, 1)
-    assert hash(YoungDiagram((2, 1))) == hash(((2, 1),))
     assert Subclass((2, 1)) != YoungDiagram((2, 1)) and YoungDiagram((2, 1)) != Subclass((2, 1))
     assert len({YoungDiagram((2, 1)), Subclass((2, 1)), ((2, 1),)}) == 3
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckeq.hecke_oracle import HeckeElement
 from heckeq.laurent import (
     LaurentPoly,
     NotDivisible,
@@ -16,7 +17,6 @@ from heckeq.laurent import (
     q_integer,
     symmetric_bracket,
 )
-from heckeq.hecke_oracle import HeckeElement
 from heckeq.symgroup import ClassVector
 
 from conftest import F, P
