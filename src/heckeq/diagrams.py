@@ -26,7 +26,7 @@ __all__ = [
 
 
 class FrozenRecord:
-    """A record of the fields `__match_args__` names, given positionally and read-only.
+    """A read-only record of the fields `__match_args__` names, given positionally or by name.
 
     `==` holds only within one class, field by field; the hash is that of
     the tuple of fields, `_values`, and the repr names each field.
@@ -34,8 +34,10 @@ class FrozenRecord:
 
     __slots__ = ("_values",)
 
-    def __init__(self, *fields):
-        if len(fields) != len(self.__match_args__):
+    def __init__(self, *fields, **named):
+        if named:
+            fields += tuple(named.pop(name) for name in self.__match_args__[len(fields) :] if name in named)
+        if named or len(fields) != len(self.__match_args__):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__match_args__)}")
         object.__setattr__(self, "_values", fields)
         for name, value in zip(self.__match_args__, fields):

@@ -86,8 +86,8 @@ def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPol
     `levels[0]` is level a1 - 1.  Summed over every chain from there up
     to the top, the chain's first diagram contributes its dimension and
     each marked level the q-content of the box added there.  Only one
-    level of values is held at a time, and at an unmarked level a single
-    step down passes its value on uncopied.
+    level of values is held at a time; an unmarked level's sum starts
+    from its first step's value, so a single step passes it on uncopied.
     """
     marked = frozenset(alphas)
     values = [dimension(d) for d, _ in levels[0]]
@@ -95,7 +95,7 @@ def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPol
         if level in marked:
             values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for _, steps in entries]
         else:
-            values = [values[s[0][0]] if len(s) == 1 else sum((values[j] for j, _ in s), _ZERO) for _, s in entries]
+            values = [sum((values[j] for j, _ in s[1:]), values[s[0][0]]) for _, s in entries]
     return values
 
 

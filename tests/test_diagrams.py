@@ -98,6 +98,16 @@ class TestRecords:
         assert record != fields and fields != record
         assert repr(record) == repr(again) == text
 
+    def test_keyword_construction(self, make, fields, text):
+        record = make()
+        cls, names = type(record), type(record).__match_args__
+        assert cls(**dict(zip(names, fields))) == record
+        assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == record
+        with pytest.raises(TypeError):
+            cls(*fields, **{names[0]: fields[0]})
+        with pytest.raises(TypeError):
+            cls(*fields, extra=1)
+
     def test_hash_is_the_hash_of_the_fields(self, make, fields, text):
         record = make()
         if isinstance(record, MurphyTraceTable):  # its entries are a mappingproxy
