@@ -117,18 +117,7 @@ class YoungDiagram(FrozenRecord):
         Ordered by the row the box is removed from.  The one-box diagram
         has nothing below it and yields the empty list.
         """
-        out = []
-        rows = self.rows
-        for i, length in enumerate(rows):
-            below = rows[i + 1] if i + 1 < len(rows) else 0
-            if length > below:
-                if length == 1:
-                    shrunk = rows[:i]
-                else:
-                    shrunk = rows[:i] + (length - 1,) + rows[i + 1 :]
-                if shrunk:
-                    out.append((YoungDiagram(shrunk), length - 1 - i))
-        return out
+        return [(YoungDiagram(shrunk), c) for shrunk, c in row_removals(self.rows)]
 
     def branch_down(self) -> list["YoungDiagram"]:
         """All diagrams obtained by removing one corner box, ordered by row."""
@@ -149,7 +138,22 @@ class YoungDiagram(FrozenRecord):
         return ",".join(str(r) for r in self.rows)
 
     def __repr__(self) -> str:
-        return f"YoungDiagram(({', '.join(str(r) for r in self.rows)}))"
+        return f"YoungDiagram({self.rows!r})"
+
+
+def row_removals(rows: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
+    """`YoungDiagram.removals` on bare row tuples, which are neither built nor validated."""
+    out = []
+    for i, length in enumerate(rows):
+        below = rows[i + 1] if i + 1 < len(rows) else 0
+        if length > below:
+            if length == 1:
+                shrunk = rows[:i]
+            else:
+                shrunk = rows[:i] + (length - 1,) + rows[i + 1 :]
+            if shrunk:
+                out.append((shrunk, length - 1 - i))
+    return out
 
 
 # A standard-tableau chain [1] = G_1 < G_2 < ... < G_n = g, each step

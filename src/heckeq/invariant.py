@@ -22,7 +22,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import LaurentPoly, Scalar, exp_series
+from .laurent import LaurentPoly, Scalar, exp_series, q_content_sum
 
 __all__ = [
     "InvalidSpectrum",
@@ -65,23 +65,10 @@ def invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:
     it collapses to the content sum, the eigenvalue of the transposition
     class-sum of S_n.
 
-    A box of content c > 0 adds q + ... + q^c and one of content c < 0
-    subtracts 1 + q^-1 + ... + q^(c+1), so the sum is read off the
-    diagonal counts by running sums: the coefficient of q^k is the number
-    of boxes with content >= k for k >= 1, and minus the number with
-    content <= k - 1 for k <= 0.  That costs O(#rows + #diagonals).
+    The diagonal counts are its content histogram, so `q_content_sum`
+    reads it off by running sums in O(#rows + #diagonals).
     """
-    beta = g.diagonal_counts()
-    terms: dict[int, int] = {}
-    above = 0
-    for k in range(max(beta), 0, -1):
-        above += beta[k]
-        terms[k] = above
-    below = 0
-    for k in range(min(beta) + 1, 1):
-        below += beta[k - 1]
-        terms[k] = -below
-    return LaurentPoly._make(terms)
+    return q_content_sum(g.diagonal_counts())
 
 
 def rescaled_invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:

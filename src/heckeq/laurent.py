@@ -33,6 +33,7 @@ __all__ = [
     "PolynomialParseError",
     "q_integer",
     "q_content",
+    "q_content_sum",
     "symmetric_bracket",
     "exp_series",
 ]
@@ -445,6 +446,28 @@ def q_content(c: int) -> LaurentPoly:
     if c == 0:
         return LaurentPoly.zero()
     return LaurentPoly._make(dict.fromkeys(range(c + 1, 1), -1))
+
+
+def q_content_sum(counts: Mapping[int, int]) -> LaurentPoly:
+    """The sum of counts[c] * q_content(c) over contents c; absent ones count zero.
+
+    A content c > 0 adds q + ... + q^c and one c < 0 subtracts
+    1 + q^-1 + ... + q^(c+1), so running sums give every coefficient: the
+    coefficient of q^k is the total count of contents >= k for k >= 1,
+    and minus the total count of contents <= k - 1 for k <= 0.  That
+    costs O(max - min) whatever the counts are.
+    """
+    terms: dict[int, int] = {}
+    above = below = 0
+    for k in range(max(counts, default=0), 0, -1):
+        above += counts.get(k, 0)
+        if above:
+            terms[k] = above
+    for c in range(min(counts, default=0), 0):
+        below += counts.get(c, 0)
+        if below:
+            terms[c + 1] = -below
+    return LaurentPoly._make(terms)
 
 
 def symmetric_bracket(x: int) -> LaurentPoly:

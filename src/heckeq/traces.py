@@ -4,9 +4,13 @@ Every basis state of an irrep is a chain of Young diagrams, and each
 Murphy operator acts diagonally on those chains with the q-content of
 the box added at its step.  That single fact drives everything here:
 
-* Murphy traces tr(L_i), and traces of products of distinct Murphy
-  operators, are path sums over the chains of diagrams.  One iterative
-  walk climbs the branching lattice a level at a time and holds the
+* A Murphy trace tr(L_i) is integer data: the number of standard
+  tableaux with i in a box of content c, for each c, weighted by that
+  content's q-content.  One climb of the branching lattice carries these
+  counts for every i, packed in one int per diagram, and only at the top
+  do they become polynomials, one diagram at a time.  Traces of products
+  of distinct Murphy operators are path sums of q-contents over the
+  chains of diagrams.  Both walks go a level at a time and hold the
   values of one level only, so no depth of diagram exhausts the stack.
 * The traces of the words g_1 g_2 ... g_{k-1} (one for each connected
   interval of generators) follow from the Murphy traces by a binomial
@@ -20,14 +24,14 @@ regular-representation oracle that cross-checks them.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from functools import cache
 from math import comb
 from types import MappingProxyType
 
-from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
+from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions, row_removals
 from .invariant import invariant_eigenvalue
-from .laurent import LaurentPoly, q_content
+from .laurent import LaurentPoly, q_content, q_content_sum
 
 __all__ = [
     "MurphyTraceTable",
@@ -58,25 +62,26 @@ class MurphyTraceTable(FrozenRecord):
     entries: Mapping[int, LaurentPoly]
 
 
-_Level = list[tuple[YoungDiagram, list[tuple[int, int]]]]
+_Level = list[tuple[tuple[int, ...], list[tuple[int, int]]]]
 
 
 def _lattice(tops: list[YoungDiagram], bottom: int) -> list[_Level]:
     """The branching lattice from level `bottom` up to the level of `tops`.
 
-    One list per level, bottom first.  Each entry pairs a diagram with
-    its steps down: the position in the previous level of each diagram
-    one box below it, and the content of the removed box.  The bottom
-    level's entries have no steps.
+    One list per level, bottom first.  Each entry pairs a diagram's row
+    tuple with its steps down: the position in the previous level of each
+    diagram one box below it, and the content of the removed box.  The
+    bottom level's entries have no steps.  Diagrams below the tops are
+    kept as row tuples, so none is built as a `YoungDiagram`.
     """
     levels: list[_Level] = []
-    level = tops
+    level = [g.rows for g in tops]
     for _ in range(tops[0].n - bottom):
-        position: dict[YoungDiagram, int] = {}
-        steps = [[(position.setdefault(below, len(position)), c) for below, c in d.removals()] for d in level]
+        position: dict[tuple[int, ...], int] = {}
+        steps = [[(position.setdefault(below, len(position)), c) for below, c in row_removals(rows)] for rows in level]
         levels.append(list(zip(level, steps)))
         level = list(position)
-    levels.append([(d, []) for d in level])
+    levels.append([(rows, []) for rows in level])
     return levels[::-1]
 
 
@@ -90,7 +95,7 @@ def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPol
     from its first step's value, so a single step passes it on uncopied.
     """
     marked = frozenset(alphas)
-    values = [dimension(d) for d, _ in levels[0]]
+    values = [dimension(YoungDiagram(rows)) for rows, _ in levels[0]]
     for level, entries in enumerate(levels[1:], start=alphas[0]):
         if level in marked:
             values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for _, steps in entries]
@@ -99,15 +104,58 @@ def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPol
     return values
 
 
+def _murphy_columns(tops: list[YoungDiagram]) -> Iterator[tuple[YoungDiagram, dict[int, LaurentPoly]]]:
+    """Each top diagram g with its Murphy traces {i: tr(L_i)}, one g at a time.
+
+    tr(L_i) = sum over c of N_i(g, c) q_content(c), where N_i(g, c) counts
+    the standard tableaux of shape g with i in a box of content c.  One
+    climb of the lattice carries every N_i(d, c) of a diagram d packed in
+    one int, a slot per (i, c) at a fixed offset: slot 0 holds
+    N_1(d, 0) = dim(d), then column i = 2, 3, ... holds one slot for each
+    content of a box added at level i anywhere in the lattice.  A step
+    down from d adds d's packed value, plus dim(d) at the slot of d's
+    level + 1 and the added box's content.  Every slot is as wide as dim
+    of the largest top in whole bytes, and no slot ever carries into the
+    next: every count and partial sum is nonnegative, and N_i(d, c) <=
+    dim(d) <= dim(top) because each chain to d extends to one to a top.
+    Only at the top do counts become polynomials, each top's columns read
+    from their own windows of slots, narrowed to g's nonzero ones.
+    """
+    levels = _lattice(tops, 1)
+    width = -(-max(map(dimension, tops)).bit_length() // 8)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    columns = []  # (i, lowest content, first byte, end byte) of each column
+    end = 1  # slots so far
+    values = [1]
+    for i, entries in enumerate(levels[1:], start=2):
+        contents = [c for _, steps in entries for _, c in steps]
+        low = min(contents)
+        span = max(contents) - low + 1
+        zero = (end - low) * bits  # the bit offset of content 0 in column i
+        values = [sum(values[j] + ((values[j] & mask) << (zero + c * bits)) for j, c in steps) for _, steps in entries]
+        columns.append((i, low, end * width, (end + span) * width))
+        end += span
+    for g, packed in zip(tops, values):
+        data = packed.to_bytes(end * width, "little")
+        table = {}
+        for i, low, first, stop in columns:
+            window = data[first:stop].rstrip(b"\0")
+            start = (len(window) - len(window.lstrip(b"\0"))) // width * width  # g's first content in the column
+            slots = range(start, len(window), width)
+            table[i] = q_content_sum({low + k // width: int.from_bytes(window[k : k + width], "little") for k in slots})
+        yield g, table
+
+
 @cache
 def murphy_traces(g: YoungDiagram) -> MurphyTraceTable:
     """All Murphy traces of the irrep labeled by g.
 
-    tr(L_i) is the path sum of the single marked level i over the
-    branching lattice below g, which is built once for all i.
+    tr(L_i) is the sum over standard tableaux of the q-content of box i,
+    so it is read off the integer counts of tableaux by the content of
+    box i, for every i at once, from one climb of the lattice below g.
     """
-    levels = _lattice([g], 1)
-    entries = {i: _path_sums(levels[i - 2 :], (i,))[0] for i in range(2, g.n + 1)}
+    ((_, entries),) = _murphy_columns([g])
     return MurphyTraceTable(g, MappingProxyType(entries))
 
 
@@ -224,8 +272,5 @@ def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
 
 def murphy_trace_table_json(n: int) -> dict:
     """JSON-ready Murphy trace tables: per diagram, per index, a string."""
-    tops = partitions(n)
-    levels = _lattice(tops, 1)
-    columns = {i: _path_sums(levels[i - 2 :], (i,)) for i in range(2, n + 1)}
-    tables = {str(g): {str(i): str(column[k]) for i, column in columns.items()} for k, g in enumerate(tops)}
+    tables = {str(g): {str(i): str(p) for i, p in entries.items()} for g, entries in _murphy_columns(partitions(n))}
     return {"n": n, "tables": tables}

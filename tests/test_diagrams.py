@@ -62,6 +62,7 @@ class TestYoungDiagram:
 # the repr it must keep.
 RECORDS = {
     "YoungDiagram": (lambda: YoungDiagram((2, 1)), ((2, 1),), "YoungDiagram((2, 1))"),
+    "YoungDiagram one row": (lambda: YoungDiagram((3,)), ((3,),), "YoungDiagram((3,))"),
     "SuqIrrep": (lambda: SuqIrrep(3, (2, 1, 0)), (3, (2, 1, 0)), "SuqIrrep(N=3, top=(2, 1, 0))"),
     "GZPattern": (lambda: GZPattern(((1,), (1, 0))), (((1,), (1, 0)),), "GZPattern(rows=((1,), (1, 0)))"),
     "ProjectorPoly": (
@@ -116,6 +117,12 @@ class TestRecords:
         else:
             assert hash(record) == hash(fields)
             assert pickle.loads(pickle.dumps(record)) == record
+
+
+@pytest.mark.parametrize("key", ["YoungDiagram", "YoungDiagram one row"])
+def test_diagram_repr_evaluates_back(key):
+    record = RECORDS[key][0]()
+    assert eval(repr(record), {"YoungDiagram": YoungDiagram}) == record
 
 
 def test_records_equal_only_within_one_class():

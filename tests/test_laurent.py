@@ -14,6 +14,7 @@ from heckeq.laurent import (
     ZeroSpecialization,
     exp_series,
     q_content,
+    q_content_sum,
     q_integer,
     symmetric_bracket,
 )
@@ -257,6 +258,11 @@ class TestQFamilies:
         for c in range(-6, 7):
             assert q_content(c) == q * q_integer(c)
             assert q_content(c).evaluate(1) == c
+
+    @given(st.dictionaries(st.integers(-8, 8), st.integers(-5, 5), max_size=10))
+    def test_q_content_sum_is_the_weighted_sum(self, counts):
+        expected = sum((q_content(c) * k for c, k in counts.items()), LaurentPoly.zero())
+        assert q_content_sum(counts) == expected
 
     def test_families_store_ints(self):
         for p in (LaurentPoly.one(), LaurentPoly.q(), q_integer(3), q_integer(-3),

@@ -174,6 +174,21 @@ class TestMurphyProducts:
                 table = murphy_traces(g).entries
                 for i in range(2, n + 1):
                     assert murphy_product_trace(g, (i,)) == table[i]
+        # murphy_traces packs its counts in slots of dim(g)'s width in
+        # whole bytes; these diagrams need 2, 3, 4, 5, 8 and 10 bytes
+        diagrams = [
+            Y(4, 4, 4, 4),
+            Y(5, 4, 3, 2, 1),
+            max(partitions(20), key=dimension),
+            max(partitions(24), key=dimension),
+            Y(7, 7, 7, 7, 7, 7),
+            Y(8, 8, 8, 8, 8, 8),
+        ]
+        assert [dimension(g).bit_length() for g in diagrams] == [15, 19, 28, 37, 64, 76]
+        for g in diagrams:
+            table = murphy_traces(g).entries
+            for i in (2, g.n // 2, g.n):
+                assert murphy_product_trace(g, (i,)) == table[i], (g, i)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -246,6 +261,27 @@ class TestJson:
         assert doc["n"] == 4
         assert doc["tables"]["3,1"] == {"2": "2*q-1", "3": "q^2+2*q-1", "4": "2*q^2+2*q-1"}
         assert set(doc["tables"]) == {str(g) for g in partitions(4)}
+
+    def test_one_and_two_boxes(self):
+        assert murphy_traces(Y(2)).entries == {2: P("q")}
+        assert murphy_traces(Y(1, 1)).entries == {2: P("-1")}
+        assert murphy_trace_table_json(1) == {"n": 1, "tables": {"1": {}}}
+        assert murphy_trace_table_json(2) == {"n": 2, "tables": {"2": {"2": "q"}, "1,1": {"2": "-1"}}}
+
+    def test_tables_match_path_sums(self):
+        # all diagrams of n share one climb, slot width and column windows
+        n = 9
+        doc = murphy_trace_table_json(n)
+        for g in partitions(n):
+            expected = {str(i): str(murphy_product_trace(g, (i,))) for i in range(2, n + 1)}
+            assert doc["tables"][str(g)] == expected, g
+
+    def test_lattice_builds_no_diagram_below_the_tops(self, monkeypatch):
+        built = []
+        init = YoungDiagram.__init__
+        monkeypatch.setattr(YoungDiagram, "__init__", lambda self, rows: built.append(rows) or init(self, rows))
+        murphy_trace_table_json(12)
+        assert sorted(built) == sorted(g.rows for g in partitions(12))
 
     def test_cached_table_is_read_only(self):
         with pytest.raises(TypeError):
