@@ -20,14 +20,11 @@ with one positive common denominator, the pair kept in lowest terms so
 that equal elements are stored identically.  Nothing divides until a
 coefficient or a trace is read out as a Fraction.
 
-Products and traces share one walk.  The words are the nodes of a
-spanning tree of the right weak order, the parent of w being w with its
-first descent removed, so x T'_w costs one generator action on x T'_u
-for the parent u, and only the vectors on the current root-to-node path
-are held.  A product x*y walks the ancestors of y's support and sums
-y's coefficients times the x T'_w it reaches.  The trace of left
-multiplication walks every node and sums the diagonal entries; the
-diagonal change of basis from g to T' does not change it.
+A product x*y walks a spanning tree of the right weak order, the parent
+of w being w with its first descent removed, so x T'_w costs one
+generator action on x T'_u for the parent u, and only the vectors on the
+current root-to-node path are held.  The walk visits the ancestors of
+y's support and sums y's coefficients times the x T'_w it reaches.
 
 The algebra is symmetric: the linear form tau(g_w) = [w = e], the
 coefficient of the identity, satisfies tau(g_u g_v) = q0^len(u) when
@@ -42,6 +39,14 @@ idempotent e_g
 
 (Geck-Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
 Algebras, 2000, ch. 8), which is how irreducible traces are read off.
+
+The regular trace goes through tau as well.  The coefficient of g_w in y
+is tau(y d_w) for the dual basis d_w = q0^-len(w) g_{w^-1}, so the
+trace of left multiplication by x is
+
+    tr_reg(x) = sum_w tau(x g_w d_w) = tau(x z),   z = sum_w g_w d_w,
+
+one dot product against the central element z, built once per (n, q0).
 
 On top of the arithmetic sit the fundamental invariant (the sum of the
 Murphy operators), central projectors obtained by Lagrange interpolation
@@ -77,7 +82,6 @@ __all__ = [
     "regular_trace",
     "symmetrizing_trace",
     "hecke_projector",
-    "apply_projector",
     "projector_element",
     "irreducible_trace",
 ]
@@ -251,24 +255,6 @@ class HeckeElement:
         a, b = q0.numerator, q0.denominator
         return HeckeElement._make(n, q0, _act(self._vec, table, a * b, a - b), self._den * b)
 
-    def _walk(self, keep: bytearray | None = None):
-        """Yield (rank of w, T' coordinates of den*self*T'_w) down the first-descent tree.
-
-        den is self's denominator, so the vectors are integral.  With
-        `keep`, only the nodes it marks are visited; it must contain the
-        parent of every node it contains.
-        """
-        kernel = _kernel(self.n)
-        a, b = self.q0.numerator, self.q0.denominator
-        ab, amb = a * b, a - b
-        path = [self._vec]
-        yield 0, self._vec
-        for r, i, depth in kernel.walk:
-            if keep is None or keep[r]:
-                del path[depth:]
-                path.append(_act(path[-1], kernel.right[i - 1], ab, amb))
-                yield r, path[-1]
-
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
@@ -289,19 +275,25 @@ class HeckeElement:
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
             self._check_compatible(other)
-            parent = _kernel(self.n).parent
+            kernel = _kernel(self.n)
+            a, b = self.q0.numerator, self.q0.denominator
             weights = other._vec
-            keep = bytearray(len(parent))
+            # mark the ancestors of other's support in the first-descent tree
+            keep = bytearray(len(weights))
             for r, c in enumerate(weights):
                 if c:
                     while not keep[r]:
                         keep[r] = 1
-                        r = parent[r]
-            total = [0] * len(parent)
-            for r, column in self._walk(keep):
-                c = weights[r]
-                if c:
-                    total = [s + c * x for s, x in zip(total, column)]
+                        r = kernel.parent[r]
+            total = [weights[0] * x for x in self._vec]
+            path = [self._vec]
+            for r, i, depth in kernel.walk:
+                if keep[r]:
+                    del path[depth:]
+                    path.append(_act(path[-1], kernel.right[i - 1], a * b, a - b))
+                    c = weights[r]
+                    if c:
+                        total = [s + c * x for s, x in zip(total, path[-1])]
             return HeckeElement._make(self.n, self.q0, total, self._den * other._den)
         if is_scalar(other):
             f = Fraction(other)
@@ -393,12 +385,11 @@ def fundamental_invariant(n: int, q0: Fraction) -> HeckeElement:
 def regular_trace(x: HeckeElement) -> Fraction:
     """Trace of left multiplication by x on the word basis.
 
-    The diagonal entry at basis word w is the coefficient of w in
-    x * g_w.  The walk over the first-descent spanning tree reaches
-    every x * T'_w with one generator action each, so the n! columns
-    cost n! actions in all.
+    The diagonal entry at basis word w is the coefficient of g_w in
+    x * g_w, which is tau(x g_w d_w); summed over w that is tau(x z)
+    for the cached dual-basis sum z, one dot product over the n! words.
     """
-    return Fraction(sum(column[r] for r, column in x._walk()), x._den)
+    return symmetrizing_trace(x, _dual_basis_sum(x.n, x.q0))
 
 
 def symmetrizing_trace(x: HeckeElement, y: HeckeElement) -> Fraction:
@@ -414,6 +405,26 @@ def symmetrizing_trace(x: HeckeElement, y: HeckeElement) -> Fraction:
     yv = y._vec
     total = sum(c * yv[s] * powers[k] for c, s, k in zip(x._vec, kernel.inverse, kernel.lengths) if c)
     return Fraction(total, x._den * y._den)
+
+
+@lru_cache(maxsize=8)
+def _dual_basis_sum(n: int, q0: Fraction) -> HeckeElement:
+    """z = sum_w g_w d_w over the word basis and its tau-dual d_w = q0^-len(w) g_{w^-1}.
+
+    Every w factors as v_2 v_3 ... v_n with lengths adding, v_k one of
+    1, s_{k-1}, s_{k-1} s_{k-2}, ..., s_{k-1} ... s_1, so z is built from
+    Y = 1 by Y <- sum_v q0^-len(v) g_v Y g_{v^-1} for k = n down to 2.
+    Each level is a Horner scheme in the nested sandwiches: with S = Y
+    for the innermost generator g_1, S <- Y + q0^-1 g_j S g_j for
+    j = 1 .. k-1, two generator actions a step.
+    """
+    y = HeckeElement.identity(n, q0)
+    for k in range(n, 1, -1):
+        s = y
+        for j in range(1, k):
+            s = y + s.times_generator(j, "left").times_generator(j) * (1 / q0)
+        y = s
+    return y
 
 
 class ProjectorPoly(FrozenRecord):
@@ -458,21 +469,6 @@ def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
         raise DegenerateSpecialization(f"invariant eigenvalues collide at q0 = {q0}")
     weights, denominator = lagrange_numerator(values.values(), values[g])
     return ProjectorPoly(g, g.n, q0, tuple(Fraction(c) / denominator for c in weights))
-
-
-def apply_projector(p: ProjectorPoly, x: HeckeElement) -> HeckeElement:
-    """Evaluate the projector polynomial on the invariant against x.
-
-    Horner's scheme with repeated multiplication by the invariant, so no
-    powers of the invariant are ever stored.
-    """
-    if x.n != p.n or x.q0 != p.q0:
-        raise ValueError("element and projector live in different algebras")
-    invariant = fundamental_invariant(p.n, p.q0)
-    result = x * p.coeffs[-1]
-    for a in reversed(p.coeffs[:-1]):
-        result = result * invariant + x * a
-    return result
 
 
 @lru_cache(maxsize=8)

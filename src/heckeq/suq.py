@@ -72,7 +72,7 @@ class SuqIrrep(FrozenRecord):
     def from_rows(cls, N: int, rows: tuple[int, ...]) -> "SuqIrrep":
         """Build from Young-diagram row lengths (at most N-1 nonzero rows)."""
         rows = tuple(rows)
-        if len(rows) > N - 1 and any(r > 0 for r in rows[N - 1 :]):
+        if any(rows[N - 1 :]):
             raise ValueError(f"rows {rows} exceed the {N - 1}-row limit for N={N}")
         padded = rows[: N - 1] + (0,) * (N - 1 - len(rows))
         return cls(N, padded + (0,))

@@ -352,6 +352,16 @@ class TestSuq:
         assert code == 1
         assert doc["error"] == {"type": "CommandError", "message": f"SU_q(N) needs N >= 2, got N = {big_n}"}
 
+    @pytest.mark.parametrize("diagram", ["2,1,-1", "2,1,0,-3"])
+    def test_negative_rows_past_the_limit_are_refused(self, capsys, diagram):
+        code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", "casimir", "--diagram", diagram)
+        assert code == 1
+        rows = tuple(int(r) for r in diagram.split(","))
+        assert doc["error"] == {
+            "type": "CommandError",
+            "message": f"cannot build an SU_q(3) irrep from '{diagram}': rows {rows} exceed the 2-row limit for N=3",
+        }
+
 
 # one command just above each scale guard, the variable it caps, and whether
 # --unsafe-large-n lifts it; verify has no CLI default, only the library's ceiling

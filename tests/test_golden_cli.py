@@ -20,6 +20,9 @@ from heckeq.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_cli.json")
 
+# commands that take seconds rather than a fraction of one
+SLOW = {"verify --n 7 --q0 5/3"}
+
 COMMANDS = [
     "eigenvalue --n 6 --diagram 3,3",
     "eigenvalue --n 5 --diagram 2,2,2",
@@ -43,6 +46,7 @@ COMMANDS = [
     "verify --n 3 --q0 1",
     "verify --n 5 --q0=-3/2",
     "verify --n 6",
+    "verify --n 7 --q0 5/3",
     "suq --N 3 --action casimir --diagram 2,1",
     "suq --N 4 --action dimension --diagram 3,1,0",
     "suq --N 3 --action reconstruct --poly 1+q^-4",
@@ -62,7 +66,9 @@ def test_golden_covers_every_command():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(COMMANDS)
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize(
+    "command", [pytest.param(c, marks=pytest.mark.slow) if c in SLOW else c for c in COMMANDS]
+)
 def test_golden_output(command):
     assert run(command) == json.loads(GOLDEN.read_text())[command]
 

@@ -15,7 +15,9 @@ from heckeq.diagrams import dimension, generic_degree, partitions
 from heckeq.hecke_oracle import (
     DegenerateSpecialization,
     HeckeElement,
-    apply_projector,
+    _act,
+    _dual_basis_sum,
+    _kernel,
     fundamental_invariant,
     hecke_projector,
     irreducible_trace,
@@ -72,10 +74,42 @@ def ref_trace(x, n, q0):
     return sum(ref_mul(x, {w: Fraction(1)}, q0).get(w, 0) for w in permutations(range(1, n + 1)))
 
 
+def ref_regular_trace(x):
+    """Trace of left multiplication by x by the n!-column walk, O(n!^2).
+
+    The diagonal entry at basis word w is the coefficient of w in
+    x * g_w.  The walk over the first-descent spanning tree of the
+    kernel reaches every x * T'_w with one generator action; the
+    diagonal change of basis from g to T' leaves the trace alone.
+    """
+    kernel = _kernel(x.n)
+    a, b = x.q0.numerator, x.q0.denominator
+    path = [x._vec]
+    total = x._vec[0]
+    for r, i, depth in kernel.walk:
+        del path[depth:]
+        path.append(_act(path[-1], kernel.right[i - 1], a * b, a - b))
+        total += path[-1][r]
+    return Fraction(total, x._den)
+
+
 def ref_irreducible_trace(g, word, n, q0):
     """The regular-representation route: tr_reg(e_g * word) / dim(g)."""
     p = projector_element(hecke_projector(g, n, q0))
-    return regular_trace(p * word_element(n, q0, word)) / dimension(g)
+    return ref_regular_trace(p * word_element(n, q0, word)) / dimension(g)
+
+
+def horner_projector(p, x):
+    """The projector polynomial on the invariant applied to x by Horner's scheme.
+
+    Repeated multiplication by the invariant, no powers of it stored:
+    the reference for `projector_element`'s sum over cached powers.
+    """
+    invariant = fundamental_invariant(p.n, p.q0)
+    result = x * p.coeffs[-1]
+    for a in reversed(p.coeffs[:-1]):
+        result = result * invariant + x * a
+    return result
 
 
 def random_coeffs(n, rng):
@@ -319,6 +353,32 @@ class TestRegularTrace:
         assert regular_trace(a + b) == regular_trace(a) + regular_trace(b)
 
 
+class TestRegularTraceThroughTau:
+    """tr_reg(x) = tau(x z) against the n!-column walk, and z itself."""
+
+    @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2)])
+    def test_random_elements_match_walk(self, q0):
+        rng = random.Random(str(q0))
+        for n in range(1, 7):
+            for _ in range(2):
+                x = HeckeElement(n, q0, random_coeffs(n, rng))
+                assert regular_trace(x) == ref_regular_trace(x)
+
+    @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2)])
+    def test_every_projector_matches_walk(self, q0):
+        for n in range(1, 7):
+            for g in partitions(n):
+                p = projector_element(hecke_projector(g, n, q0))
+                assert regular_trace(p) == ref_regular_trace(p) == dimension(g) ** 2
+
+    @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2)])
+    def test_dual_basis_sum_is_central(self, q0):
+        for n in range(1, 7):
+            z = _dual_basis_sum(n, q0)
+            for i in range(1, n):
+                assert z.times_generator(i, "left") == z.times_generator(i)
+
+
 class TestSymmetrizingTrace:
     def test_word_pairs(self):
         # tau(g_u g_v) = q0^len(u) when v = u^-1, else 0
@@ -428,7 +488,7 @@ class TestProjectors:
             for n in (2, 3, 4, 5):
                 for g in partitions(n):
                     p = hecke_projector(g, n, q0)
-                    assert projector_element(p) == apply_projector(p, HeckeElement.identity(n, q0))
+                    assert projector_element(p) == horner_projector(p, HeckeElement.identity(n, q0))
 
     def test_two_point_lagrange(self):
         p = hecke_projector(Y(2), 2, 2)
@@ -466,7 +526,7 @@ class TestProjectors:
     def test_apply_projector_via_horner(self):
         p = hecke_projector(Y(2, 1), 3, 2)
         x = word_element(3, 2, (1, 2))
-        assert apply_projector(p, x) == projector_element(p) * x
+        assert horner_projector(p, x) == projector_element(p) * x
 
 
 class TestIrreducibleTraces:
@@ -501,20 +561,20 @@ class TestDegeneratePairAtSix:
         q0 = F(2)
         p_hook = hecke_projector(Y(4, 1, 1), 6, q0)
         p_rows = hecke_projector(Y(3, 3), 6, q0)
-        image = apply_projector(p_rows, word_element(6, q0, (1, 2, 3)))
+        image = horner_projector(p_rows, word_element(6, q0, (1, 2, 3)))
         assert image.coeffs  # a nonzero vector in the [3,3] component
-        assert apply_projector(p_hook, image) == HeckeElement.zero(6, q0)
+        assert horner_projector(p_hook, image) == HeckeElement.zero(6, q0)
 
     def test_projector_algebra_at_six(self):
         q0 = F(2)
         projectors = {g: projector_element(hecke_projector(g, 6, q0)) for g in partitions(6)}
         total = HeckeElement.zero(6, q0)
         for g, p in projectors.items():
-            assert apply_projector(hecke_projector(g, 6, q0), p) == p
+            assert horner_projector(hecke_projector(g, 6, q0), p) == p
             assert regular_trace(p) == dimension(g) ** 2
             total = total + p
         assert total == HeckeElement.identity(6, q0)
         items = list(projectors.items())
         for i, (g, p) in enumerate(items):
             for h, _ in items[i + 1 :]:
-                assert apply_projector(hecke_projector(h, 6, q0), p) == HeckeElement.zero(6, q0)
+                assert horner_projector(hecke_projector(h, 6, q0), p) == HeckeElement.zero(6, q0)

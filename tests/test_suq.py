@@ -59,6 +59,14 @@ class TestIrrepLabels:
         with pytest.raises(ValueError):
             SuqIrrep.from_rows(3, (2, 1, 1))
 
+    @pytest.mark.parametrize("rows", [(2, 1, -1), (2, 1, 0, -3), (2, 1, 1), (0, 0, 5)])
+    def test_rows_past_the_limit_are_refused_whatever_their_sign(self, rows):
+        with pytest.raises(ValueError, match=r"exceed the 2-row limit for N=3"):
+            SuqIrrep.from_rows(3, rows)
+        with pytest.raises(ValueError, match=r"exceed the 2-row limit for N=3"):
+            SuqIrrep.from_string("3:" + ",".join(map(str, rows)))
+        assert SuqIrrep.from_rows(3, (2, 1, 0, 0)) == SuqIrrep.from_string("3:2,1")
+
     def test_from_diagram(self):
         assert SuqIrrep.from_diagram(Y(2, 1), 4).top == (2, 1, 0, 0)
         with pytest.raises(ValueError):
