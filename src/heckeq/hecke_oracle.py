@@ -414,9 +414,9 @@ def _dual_basis_sum(n: int, q0: Fraction) -> HeckeElement:
     Every w factors as v_2 v_3 ... v_n with lengths adding, v_k one of
     1, s_{k-1}, s_{k-1} s_{k-2}, ..., s_{k-1} ... s_1, so z is built from
     Y = 1 by Y <- sum_v q0^-len(v) g_v Y g_{v^-1} for k = n down to 2.
-    Each level is a Horner scheme in the nested sandwiches: with S = Y
-    for the innermost generator g_1, S <- Y + q0^-1 g_j S g_j for
-    j = 1 .. k-1, two generator actions a step.
+    Each level's sum is nested by Horner's scheme, innermost generator
+    first: S = Y, then S <- Y + q0^-1 g_j S g_j for j = 1 .. k-1, two
+    generator actions a step and n(n-1) in all.
     """
     y = HeckeElement.identity(n, q0)
     for k in range(n, 1, -1):
