@@ -8,149 +8,27 @@ Murphy-operator trace tables and connected-word traces, and the
 quadratic Casimir spectra of quantum unitary groups together with their
 correspondence to the Hecke side.  A regular-representation oracle at a
 specialized rational q0 cross-validates everything.
+
+The public names are those of the layer modules' own ``__all__``s.
 """
 
-from .laurent import (
-    LaurentPoly,
-    NotDivisible,
-    PolynomialParseError,
-    ZeroSpecialization,
-    exp_series,
-    q_content,
-    q_integer,
-    symmetric_bracket,
-)
-from .diagrams import TableauPath, YoungDiagram, dimension, generic_degree, partitions, paths
-from .invariant import (
-    InvalidSpectrum,
-    NonIntegerPowerSum,
-    UnsupportedCycle,
-    central_character,
-    central_character_table,
-    content_power_sum,
-    invariant_eigenvalue,
-    power_sums_from_eigenvalue,
-    reconstruct_diagram,
-    rescaled_invariant_eigenvalue,
-    separating_depth,
-)
-from .symgroup import (
-    ClassVector,
-    NonIntegerCharacter,
-    NotSeparated,
-    build_projector,
-    character_table,
-    character_table_json,
-    characters_from_projector,
-    class_product,
-    class_size,
-    conjugacy_classes,
-    cycle_type,
-    murnaghan_nakayama_character,
-    single_cycle_class_sum,
-)
-from .hecke_oracle import (
-    DegenerateSpecialization,
-    HeckeElement,
-    ProjectorPoly,
-    fundamental_invariant,
-    hecke_projector,
-    irreducible_trace,
-    murphy_element,
-    projector_element,
-    regular_trace,
-    symmetrizing_trace,
-    word_element,
-)
-from .traces import (
-    MurphyTraceTable,
-    doubly_connected_traces,
-    invariant_trace_consistency,
-    murphy_product_trace,
-    murphy_trace_table_json,
-    murphy_traces,
-    simply_connected_trace,
-)
-from .suq import (
-    GZPattern,
-    PatternViolation,
-    SuqIrrep,
-    casimir_eigenvalue,
-    check_ef_commutator,
-    chevalley_weight,
-    gz_patterns,
-    hecke_casimir_correspondence,
-    irrep_from_casimir,
-    lowering_squared,
-)
+from .laurent import *
+from .diagrams import *
+from .invariant import *
+from .symgroup import *
+from .hecke_oracle import *
+from .traces import *
+from .suq import *
+from . import diagrams, hecke_oracle, invariant, laurent, suq, symgroup, traces
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LaurentPoly",
-    "NotDivisible",
-    "PolynomialParseError",
-    "ZeroSpecialization",
-    "exp_series",
-    "q_content",
-    "q_integer",
-    "symmetric_bracket",
-    "TableauPath",
-    "YoungDiagram",
-    "dimension",
-    "generic_degree",
-    "partitions",
-    "paths",
-    "InvalidSpectrum",
-    "NonIntegerPowerSum",
-    "UnsupportedCycle",
-    "central_character",
-    "central_character_table",
-    "content_power_sum",
-    "invariant_eigenvalue",
-    "power_sums_from_eigenvalue",
-    "reconstruct_diagram",
-    "rescaled_invariant_eigenvalue",
-    "separating_depth",
-    "ClassVector",
-    "NonIntegerCharacter",
-    "NotSeparated",
-    "build_projector",
-    "character_table",
-    "character_table_json",
-    "characters_from_projector",
-    "class_product",
-    "class_size",
-    "conjugacy_classes",
-    "cycle_type",
-    "murnaghan_nakayama_character",
-    "single_cycle_class_sum",
-    "DegenerateSpecialization",
-    "HeckeElement",
-    "ProjectorPoly",
-    "fundamental_invariant",
-    "hecke_projector",
-    "irreducible_trace",
-    "murphy_element",
-    "projector_element",
-    "regular_trace",
-    "symmetrizing_trace",
-    "word_element",
-    "MurphyTraceTable",
-    "doubly_connected_traces",
-    "invariant_trace_consistency",
-    "murphy_product_trace",
-    "murphy_trace_table_json",
-    "murphy_traces",
-    "simply_connected_trace",
-    "GZPattern",
-    "PatternViolation",
-    "SuqIrrep",
-    "casimir_eigenvalue",
-    "check_ef_commutator",
-    "chevalley_weight",
-    "gz_patterns",
-    "hecke_casimir_correspondence",
-    "irrep_from_casimir",
-    "lowering_squared",
+    *laurent.__all__,
+    *diagrams.__all__,
+    *invariant.__all__,
+    *symgroup.__all__,
+    *hecke_oracle.__all__,
+    *traces.__all__,
+    *suq.__all__,
 ]

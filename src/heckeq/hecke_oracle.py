@@ -48,11 +48,20 @@ trace of left multiplication by x is
 
 one dot product against the central element z, built once per (n, q0).
 
-On top of the arithmetic sit the fundamental invariant (the sum of the
-Murphy operators), central projectors obtained by Lagrange interpolation
-on its spectrum at q0, and the two traces.  Together these produce
-exact irreducible traces, the oracle every symbolic result in the
-package is checked against.
+On top of the arithmetic sit the fundamental invariant C_n, the sum of
+the Murphy operators, and central projectors obtained by Lagrange
+interpolation on its spectrum at q0.  The Murphy operators come from the
+Jucys-Murphy recursion
+
+    L_2 = g_1,    L_{i+1} = g_i + q0^-1 g_i L_i g_i,
+
+whose conjugation step X -> q0^-1 g_j X g_j also builds z, so C_n costs
+3n - 5 generator actions.  The spectrum, the eigenvalue of C_n on each
+diagram at q0, is evaluated once per (n, q0) and read by every
+projector and by `heckeq verify`; it is where a q0 at which two
+eigenvalues collide is refused.  Together with the two traces these
+produce exact irreducible traces, the oracle every symbolic result in
+the package is checked against.
 
 The representation is specialized at a rational q0 rather than kept
 symbolic because any rational with |q0| not in {0, 1} is never a root
@@ -345,26 +354,31 @@ def word_element(n: int, q0, word: tuple[int, ...] | list[int]) -> HeckeElement:
     return element
 
 
+def _conjugate(x: HeckeElement, j: int) -> HeckeElement:
+    """q0^-1 g_j x g_j, two generator actions and one scalar multiple."""
+    return x.times_generator(j, "left").times_generator(j) * (1 / x.q0)
+
+
 @lru_cache(maxsize=128)
 def murphy_element(n: int, q0: Fraction, i: int) -> HeckeElement:
     """The i-th Murphy operator inside the n-strand algebra.
 
-    The difference of consecutive fundamental invariants expands into
-    the sandwich words ending at generator i-1:
+    Built by the Jucys-Murphy recursion L_2 = g_1 and
+    L_i = g_{i-1} + q0^-1 g_{i-1} L_{i-1} g_{i-1}, three generator
+    actions a step.  Each conjugation lengthens every word on both
+    sides, so the recursion expands into the sandwich words ending at
+    generator i-1:
 
         L_i = sum_{j=1}^{i-1} q0^(j-i+1) g_j g_{j+1} ... g_{i-1} ... g_{j+1} g_j
 
-    so each summand is a single basis word (a transposition).
+    each summand a single basis word (a transposition).
     """
     _check_n(n)
     q0 = _check_q0(q0)
     if not 2 <= i <= n:
         raise ValueError(f"Murphy index {i} must lie in 2..{n}")
-    total = HeckeElement.zero(n, q0)
-    for j in range(1, i):
-        word = tuple(range(j, i)) + tuple(range(i - 2, j - 1, -1))
-        total = total + word_element(n, q0, word) * q0 ** (j - i + 1)
-    return total
+    g = word_element(n, q0, (i - 1,))
+    return g if i == 2 else g + _conjugate(murphy_element(n, q0, i - 1), i - 1)
 
 
 @lru_cache(maxsize=64)
@@ -422,7 +436,7 @@ def _dual_basis_sum(n: int, q0: Fraction) -> HeckeElement:
     for k in range(n, 1, -1):
         s = y
         for j in range(1, k):
-            s = y + s.times_generator(j, "left").times_generator(j) * (1 / q0)
+            s = y + _conjugate(s, j)
         y = s
     return y
 
@@ -461,12 +475,22 @@ def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
 
 
 @cache
+def _spectrum(n: int, q0: Fraction) -> dict[YoungDiagram, Fraction]:
+    """The invariant's eigenvalue on each diagram of n at q0, asserted distinct.
+
+    The one place the spectrum is evaluated; the cached dict is shared,
+    so callers only read it.
+    """
+    values = {g: invariant_eigenvalue(g).evaluate(q0) for g in partitions(n)}
+    if len(set(values.values())) != len(values):
+        raise DegenerateSpecialization(f"invariant eigenvalues collide at q0 = {q0}")
+    return values
+
+
+@cache
 def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
     """g's Lagrange polynomial on the invariant's spectrum at q0."""
-    parts = partitions(g.n)
-    values = {h: invariant_eigenvalue(h).evaluate(q0) for h in parts}
-    if len(set(values.values())) != len(parts):
-        raise DegenerateSpecialization(f"invariant eigenvalues collide at q0 = {q0}")
+    values = _spectrum(g.n, q0)
     weights, denominator = lagrange_numerator(values.values(), values[g])
     return ProjectorPoly(g, g.n, q0, tuple(Fraction(c) / denominator for c in weights))
 
@@ -486,19 +510,34 @@ def _invariant_powers(n: int, q0: Fraction) -> tuple[HeckeElement, ...]:
 
 @lru_cache(maxsize=64)
 def projector_element(p: ProjectorPoly) -> HeckeElement:
-    """The projector itself as an element: sum of c_k C^k over the cached powers of C."""
-    powers = _invariant_powers(p.n, p.q0)
-    return sum((power * c for power, c in zip(powers, p.coeffs)), HeckeElement.zero(p.n, p.q0))
+    """The projector itself as an element: sum of c_k C^k over the cached powers of C.
+
+    The sum is one integer combination of the powers' vectors over a
+    common denominator, reduced once at the end.
+    """
+    terms = [(c, power) for c, power in zip(p.coeffs, _invariant_powers(p.n, p.q0)) if c]
+    den = lcm(*(c.denominator * power._den for c, power in terms))
+    total = [0] * len(_kernel(p.n).perms)
+    for c, power in terms:
+        s = c.numerator * (den // (c.denominator * power._den))
+        total = [t + s * x for t, x in zip(total, power._vec)]
+    return HeckeElement._make(p.n, p.q0, total, den)
+
+
+@lru_cache(maxsize=64)
+def _word_element(n: int, q0: Fraction, word: tuple[int, ...]) -> HeckeElement:
+    """`word_element`, built once per (n, q0, word)."""
+    return word_element(n, q0, word)
 
 
 def irreducible_trace(g: YoungDiagram, word: tuple[int, ...], n: int, q0) -> Fraction:
     """Exact trace of a generator word in the irrep labeled by g.
 
     With e_g the central idempotent and tau the symmetrizing trace,
-    chi_g(h) = dim(g) * tau(e_g h) / tau(e_g); both traces are dot
-    products of e_g's coefficients, never a product of elements.
+    chi_g(h) = dim(g) * tau(e_g h) / tau(e_g).  tau(e_g h) is a dot
+    product of e_g's coefficients, never a product of elements, and
+    tau(e_g) is e_g's identity coefficient (T'_e = g_e), read directly.
     """
     p = projector_element(hecke_projector(g, n, q0))
-    x = word_element(n, p.q0, tuple(word))
-    one = HeckeElement.identity(n, p.q0)
-    return dimension(g) * symmetrizing_trace(p, x) / symmetrizing_trace(p, one)
+    x = _word_element(n, p.q0, tuple(word))
+    return dimension(g) * symmetrizing_trace(p, x) / Fraction(p._vec[0], p._den)

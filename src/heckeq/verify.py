@@ -27,8 +27,9 @@ product by the invariant C, whose support is small:
     C central gives ev_g p_g p_h = p_g C p_h = p_g p_h C = ev_h p_g p_h,
     so distinct eigenvalues make p_g p_h = 0: orthogonality.
 
-The eigenvalues are distinct because `hecke_projector` refuses any q0
-at which two of them collide.
+The eigenvalues are distinct because the oracle's one spectrum of C at
+(n, q0), which every projector and these checks read, refuses any q0 at
+which two of them collide.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .diagrams import YoungDiagram, dimension, partitions
 from .hecke_oracle import (
     HeckeElement,
     _check_n,
+    _spectrum,
     fundamental_invariant,
     hecke_projector,
     irreducible_trace,
@@ -47,7 +49,6 @@ from .hecke_oracle import (
     regular_trace,
     symmetrizing_trace,
 )
-from .invariant import invariant_eigenvalue
 from .traces import doubly_connected_traces, simply_connected_trace
 
 __all__ = ["OracleReport", "oracle_checks"]
@@ -116,7 +117,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     checks[name] = central(name, invariant)
 
     projectors = {g: projector_element(hecke_projector(g, n, q0)) for g in parts}
-    eigenvalues = {g: invariant_eigenvalue(g).evaluate(q0) for g in parts}
+    eigenvalues = _spectrum(n, q0)
     times_invariant = {g: p * invariant for g, p in projectors.items()}
 
     def eigenvector(name: str, g: YoungDiagram) -> bool:

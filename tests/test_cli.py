@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -455,3 +456,36 @@ def test_import_set():
     assert not loaded & {"dataclasses", "inspect", "typing"}
     layers = ("laurent", "diagrams", "invariant", "symgroup", "hecke_oracle", "traces", "suq", "cli")
     assert {f"heckeq.{name}" for name in layers} <= loaded
+
+
+# every name the package exported while it kept a hand-written list
+EARLIER_EXPORTS = {
+    "LaurentPoly", "NotDivisible", "PolynomialParseError", "ZeroSpecialization", "exp_series",
+    "q_content", "q_integer", "symmetric_bracket", "TableauPath", "YoungDiagram", "dimension",
+    "generic_degree", "partitions", "paths", "InvalidSpectrum", "NonIntegerPowerSum",
+    "UnsupportedCycle", "central_character", "central_character_table", "content_power_sum",
+    "invariant_eigenvalue", "power_sums_from_eigenvalue", "reconstruct_diagram",
+    "rescaled_invariant_eigenvalue", "separating_depth", "ClassVector", "NonIntegerCharacter",
+    "NotSeparated", "build_projector", "character_table", "character_table_json",
+    "characters_from_projector", "class_product", "class_size", "conjugacy_classes", "cycle_type",
+    "murnaghan_nakayama_character", "single_cycle_class_sum", "DegenerateSpecialization",
+    "HeckeElement", "ProjectorPoly", "fundamental_invariant", "hecke_projector",
+    "irreducible_trace", "murphy_element", "projector_element", "regular_trace",
+    "symmetrizing_trace", "word_element", "MurphyTraceTable", "doubly_connected_traces",
+    "invariant_trace_consistency", "murphy_product_trace", "murphy_trace_table_json",
+    "murphy_traces", "simply_connected_trace", "GZPattern", "PatternViolation", "SuqIrrep",
+    "casimir_eigenvalue", "check_ef_commutator", "chevalley_weight", "gz_patterns",
+    "hecke_casimir_correspondence", "irrep_from_casimir", "lowering_squared",
+}
+
+
+def test_package_exports_are_the_module_alls():
+    layers = ("laurent", "diagrams", "invariant", "symgroup", "hecke_oracle", "traces", "suq")
+    modules = [importlib.import_module(f"heckeq.{name}") for name in layers]
+    names = [name for module in modules for name in module.__all__]
+    assert heckeq.__all__ == names
+    assert len(set(names)) == len(names)
+    assert len(EARLIER_EXPORTS) == 66 and EARLIER_EXPORTS <= set(names)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(heckeq, name) is getattr(module, name)

@@ -18,6 +18,8 @@ from heckeq.hecke_oracle import (
     _act,
     _dual_basis_sum,
     _kernel,
+    _projector,
+    _spectrum,
     fundamental_invariant,
     hecke_projector,
     irreducible_trace,
@@ -29,7 +31,7 @@ from heckeq.hecke_oracle import (
     word_element,
 )
 from heckeq.invariant import invariant_eigenvalue
-from heckeq.laurent import q_integer
+from heckeq.laurent import LaurentPoly, q_integer
 from heckeq.traces import doubly_connected_traces, simply_connected_trace
 from heckeq.verify import oracle_checks
 
@@ -110,6 +112,15 @@ def horner_projector(p, x):
     for a in reversed(p.coeffs[:-1]):
         result = result * invariant + x * a
     return result
+
+
+def ref_murphy_element(n, q0, i):
+    """L_i as the sum of its sandwich words, sum_j q0^(j-i+1) g_j ... g_{i-1} ... g_j."""
+    total = HeckeElement.zero(n, q0)
+    for j in range(1, i):
+        word = tuple(range(j, i)) + tuple(range(i - 2, j - 1, -1))
+        total = total + word_element(n, q0, word) * F(q0) ** (j - i + 1)
+    return total
 
 
 def random_coeffs(n, rng):
@@ -328,6 +339,12 @@ class TestMurphyElements:
             total = total + murphy_element(5, 2, i)
         assert total == fundamental_invariant(5, 2)
 
+    @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2)])
+    def test_recursion_matches_sandwich_words(self, q0):
+        for n in range(2, 7):
+            for i in range(2, n + 1):
+                assert murphy_element(n, q0, i) == ref_murphy_element(n, q0, i)
+
 
 class TestRegularTrace:
     def test_identity_trace_is_group_order(self):
@@ -527,6 +544,26 @@ class TestProjectors:
         p = hecke_projector(Y(2, 1), 3, 2)
         x = word_element(3, 2, (1, 2))
         assert horner_projector(p, x) == projector_element(p) * x
+
+
+class TestSpectrumCollision:
+    @pytest.fixture
+    def one_eigenvalue(self, monkeypatch):
+        # every diagram gets the eigenvalue q, a collision at every q0
+        monkeypatch.setattr(heckeq.hecke_oracle, "invariant_eigenvalue", lambda g: LaurentPoly.q())
+        _spectrum.cache_clear()
+        _projector.cache_clear()
+        yield
+        _spectrum.cache_clear()
+        _projector.cache_clear()
+
+    def test_hecke_projector_refuses(self, one_eigenvalue):
+        with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
+            hecke_projector(Y(2, 2), 4, F(7, 2))
+
+    def test_oracle_checks_refuse(self, one_eigenvalue):
+        with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
+            oracle_checks(4, F(7, 2))
 
 
 class TestIrreducibleTraces:
