@@ -75,6 +75,7 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import permutations
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue, lagrange_numerator
@@ -347,7 +348,15 @@ def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def word_element(n: int, q0, word: tuple[int, ...] | list[int]) -> HeckeElement:
-    """The product of generators g_{i1} ... g_{ik} for the given word."""
+    """The product of generators g_{i1} ... g_{ik} for the given word.
+
+    Built once per (n, q0, word); elements are immutable, so callers share it.
+    """
+    return _word_product(n, _check_q0(q0), tuple(word))
+
+
+@lru_cache(maxsize=64)
+def _word_product(n: int, q0: Fraction, word: tuple[int, ...]) -> HeckeElement:
     element = HeckeElement.identity(n, q0)
     for i in word:
         element = element.times_generator(i)
@@ -475,16 +484,16 @@ def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
 
 
 @cache
-def _spectrum(n: int, q0: Fraction) -> dict[YoungDiagram, Fraction]:
+def _spectrum(n: int, q0: Fraction) -> MappingProxyType[YoungDiagram, Fraction]:
     """The invariant's eigenvalue on each diagram of n at q0, asserted distinct.
 
-    The one place the spectrum is evaluated; the cached dict is shared,
-    so callers only read it.
+    The one place the spectrum is evaluated; the cached mapping is
+    shared, so it is read-only.
     """
     values = {g: invariant_eigenvalue(g).evaluate(q0) for g in partitions(n)}
     if len(set(values.values())) != len(values):
         raise DegenerateSpecialization(f"invariant eigenvalues collide at q0 = {q0}")
-    return values
+    return MappingProxyType(values)
 
 
 @cache
@@ -524,12 +533,6 @@ def projector_element(p: ProjectorPoly) -> HeckeElement:
     return HeckeElement._make(p.n, p.q0, total, den)
 
 
-@lru_cache(maxsize=64)
-def _word_element(n: int, q0: Fraction, word: tuple[int, ...]) -> HeckeElement:
-    """`word_element`, built once per (n, q0, word)."""
-    return word_element(n, q0, word)
-
-
 def irreducible_trace(g: YoungDiagram, word: tuple[int, ...], n: int, q0) -> Fraction:
     """Exact trace of a generator word in the irrep labeled by g.
 
@@ -539,5 +542,5 @@ def irreducible_trace(g: YoungDiagram, word: tuple[int, ...], n: int, q0) -> Fra
     tau(e_g) is e_g's identity coefficient (T'_e = g_e), read directly.
     """
     p = projector_element(hecke_projector(g, n, q0))
-    x = _word_element(n, p.q0, tuple(word))
+    x = word_element(n, p.q0, word)
     return dimension(g) * symmetrizing_trace(p, x) / Fraction(p._vec[0], p._den)

@@ -566,6 +566,17 @@ class TestSpectrumCollision:
             oracle_checks(4, F(7, 2))
 
 
+def test_spectrum_is_read_only():
+    spectrum = _spectrum(4, F(2))
+    with pytest.raises(TypeError):
+        spectrum[Y(4)] = F(0)
+    assert spectrum[Y(4)] == invariant_eigenvalue(Y(4)).evaluate(2)
+
+
+def test_word_element_is_built_once_per_word():
+    assert word_element(4, 2, [1, 2, 1]) is word_element(4, F(2), (1, 2, 1))
+
+
 class TestIrreducibleTraces:
     @pytest.mark.parametrize(
         "rows,word,expected_fn",
