@@ -348,10 +348,7 @@ def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def word_element(n: int, q0, word: tuple[int, ...] | list[int]) -> HeckeElement:
-    """The product of generators g_{i1} ... g_{ik} for the given word.
-
-    Built once per (n, q0, word); elements are immutable, so callers share it.
-    """
+    """The product of the word's generators g_{i1} ... g_{ik}, built once per (n, q0, word) and shared."""
     return _word_product(n, _check_q0(q0), tuple(word))
 
 
