@@ -2,9 +2,8 @@
 
 Boxes are indexed matrix-style with 1-based (row, column) pairs, so the
 content of box (i, j) is j - i and sign conventions match throughout the
-package.  Branching (adding or removing a corner box), standard-tableau
-chains, and the hook-length formulas for irrep dimensions and generic
-degrees all live here.
+package.  Branching (adding or removing a corner box) and the hook-length
+formulas for irrep dimensions and generic degrees live here.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ from .laurent import LaurentPoly, q_integer
 
 __all__ = [
     "YoungDiagram",
-    "TableauPath",
     "partitions",
-    "paths",
     "dimension",
     "generic_degree",
 ]
@@ -156,11 +153,6 @@ def row_removals(rows: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
     return out
 
 
-# A standard-tableau chain [1] = G_1 < G_2 < ... < G_n = g, each step
-# adding one box.
-TableauPath = tuple[YoungDiagram, ...]
-
-
 @cache
 def _partition_tuples(n: int, max_part: int) -> tuple[tuple[int, ...], ...]:
     if n == 0:
@@ -183,17 +175,6 @@ def partitions(n: int) -> list[YoungDiagram]:
     return [YoungDiagram(rows) for rows in _partition_tuples(n, n)]
 
 
-def paths(g: YoungDiagram) -> list[TableauPath]:
-    """All standard-tableau chains from the one-box diagram up to g.
-
-    The number of chains is the dimension of the irrep labeled by g;
-    this enumeration is exponential and intended for small n.
-    """
-    if g.n == 1:
-        return [(g,)]
-    return [chain + (g,) for parent in g.branch_down() for chain in paths(parent)]
-
-
 def _hooks(g: YoungDiagram) -> list[int]:
     """Hook lengths of the boxes of g, row by row.
 
@@ -209,8 +190,8 @@ def _hooks(g: YoungDiagram) -> list[int]:
 def dimension(g: YoungDiagram) -> int:
     """Irrep dimension by the hook-length formula (Frame-Robinson-Thrall).
 
-    dim(g) = n! / prod of the hook lengths of the boxes of g.  It equals
-    the number of standard tableaux, which `paths` enumerates.
+    dim(g) = n! / prod of the hook lengths of the boxes of g, the number
+    of standard tableaux of shape g.
     """
     return factorial(g.n) // prod(_hooks(g))
 

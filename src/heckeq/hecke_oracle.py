@@ -125,7 +125,10 @@ def _check_q0(q0) -> Fraction:
 # (rank of the swapped permutation, whether the swap lengthens it).
 # `walk` lists the non-root nodes of the tree in depth-first order as
 # (rank, generator taking the parent to it, depth = length), and
-# `inverse` gives the rank of each permutation's inverse.
+# `inverse` gives the rank of each permutation's inverse.  The left
+# tables are the right ones read through `inverse`: s_i w = (w^-1 s_i)^-1
+# and len(w) = len(w^-1), so left_i[r] = (inverse[rswap_i[inverse[r]]],
+# rup_i[inverse[r]]).
 _Kernel = namedtuple("_Kernel", "perms rank lengths parent right left walk inverse")
 
 
@@ -134,18 +137,12 @@ def _kernel(n: int) -> _Kernel:
     perms = tuple(permutations(range(1, n + 1)))
     rank = {w: r for r, w in enumerate(perms)}
     right = []
-    left = []
     for i in range(1, n):
-        rows = []
-        for w in perms:
-            pi, pj = w.index(i), w.index(i + 1)
-            v = list(w)
-            v[pi], v[pj] = i + 1, i
-            swapped = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
-            rows.append((rank[swapped], w[i - 1] < w[i], rank[tuple(v)], pi < pj))
-        rswap, rup, lswap, lup = zip(*rows)
-        right.append((rswap, rup))
-        left.append((lswap, lup))
+        swap = tuple(rank[w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]] for w in perms)
+        right.append((swap, tuple(w[i - 1] < w[i] for w in perms)))
+    # the positions sorted by the values they hold spell the inverse
+    inverse = tuple(rank[tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))] for w in perms)
+    left = tuple((tuple(inverse[swap[j]] for j in inverse), tuple(up[j] for j in inverse)) for swap, up in right)
     parent = [0] * len(perms)
     children: list[list[tuple[int, int]]] = [[] for _ in perms]
     for r, w in enumerate(perms[1:], 1):
@@ -160,11 +157,7 @@ def _kernel(n: int) -> _Kernel:
         lengths[r] = depth
         walk.append((r, i, depth))
         stack.extend((c, j, depth + 1) for c, j in reversed(children[r]))
-    # the positions sorted by the values they hold spell the inverse
-    inverse = [rank[tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))] for w in perms]
-    return _Kernel(
-        perms, rank, tuple(lengths), tuple(parent), tuple(right), tuple(left), tuple(walk), tuple(inverse)
-    )
+    return _Kernel(perms, rank, tuple(lengths), tuple(parent), tuple(right), left, tuple(walk), inverse)
 
 
 def _act(v, table, ab: int, amb: int) -> list[int]:

@@ -76,11 +76,9 @@ def rescaled_invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:
 
     Equals the sum of (q^(j-i) - 1) over boxes, which vanishes at q = 1;
     its expansion around q = exp(delta) has the content power sums as
-    Taylor data.
+    Taylor data.  Like the eigenvalue, it reads the content histogram.
     """
-    terms = [(c, 1) for c in g.contents()]
-    terms.append((0, -g.n))
-    return LaurentPoly(terms)
+    return LaurentPoly(g.diagonal_counts()) - g.n
 
 
 def content_power_sum(g: YoungDiagram, k: int) -> int:

@@ -157,8 +157,6 @@ class GZPattern(FrozenRecord):
 
 def gz_patterns(irrep: SuqIrrep) -> list[GZPattern]:
     """All patterns with the irrep's top row; their count is `SuqIrrep.dimension`."""
-    levels: list[list[tuple[int, ...]]] = [[irrep.top]]
-
     def complete(acc: list[tuple[int, ...]], out: list[GZPattern]) -> None:
         upper = acc[-1]
         m = len(upper) - 1
@@ -170,7 +168,7 @@ def gz_patterns(irrep: SuqIrrep) -> list[GZPattern]:
             complete(acc + [combo], out)
 
     out: list[GZPattern] = []
-    complete(levels[0], out)
+    complete([irrep.top], out)
     return out
 
 

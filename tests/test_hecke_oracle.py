@@ -59,6 +59,53 @@ def ref_times_generator(coeffs, q0, i, side="right"):
     return {w: c for w, c in out.items() if c}
 
 
+def ref_kernel(n):
+    """`_kernel`'s tables built directly, each left table by swapping the values i and i + 1.
+
+    The reference for `_kernel`, which reads its left tables off the right
+    ones through `inverse` instead.
+    """
+    perms = tuple(permutations(range(1, n + 1)))
+    rank = {w: r for r, w in enumerate(perms)}
+    right, left = [], []
+    for i in range(1, n):
+        rows = []
+        for w in perms:
+            pi, pj = w.index(i), w.index(i + 1)
+            v = list(w)
+            v[pi], v[pj] = i + 1, i
+            swapped = w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :]
+            rows.append((rank[swapped], w[i - 1] < w[i], rank[tuple(v)], pi < pj))
+        rswap, rup, lswap, lup = zip(*rows)
+        right.append((rswap, rup))
+        left.append((lswap, lup))
+    parent = [0] * len(perms)
+    children = [[] for _ in perms]
+    for r, w in enumerate(perms[1:], 1):
+        i = next(i for i in range(1, n) if w[i - 1] > w[i])
+        parent[r] = right[i - 1][0][r]
+        children[parent[r]].append((r, i))
+    lengths = [0] * len(perms)
+    walk = []
+    stack = [(r, i, 1) for r, i in reversed(children[0])]
+    while stack:
+        r, i, depth = stack.pop()
+        lengths[r] = depth
+        walk.append((r, i, depth))
+        stack.extend((c, j, depth + 1) for c, j in reversed(children[r]))
+    inverse = [rank[tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))] for w in perms]
+    return {
+        "perms": perms,
+        "rank": rank,
+        "lengths": tuple(lengths),
+        "parent": tuple(parent),
+        "right": tuple(right),
+        "left": tuple(left),
+        "walk": tuple(walk),
+        "inverse": tuple(inverse),
+    }
+
+
 def ref_mul(x, y, q0):
     """x * y, applying y's basis words to x one generator at a time."""
     out = {}
@@ -238,6 +285,13 @@ class TestCachesAndTables:
             p.coeffs[0] = 0
         assert p.coeffs is coeffs and p.coeffs == (F(40, 49), F(11, 49), F(-2, 49))
         assert irreducible_trace(Y(2, 1), (1,), 3, 2) == 1
+
+    def test_kernel_matches_value_swap_reference(self):
+        for n in range(1, 8):
+            kernel, reference = _kernel(n), ref_kernel(n)
+            assert set(kernel._fields) == set(reference)
+            for field in kernel._fields:
+                assert getattr(kernel, field) == reference[field], (n, field)
 
     def test_import_builds_no_tables(self):
         # the per-n tables are built on first use, not when the CLI loads

@@ -72,6 +72,14 @@ class TestEigenvalue:
         assert rescaled_invariant_eigenvalue(Y(2)) == P("q-1")
         assert rescaled_invariant_eigenvalue(Y(1, 1)) == P("q^-1-1")
 
+    def test_rescaled_is_the_box_sum(self):
+        for n in range(1, 13):
+            for g in partitions(n):
+                box_sum = LaurentPoly.zero()
+                for c in g.contents():
+                    box_sum = box_sum + LaurentPoly.monomial(c) - 1
+                assert rescaled_invariant_eigenvalue(g) == box_sum, g
+
     def test_rescaled_is_exact_rescaling(self, q):
         for n in range(1, 7):
             for g in partitions(n):

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from heckeq.diagrams import YoungDiagram, dimension, partitions, paths
+from heckeq.diagrams import YoungDiagram, dimension, partitions
 from heckeq.hecke_oracle import irreducible_trace
 from heckeq.invariant import invariant_eigenvalue
 from heckeq.laurent import LaurentPoly, q_content
@@ -18,7 +18,7 @@ from heckeq.traces import (
     simply_connected_trace,
 )
 
-from conftest import P, Y
+from conftest import P, Y, tableau_chains
 
 
 class TestMurphyTraces:
@@ -75,7 +75,7 @@ def added_content(smaller: YoungDiagram, larger: YoungDiagram) -> int:
 def tableau_trace(g: YoungDiagram, alphas: tuple[int, ...]) -> LaurentPoly:
     """tr(L_a1 ... L_al) summed over the standard tableaux of g one by one."""
     total = LaurentPoly.zero()
-    for chain in paths(g):
+    for chain in tableau_chains(g):
         steps = (q_content(added_content(chain[a - 2], chain[a - 1])) for a in alphas)
         total = total + prod(steps, start=LaurentPoly.one())
     return total
