@@ -222,10 +222,7 @@ def _suq_irrep_from_args(args, N: int) -> SuqIrrep:
         raise CommandError(f"--diagram is required for action={args.action}")
     text = args.diagram
     try:
-        rows = tuple(int(p) for p in text.split(","))
-        while rows and rows[-1] == 0:
-            rows = rows[:-1]
-        return SuqIrrep.from_rows(N, rows)
+        return SuqIrrep.from_rows(N, tuple(int(p) for p in text.split(",")))
     except ValueError as exc:
         raise CommandError(f"cannot build an SU_q({N}) irrep from {text!r}: {exc}") from exc
 

@@ -14,17 +14,17 @@ rule becomes
     T'_w T'_i = (a-b) T'_w + ab T'_{w s_i}     on a descent
 
 with integer coefficients, so integer vectors stay integral under every
-generator action and product.  An element is therefore a dense tuple of
-Python ints over the permutations of 1..n, ranked once per n, together
-with one positive common denominator, the pair kept in lowest terms so
-that equal elements are stored identically.  Nothing divides until a
-coefficient or a trace is read out as a Fraction.
+generator action.  An element is therefore a dense tuple of Python ints
+over the permutations of 1..n, ranked once per n, together with one
+positive common denominator, the pair kept in lowest terms so that equal
+elements are stored identically.  Nothing divides until a coefficient
+or a trace is read out as a Fraction.
 
-A product x*y walks a spanning tree of the right weak order, the parent
-of w being w with its first descent removed, so x T'_w costs one
-generator action on x T'_u for the parent u, and only the vectors on the
-current root-to-node path are held.  The walk visits the ancestors of
-y's support and sums y's coefficients times the x T'_w it reaches.
+No two general elements are ever multiplied.  The one product formed is
+x C_n for a central x, where x g_j L_j g_j = g_j (x L_j) g_j lets the
+Murphy recursion below multiply too, in 3n - 5 generator actions:
+
+    x L_2 = x g_1,    x L_{j+1} = x g_j + q0^-1 g_j (x L_j) g_j.
 
 The algebra is symmetric: the linear form tau(g_w) = [w = e], the
 coefficient of the identity, satisfies tau(g_u g_v) = q0^len(u) when
@@ -73,7 +73,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -119,17 +119,14 @@ def _check_q0(q0) -> Fraction:
 
 
 # The per-n tables of the integer kernel, indexed by permutation rank
-# (rank 0 is the identity): the permutations, their ranks and lengths,
-# each one's parent in the first-descent spanning tree, and for each
-# generator i the action tables right[i-1] and left[i-1], each a pair
-# (rank of the swapped permutation, whether the swap lengthens it).
-# `walk` lists the non-root nodes of the tree in depth-first order as
-# (rank, generator taking the parent to it, depth = length), and
-# `inverse` gives the rank of each permutation's inverse.  The left
-# tables are the right ones read through `inverse`: s_i w = (w^-1 s_i)^-1
-# and len(w) = len(w^-1), so left_i[r] = (inverse[rswap_i[inverse[r]]],
-# rup_i[inverse[r]]).
-_Kernel = namedtuple("_Kernel", "perms rank lengths parent right left walk inverse")
+# (rank 0 is the identity): the permutations, their ranks, their lengths
+# (inversion counts), for each generator i the action tables right[i-1]
+# and left[i-1], each a pair (rank of the swapped permutation, whether
+# the swap lengthens it), and the rank of each permutation's inverse.
+# The left tables are the right ones read through `inverse`:
+# s_i w = (w^-1 s_i)^-1 and len(w) = len(w^-1), so
+# left_i[r] = (inverse[rswap_i[inverse[r]]], rup_i[inverse[r]]).
+_Kernel = namedtuple("_Kernel", "perms rank lengths right left inverse")
 
 
 @cache
@@ -143,21 +140,16 @@ def _kernel(n: int) -> _Kernel:
     # the positions sorted by the values they hold spell the inverse
     inverse = tuple(rank[tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))] for w in perms)
     left = tuple((tuple(inverse[swap[j]] for j in inverse), tuple(up[j] for j in inverse)) for swap, up in right)
-    parent = [0] * len(perms)
-    children: list[list[tuple[int, int]]] = [[] for _ in perms]
-    for r, w in enumerate(perms[1:], 1):
-        i = next(i for i in range(1, n) if w[i - 1] > w[i])
-        parent[r] = right[i - 1][0][r]
-        children[parent[r]].append((r, i))
-    lengths = [0] * len(perms)
-    walk: list[tuple[int, int, int]] = []
-    stack = [(r, i, 1) for r, i in reversed(children[0])]
-    while stack:
-        r, i, depth = stack.pop()
-        lengths[r] = depth
-        walk.append((r, i, depth))
-        stack.extend((c, j, depth + 1) for c, j in reversed(children[r]))
-    return _Kernel(perms, rank, tuple(lengths), tuple(parent), tuple(right), left, tuple(walk), inverse)
+    lengths = tuple(sum(u > v for u, v in combinations(w, 2)) for w in perms)
+    return _Kernel(perms, rank, lengths, tuple(right), left, inverse)
+
+
+def _rank(n: int, perm) -> int:
+    """The rank of a permutation of 1..n; anything else is refused."""
+    r = _kernel(n).rank.get(tuple(perm))
+    if r is None:
+        raise ValueError(f"{perm} is not a permutation of 1..{n}")
+    return r
 
 
 def _act(v, table, ab: int, amb: int) -> list[int]:
@@ -184,9 +176,7 @@ class HeckeElement:
         kernel = _kernel(n)
         scaled: dict[int, Fraction] = {}
         for perm, c in (coeffs or {}).items():
-            r = kernel.rank.get(tuple(perm))
-            if r is None:
-                raise ValueError(f"{perm} is not a permutation of 1..{n}")
+            r = _rank(n, perm)
             scaled[r] = Fraction(c) / q0.denominator ** kernel.lengths[r]
         den = lcm(*(f.denominator for f in scaled.values()))
         vec = [0] * len(kernel.perms)
@@ -232,7 +222,9 @@ class HeckeElement:
         }
 
     def coefficient(self, perm: tuple[int, ...]) -> Fraction:
-        return self.coeffs.get(tuple(perm), Fraction(0))
+        """The coefficient of g_perm; a non-permutation is refused as by the constructor."""
+        r = _rank(self.n, perm)
+        return Fraction(self._vec[r] * self.q0.denominator ** _kernel(self.n).lengths[r], self._den)
 
     @property
     def support_size(self) -> int:
@@ -276,28 +268,7 @@ class HeckeElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, HeckeElement):
-            self._check_compatible(other)
-            kernel = _kernel(self.n)
-            a, b = self.q0.numerator, self.q0.denominator
-            weights = other._vec
-            # mark the ancestors of other's support in the first-descent tree
-            keep = bytearray(len(weights))
-            for r, c in enumerate(weights):
-                if c:
-                    while not keep[r]:
-                        keep[r] = 1
-                        r = kernel.parent[r]
-            total = [weights[0] * x for x in self._vec]
-            path = [self._vec]
-            for r, i, depth in kernel.walk:
-                if keep[r]:
-                    del path[depth:]
-                    path.append(_act(path[-1], kernel.right[i - 1], a * b, a - b))
-                    c = weights[r]
-                    if c:
-                        total = [s + c * x for s, x in zip(total, path[-1])]
-            return HeckeElement._make(self.n, self.q0, total, self._den * other._den)
+        """A scalar multiple; the product of two elements is not offered (see `_times_invariant`)."""
         if is_scalar(other):
             f = Fraction(other)
             scaled = [f.numerator * x for x in self._vec]
@@ -380,19 +351,29 @@ def murphy_element(n: int, q0: Fraction, i: int) -> HeckeElement:
     return g if i == 2 else g + _conjugate(murphy_element(n, q0, i - 1), i - 1)
 
 
+def _times_invariant(x: HeckeElement) -> HeckeElement:
+    """x C for a central x, C the fundamental invariant; for any other x it is not x C.
+
+    The sum of the x L_j by the recursion in the module docstring, 3n - 5
+    generator actions; zero at n = 1, where the sum is empty.
+    """
+    if x.n == 1:
+        return HeckeElement.zero(1, x.q0)
+    total = term = x.times_generator(1)
+    for j in range(2, x.n):
+        term = x.times_generator(j) + _conjugate(term, j)
+        total = total + term
+    return total
+
+
 @lru_cache(maxsize=64)
 def fundamental_invariant(n: int, q0: Fraction) -> HeckeElement:
     """The fundamental invariant: the sum of all Murphy operators.
 
     Central in the algebra; its spectrum is given by `invariant_eigenvalue`
-    specialized at q0.  For n = 1 the sum is empty.
+    specialized at q0.  Built as 1 C by `_times_invariant`; zero at n = 1.
     """
-    _check_n(n)
-    q0 = _check_q0(q0)
-    total = HeckeElement.zero(n, q0)
-    for m in range(2, n + 1):
-        total = total + murphy_element(n, q0, m)
-    return total
+    return _times_invariant(HeckeElement.identity(n, q0))
 
 
 def regular_trace(x: HeckeElement) -> Fraction:
@@ -498,12 +479,12 @@ def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
 def _invariant_powers(n: int, q0: Fraction) -> tuple[HeckeElement, ...]:
     """1, C, C^2, ... up to the projector degree, C the fundamental invariant.
 
-    Each power is the previous one times C, whose support is small.
+    Every power of C is central, so each is the previous one through
+    `_times_invariant`.
     """
-    invariant = fundamental_invariant(n, q0)
     powers = [HeckeElement.identity(n, q0)]
     for _ in range(len(partitions(n)) - 1):
-        powers.append(powers[-1] * invariant)
+        powers.append(_times_invariant(powers[-1]))
     return tuple(powers)
 
 

@@ -316,7 +316,7 @@ class LaurentPoly(SparseVector):
                     elif e in out:
                         del out[e]
             return LaurentPoly._make(out)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
+        if is_scalar(other):
             return self._scale(other)
         return NotImplemented
 

@@ -227,7 +227,7 @@ def _bracket_at(x: int, q0: Fraction) -> Fraction:
     return symmetric_bracket(x).evaluate(q0)
 
 
-def lowering_squared(p: GZPattern, j: int, k: int, q0, strict: bool = False) -> Fraction:
+def lowering_squared(p: GZPattern, j: int, k: int, q0) -> Fraction:
     """Squared magnitude of the lowering matrix element at entry (j, k).
 
     For the Chevalley lowering operator f_k acting on pattern p, the
@@ -238,7 +238,7 @@ def lowering_squared(p: GZPattern, j: int, k: int, q0, strict: bool = False) -> 
     built from symmetric brackets of entry differences in rows k+1, k-1
     and k.  The value is an exact rational at rational q0 > 1, never a
     square root.  If lowering h_{j,k} leaves the cone, the element is
-    zero; `strict` turns that case into `PatternViolation`.
+    zero.
     """
     N = p.N
     if not 1 <= j <= k <= N - 1:
@@ -247,8 +247,6 @@ def lowering_squared(p: GZPattern, j: int, k: int, q0, strict: bool = False) -> 
     if q0 <= 1:
         raise ValueError("q0 must be a rational greater than 1")
     if p.shifted(j, k, -1) is None:
-        if strict:
-            raise PatternViolation(f"lowering entry ({j},{k}) leaves the cone")
         return Fraction(0)
     h_jk = p.entry(j, k)
     p1 = Fraction(1)

@@ -17,15 +17,19 @@ of permutations) where they differ, and `basis_word` is a reduced word
 for it ("" for the identity).  A symmetrizing trace is the coefficient
 of the identity, so its witness carries `basis_word` "" too.
 
-No check multiplies two elements of full support.  The projector
-identities are proved from relations that each cost O(n!) or one
-product by the invariant C, whose support is small:
+No check multiplies two general elements.  The projector identities are
+proved from relations that each cost O(n!) or one product p_g C by the
+invariant C, which the oracle forms only for a central p_g, so p_g's
+centrality is checked first:
 
     p_g central (g_i p_g = p_g g_i for every generator) and
     p_g C = ev_g p_g make p_g a multiple c e_g of the central idempotent;
     tau(p_g p_g) = tau(p_g) != 0 then forces c = 1: idempotence.
     C central gives ev_g p_g p_h = p_g C p_h = p_g p_h C = ev_h p_g p_h,
     so distinct eigenvalues make p_g p_h = 0: orthogonality.
+
+When idempotence passes, it has shown both relations for every g, and
+orthogonality reads that pass; otherwise orthogonality checks them again.
 
 The eigenvalues are distinct because the oracle's one spectrum of C at
 (n, q0), which every projector and these checks read, refuses any q0 at
@@ -41,6 +45,7 @@ from .hecke_oracle import (
     HeckeElement,
     _check_n,
     _spectrum,
+    _times_invariant,
     fundamental_invariant,
     hecke_projector,
     irreducible_trace,
@@ -105,7 +110,6 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     report = OracleReport()
     checks, compare = report.checks, report.compare
     parts = partitions(n)
-    invariant = fundamental_invariant(n, q0)
     one = HeckeElement.identity(n, q0)
 
     def central(name: str, x: HeckeElement, g: YoungDiagram | str = "") -> bool:
@@ -114,21 +118,20 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
         )
 
     name = "fundamental_invariant_central"
-    checks[name] = central(name, invariant)
+    checks[name] = central(name, fundamental_invariant(n, q0))
 
     projectors = {g: projector_element(hecke_projector(g, n, q0)) for g in parts}
     eigenvalues = _spectrum(n, q0)
-    times_invariant = {g: p * invariant for g, p in projectors.items()}
 
     def eigenvector(name: str, g: YoungDiagram) -> bool:
-        return compare(name, projectors[g] * eigenvalues[g], times_invariant[g], g)
+        p = projectors[g]
+        return central(name, p, g) and compare(name, p * eigenvalues[g], _times_invariant(p), g)
 
     def idempotent(name: str, g: YoungDiagram) -> bool:
         p = projectors[g]
         tau = symmetrizing_trace(p, one)
         return (
-            central(name, p, g)
-            and eigenvector(name, g)
+            eigenvector(name, g)
             and compare(name, tau, symmetrizing_trace(p, p), g, basis_word=())
             and (tau != 0 or report.fail(name, "nonzero", tau, g, basis_word=()))
         )
@@ -136,7 +139,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     name = "projector_idempotent"
     checks[name] = all(idempotent(name, g) for g in parts)
     name = "projector_pairwise_orthogonal"
-    checks[name] = all(eigenvector(name, g) for g in parts)
+    checks[name] = checks["projector_idempotent"] or all(eigenvector(name, g) for g in parts)
     name = "projector_resolution_of_identity"
     checks[name] = compare(name, one, sum(projectors.values(), HeckeElement.zero(n, q0)))
     name = "projector_regular_trace_dimension"

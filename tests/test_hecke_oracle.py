@@ -17,9 +17,11 @@ from heckeq.hecke_oracle import (
     HeckeElement,
     _act,
     _dual_basis_sum,
+    _invariant_powers,
     _kernel,
     _projector,
     _spectrum,
+    _times_invariant,
     fundamental_invariant,
     hecke_projector,
     irreducible_trace,
@@ -35,7 +37,7 @@ from heckeq.laurent import LaurentPoly, q_integer
 from heckeq.traces import doubly_connected_traces, simply_connected_trace
 from heckeq.verify import oracle_checks
 
-from conftest import F, Y
+from conftest import F, Y, first_descent_tree, product
 
 
 # -- reference oracle: sparse Fraction dicts over the g basis ---------------
@@ -79,29 +81,17 @@ def ref_kernel(n):
         rswap, rup, lswap, lup = zip(*rows)
         right.append((rswap, rup))
         left.append((lswap, lup))
-    parent = [0] * len(perms)
-    children = [[] for _ in perms]
-    for r, w in enumerate(perms[1:], 1):
-        i = next(i for i in range(1, n) if w[i - 1] > w[i])
-        parent[r] = right[i - 1][0][r]
-        children[parent[r]].append((r, i))
+    # a node's depth in the first-descent tree is its length
     lengths = [0] * len(perms)
-    walk = []
-    stack = [(r, i, 1) for r, i in reversed(children[0])]
-    while stack:
-        r, i, depth = stack.pop()
+    for r, _, depth in first_descent_tree(n)[1]:
         lengths[r] = depth
-        walk.append((r, i, depth))
-        stack.extend((c, j, depth + 1) for c, j in reversed(children[r]))
     inverse = [rank[tuple(sorted(range(1, n + 1), key=lambda i: w[i - 1]))] for w in perms]
     return {
         "perms": perms,
         "rank": rank,
         "lengths": tuple(lengths),
-        "parent": tuple(parent),
         "right": tuple(right),
         "left": tuple(left),
-        "walk": tuple(walk),
         "inverse": tuple(inverse),
     }
 
@@ -127,17 +117,17 @@ def ref_regular_trace(x):
     """Trace of left multiplication by x by the n!-column walk, O(n!^2).
 
     The diagonal entry at basis word w is the coefficient of w in
-    x * g_w.  The walk over the first-descent spanning tree of the
-    kernel reaches every x * T'_w with one generator action; the
-    diagonal change of basis from g to T' leaves the trace alone.
+    x * g_w.  The walk over the first-descent spanning tree reaches
+    every x * T'_w with one generator action; the diagonal change of
+    basis from g to T' leaves the trace alone.
     """
-    kernel = _kernel(x.n)
+    right = _kernel(x.n).right
     a, b = x.q0.numerator, x.q0.denominator
     path = [x._vec]
     total = x._vec[0]
-    for r, i, depth in kernel.walk:
+    for r, i, depth in first_descent_tree(x.n)[1]:
         del path[depth:]
-        path.append(_act(path[-1], kernel.right[i - 1], a * b, a - b))
+        path.append(_act(path[-1], right[i - 1], a * b, a - b))
         total += path[-1][r]
     return Fraction(total, x._den)
 
@@ -145,7 +135,7 @@ def ref_regular_trace(x):
 def ref_irreducible_trace(g, word, n, q0):
     """The regular-representation route: tr_reg(e_g * word) / dim(g)."""
     p = projector_element(hecke_projector(g, n, q0))
-    return ref_regular_trace(p * word_element(n, q0, word)) / dimension(g)
+    return ref_regular_trace(product(p, word_element(n, q0, word))) / dimension(g)
 
 
 def horner_projector(p, x):
@@ -157,7 +147,7 @@ def horner_projector(p, x):
     invariant = fundamental_invariant(p.n, p.q0)
     result = x * p.coeffs[-1]
     for a in reversed(p.coeffs[:-1]):
-        result = result * invariant + x * a
+        result = product(result, invariant) + x * a
     return result
 
 
@@ -190,7 +180,7 @@ class TestGeneratorRelations:
         for q0 in (2, F(3, 2), -3):
             g1 = word_element(3, q0, (1,))
             identity = HeckeElement.identity(3, q0)
-            assert g1 * g1 == g1 * (q0 - 1) + identity * Fraction(q0)
+            assert product(g1, g1) == g1 * (q0 - 1) + identity * Fraction(q0)
 
     def test_braid(self):
         assert word_element(3, 2, (1, 2, 1)) == word_element(3, 2, (2, 1, 2))
@@ -239,6 +229,22 @@ class TestGeneratorRelations:
         with pytest.raises(ValueError):
             HeckeElement(8, 2)  # beyond the oracle's n cap
 
+    def test_coefficient_validates_permutations(self):
+        x = word_element(3, 2, (1,))
+        assert x.coefficient((2, 1, 3)) == 1 and x.coefficient([1, 2, 3]) == 0
+        for perm in ((1, 1, 2), (2, 1)):
+            with pytest.raises(ValueError, match=r"is not a permutation of 1\.\.3$"):
+                x.coefficient(perm)
+
+    def test_elements_multiply_only_by_scalars(self):
+        x = word_element(3, F(5, 3), (1, 2))
+        with pytest.raises(TypeError):
+            x * x
+        assert (x * 3).coeffs == (3 * x).coeffs == {(2, 3, 1): F(3)}
+        assert (x * F(1, 2)).coefficient((2, 3, 1)) == F(1, 2)
+        with pytest.raises(TypeError):
+            x * True
+
     def test_mixed_algebras_rejected(self):
         a = HeckeElement.identity(3, 2)
         b = HeckeElement.identity(3, 3)
@@ -247,7 +253,7 @@ class TestGeneratorRelations:
             with pytest.raises(ValueError):
                 a + other
             with pytest.raises(ValueError):
-                a * other
+                product(a, other)
 
 
 class TestAgainstReference:
@@ -262,7 +268,7 @@ class TestAgainstReference:
                 for i in range(1, n):
                     for side in ("right", "left"):
                         assert x.times_generator(i, side).coeffs == ref_times_generator(xc, q0, i, side)
-                assert (x * y).coeffs == ref_mul(xc, yc, q0)
+                assert product(x, y).coeffs == ref_mul(xc, yc, q0)
                 assert regular_trace(x) == ref_trace(xc, n, q0)
                 identity = tuple(range(1, n + 1))
                 assert symmetrizing_trace(x, y) == ref_mul(xc, yc, q0).get(identity, 0)
@@ -320,13 +326,13 @@ class TestFundamentalInvariant:
             invariant = fundamental_invariant(n, 2)
             for i in range(1, n):
                 gi = word_element(n, 2, (i,))
-                assert gi * invariant == invariant * gi
+                assert product(gi, invariant) == product(invariant, gi)
 
     def test_quadratic_cayley_annihilates(self):
         q0 = F(2)
         c2 = fundamental_invariant(2, q0)
         identity = HeckeElement.identity(2, q0)
-        assert c2 * c2 - c2 * (q0 - 1) - identity * q0 == HeckeElement.zero(2, q0)
+        assert product(c2, c2) - c2 * (q0 - 1) - identity * q0 == HeckeElement.zero(2, q0)
 
     def test_cubic_cayley_annihilates(self):
         # the n = 3 Cayley polynomial, with exact rational coefficients at q0
@@ -336,7 +342,8 @@ class TestFundamentalInvariant:
         a2 = (q0 - 1) * (q0 + 4 + 1 / q0)
         a1 = q0**3 - q0**2 - 9 * q0 - 1 + 1 / q0
         a0 = (q0 - 1) * (2 * q0**2 + 5 * q0 + 2)
-        combo = c3 * c3 * c3 - c3 * c3 * a2 + c3 * a1 + identity * a0
+        square = product(c3, c3)
+        combo = product(square, c3) - square * a2 + c3 * a1 + identity * a0
         assert combo == HeckeElement.zero(3, q0)
 
     def test_cubic_roots_match_eigenvalues(self):
@@ -361,9 +368,22 @@ class TestFundamentalInvariant:
             + word_element(3, q0, (2, 1))
             + word_element(3, q0, (1, 2, 1)) * ((q0 - 1) / q0)
         )
-        lhs = c3 * c3
+        lhs = product(c3, c3)
         rhs = identity * (3 * q0) + c3 * (2 * (q0 - 1)) + d3 * (q0 + 1 + 1 / q0)
         assert lhs == rhs
+
+
+class TestTimesInvariant:
+    """The Murphy recursion's x C against the reference product, for central x."""
+
+    @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2)])
+    def test_every_power_projector_and_dual_basis_sum(self, q0):
+        for n in range(1, 7):
+            invariant = fundamental_invariant(n, q0)
+            central = list(_invariant_powers(n, q0)) + [_dual_basis_sum(n, q0)]
+            central += [projector_element(hecke_projector(g, n, q0)) for g in partitions(n)]
+            for x in central:
+                assert _times_invariant(x) == product(x, invariant)
 
 
 class TestMurphyElements:
@@ -372,20 +392,20 @@ class TestMurphyElements:
 
     def test_l2_l4_expansion(self):
         q0 = F(2)
-        lhs = murphy_element(4, q0, 2) * murphy_element(4, q0, 4)
+        lhs = product(murphy_element(4, q0, 2), murphy_element(4, q0, 4))
         g1 = word_element(4, q0, (1,))
         inner = (
             word_element(4, q0, (3,))
             + word_element(4, q0, (2, 3, 2)) * F(1, q0)
             + word_element(4, q0, (1, 2, 3, 2, 1)) * F(1, q0**2)
         )
-        assert lhs == g1 * inner
+        assert lhs == product(g1, inner)
 
     def test_murphy_elements_commute(self):
         elements = {i: murphy_element(4, 2, i) for i in (2, 3, 4)}
         for i in elements:
             for j in elements:
-                assert elements[i] * elements[j] == elements[j] * elements[i]
+                assert product(elements[i], elements[j]) == product(elements[j], elements[i])
 
     def test_sum_is_invariant(self):
         total = HeckeElement.zero(5, 2)
@@ -410,7 +430,7 @@ class TestRegularTrace:
         for _ in range(4):
             a = random_element(4, 2, rng)
             b = random_element(4, 2, rng)
-            assert regular_trace(a * b) == regular_trace(b * a)
+            assert regular_trace(product(a, b)) == regular_trace(product(b, a))
 
     def test_generator_trace_matches_irrep_sum(self):
         # dim-weighted sum of the three irreducible traces of g_1 at q0 = 2:
@@ -553,6 +573,25 @@ class TestVerifyMutations:
         assert report.checks["fundamental_invariant_central"] is True
 
 
+    def test_non_central_projector_on_its_eigenspace_fails_orthogonality(self, monkeypatch):
+        # p + g_1 p is still an eigenvector of C on the right, but not
+        # central, so x C from the Murphy recursion cannot be compared
+        real = heckeq.verify.projector_element
+
+        def tilted(p):
+            x = real(p)
+            return x + x.times_generator(1, "left") if p.diagram == Y(3, 1) else x
+
+        monkeypatch.setattr(heckeq.verify, "projector_element", tilted)
+        report = oracle_checks(4, F(2))
+        assert report.checks["projector_idempotent"] is False
+        assert report.checks["projector_pairwise_orthogonal"] is False
+        assert report.witness == {
+            "check": "projector_idempotent", "diagram": "3,1", "word": "2", "basis_word": "2,3",
+            "symbolic": "2/45", "oracle": "4/45",
+        }
+
+
 class TestProjectors:
     def test_powers_match_horner(self):
         for q0 in (F(2), F(5, 3), F(-3, 2)):
@@ -572,14 +611,14 @@ class TestProjectors:
             projectors = {g: projector_element(hecke_projector(g, n, 2)) for g in partitions(n)}
             total = HeckeElement.zero(n, 2)
             for g, p in projectors.items():
-                assert p * p == p
+                assert product(p, p) == p
                 assert regular_trace(p) == dimension(g) ** 2
                 total = total + p
             assert total == HeckeElement.identity(n, 2)
             items = list(projectors.items())
             for i, (g, p) in enumerate(items):
                 for h, p2 in items[i + 1 :]:
-                    assert p * p2 == HeckeElement.zero(n, 2)
+                    assert product(p, p2) == HeckeElement.zero(n, 2)
 
     def test_eigenvector_property(self):
         for n in (2, 3, 4):
@@ -587,7 +626,7 @@ class TestProjectors:
             for g in partitions(n):
                 p = projector_element(hecke_projector(g, n, 2))
                 lam = invariant_eigenvalue(g).evaluate(2)
-                assert invariant * p == p * lam
+                assert product(invariant, p) == p * lam
 
     def test_degenerate_specializations_refused(self):
         for q0 in (1, -1):
@@ -597,7 +636,7 @@ class TestProjectors:
     def test_apply_projector_via_horner(self):
         p = hecke_projector(Y(2, 1), 3, 2)
         x = word_element(3, 2, (1, 2))
-        assert horner_projector(p, x) == projector_element(p) * x
+        assert horner_projector(p, x) == product(projector_element(p), x)
 
 
 class TestSpectrumCollision:

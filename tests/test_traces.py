@@ -18,7 +18,7 @@ from heckeq.traces import (
     simply_connected_trace,
 )
 
-from conftest import P, Y, tableau_chains
+from conftest import P, Y, product, tableau_chains
 
 
 class TestMurphyTraces:
@@ -201,14 +201,14 @@ class TestMurphyProducts:
             murphy_product_trace(Y(3, 1), ())
 
     def test_oracle_agreement_at_specialization(self):
-        # tr(L_2 L_4) computed by path sum vs the oracle's element product
+        # tr(L_2 L_4) computed by path sum vs the oracle, through the reference product
         from heckeq.hecke_oracle import hecke_projector, murphy_element, projector_element, regular_trace
 
         q0 = Fraction(2)
         for g in partitions(4):
-            product = murphy_element(4, q0, 2) * murphy_element(4, q0, 4)
+            murphy = product(murphy_element(4, q0, 2), murphy_element(4, q0, 4))
             pe = projector_element(hecke_projector(g, 4, q0))
-            oracle = regular_trace(pe * product) / dimension(g)
+            oracle = regular_trace(product(pe, murphy)) / dimension(g)
             assert murphy_product_trace(g, (2, 4)).evaluate(q0) == oracle
 
 
