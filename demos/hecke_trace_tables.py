@@ -60,7 +60,7 @@ q0 = Fraction(2)
 for g in partitions(4):
     for k in (2, 3, 4):
         symbolic = simply_connected_trace(g, k).evaluate(q0)
-        oracle = irreducible_trace(g, tuple(range(1, k)), 4, q0)
+        oracle = irreducible_trace(g, tuple(range(1, k)), q0)
         assert symbolic == oracle
-    assert doubly_connected_traces(g)["g1*g3"].evaluate(q0) == irreducible_trace(g, (1, 3), 4, q0)
+    assert doubly_connected_traces(g)["g1*g3"].evaluate(q0) == irreducible_trace(g, (1, 3), q0)
 print("  every H_4 trace above matches the regular representation exactly")

@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from .diagrams import YoungDiagram, partitions
 from .invariant import invariant_eigenvalue, reconstruct_diagram
@@ -59,6 +61,9 @@ SCALE_DEFAULTS = {
 # Options whose value may start with a minus sign, as in "--q0 -3/2".
 SIGNED_OPTIONS = ("--q0", "--poly")
 
+# An integer or p/q: `Fraction` alone also reads "1e100000", an integer of any size.
+Q0_TEXT = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
+
 
 class CommandError(ValueError):
     """A validation failure surfaced to the user."""
@@ -77,6 +82,8 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 def _parse_q0(text: str) -> Fraction:
     try:
+        if not Q0_TEXT.fullmatch(text):
+            raise ValueError(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CommandError(f"cannot parse q0 {text!r} (expected an integer or p/q)") from exc
@@ -247,10 +254,18 @@ def _render_table(doc: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+def _print_json(document: dict) -> None:
+    """Print `json.dumps(document, sort_keys=True, indent=2)` in batches, never the whole text at once."""
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(document)
+    for batch in iter(lambda: "".join(islice(chunks, 4096)), ""):
+        sys.stdout.write(batch)
+    sys.stdout.write("\n")
+
+
 def _emit(command: str, payload: dict, fmt: str) -> None:
     document = {"command": command, "format": fmt, "result": payload}
     if fmt == "json":
-        print(json.dumps(document, sort_keys=True, indent=2))
+        _print_json(document)
     else:
         print(_render_table(payload))
 
@@ -262,7 +277,7 @@ def _emit_error(command: str, exc: Exception, fmt: str) -> None:
             "format": fmt,
             "error": {"type": type(exc).__name__, "message": str(exc)},
         }
-        print(json.dumps(document, sort_keys=True, indent=2))
+        _print_json(document)
     else:
         print(f"error: {exc}", file=sys.stderr)
 

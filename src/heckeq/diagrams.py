@@ -2,8 +2,10 @@
 
 Boxes are indexed matrix-style with 1-based (row, column) pairs, so the
 content of box (i, j) is j - i and sign conventions match throughout the
-package.  Branching (adding or removing a corner box) and the hook-length
-formulas for irrep dimensions and generic degrees live here.
+package.  A diagram's box contents are read from its diagonal histogram,
+`YoungDiagram.diagonal_counts`, and its corner removals from
+`row_removals`; the hook-length formulas for irrep dimensions and generic
+degrees live here too.
 """
 
 from __future__ import annotations
@@ -89,47 +91,20 @@ class YoungDiagram(FrozenRecord):
     def n(self) -> int:
         return sum(self.rows)
 
-    def contents(self) -> list[int]:
-        """Contents j - i of all boxes, row by row."""
-        return [j - i for i, length in enumerate(self.rows, start=1) for j in range(1, length + 1)]
-
     def diagonal_counts(self) -> dict[int, int]:
         """Map content k -> number of boxes on the k-th diagonal.
 
         The row of index i (from 0) holds the contents -i .. length - i - 1,
-        so one difference-array pass over the rows gives every count, in
+        so each content from 1 - #rows to 0 starts one row, and one
+        difference-array pass over the row ends gives every count, in
         ascending order of k, in O(#rows + #diagonals).
         """
         rows = self.rows
         low = 1 - len(rows)
-        diff = [0] * (rows[0] - low + 1)
+        diff = [1] * len(rows) + [0] * rows[0]
         for i, length in enumerate(rows):
-            diff[-i - low] += 1
             diff[length - i - low] -= 1
         return dict(zip(range(low, rows[0]), accumulate(diff)))
-
-    def removals(self) -> list[tuple["YoungDiagram", int]]:
-        """Each diagram obtained by removing one corner box, with that box's content.
-
-        Ordered by the row the box is removed from.  The one-box diagram
-        has nothing below it and yields the empty list.
-        """
-        return [(YoungDiagram(shrunk), c) for shrunk, c in row_removals(self.rows)]
-
-    def branch_down(self) -> list["YoungDiagram"]:
-        """All diagrams obtained by removing one corner box, ordered by row."""
-        return [below for below, _ in self.removals()]
-
-    def branch_up(self) -> list["YoungDiagram"]:
-        """All diagrams obtained by adding one box, ordered by row."""
-        out = []
-        rows = self.rows
-        for i, length in enumerate(rows):
-            above = rows[i - 1] if i > 0 else None
-            if above is None or length < above:
-                out.append(YoungDiagram(rows[:i] + (length + 1,) + rows[i + 1 :]))
-        out.append(YoungDiagram(rows + (1,)))
-        return out
 
     def __str__(self) -> str:
         return ",".join(str(r) for r in self.rows)
@@ -139,7 +114,11 @@ class YoungDiagram(FrozenRecord):
 
 
 def row_removals(rows: tuple[int, ...]) -> list[tuple[tuple[int, ...], int]]:
-    """`YoungDiagram.removals` on bare row tuples, which are neither built nor validated."""
+    """The diagrams one corner box below the rows, each with the removed box's content.
+
+    The only corner-removal builder: ordered by the row the box leaves, empty for
+    the one-box diagram, on bare row tuples that are neither built nor validated.
+    """
     out = []
     for i, length in enumerate(rows):
         below = rows[i + 1] if i + 1 < len(rows) else 0

@@ -425,17 +425,16 @@ class ProjectorPoly(FrozenRecord):
     """A central projector expressed as a polynomial in the invariant.
 
     `coeffs` lists the coefficients in ascending degree; the degree is
-    one less than the number of partitions of n.
+    one less than the number of partitions of n, the diagram's box count.
     """
 
-    __slots__ = __match_args__ = ("diagram", "n", "q0", "coeffs")
+    __slots__ = __match_args__ = ("diagram", "q0", "coeffs")
     diagram: YoungDiagram
-    n: int
     q0: Fraction
     coeffs: tuple[Fraction, ...]
 
 
-def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
+def hecke_projector(g: YoungDiagram, q0) -> ProjectorPoly:
     """Lagrange interpolation onto g's eigenvalue of the invariant.
 
     Its coefficients come from `invariant.lagrange_numerator`, which
@@ -445,9 +444,7 @@ def hecke_projector(g: YoungDiagram, n: int, q0) -> ProjectorPoly:
     unity, where the word basis stops being semisimple-generic.  Cached
     per (g, q0); the result is read-only, so every caller can share it.
     """
-    if g.n != n:
-        raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
-    _check_n(n)
+    _check_n(g.n)
     q0 = _check_q0(q0)
     if q0 == 1 or q0 == -1:
         raise DegenerateSpecialization(f"q0 = {q0} is a root of unity")
@@ -472,7 +469,7 @@ def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
     """g's Lagrange polynomial on the invariant's spectrum at q0."""
     values = _spectrum(g.n, q0)
     weights, denominator = lagrange_numerator(values.values(), values[g])
-    return ProjectorPoly(g, g.n, q0, tuple(Fraction(c) / denominator for c in weights))
+    return ProjectorPoly(g, q0, tuple(Fraction(c) / denominator for c in weights))
 
 
 @lru_cache(maxsize=8)
@@ -495,23 +492,24 @@ def projector_element(p: ProjectorPoly) -> HeckeElement:
     The sum is one integer combination of the powers' vectors over a
     common denominator, reduced once at the end.
     """
-    terms = [(c, power) for c, power in zip(p.coeffs, _invariant_powers(p.n, p.q0)) if c]
+    n = p.diagram.n
+    terms = [(c, power) for c, power in zip(p.coeffs, _invariant_powers(n, p.q0)) if c]
     den = lcm(*(c.denominator * power._den for c, power in terms))
-    total = [0] * len(_kernel(p.n).perms)
+    total = [0] * len(_kernel(n).perms)
     for c, power in terms:
         s = c.numerator * (den // (c.denominator * power._den))
         total = [t + s * x for t, x in zip(total, power._vec)]
-    return HeckeElement._make(p.n, p.q0, total, den)
+    return HeckeElement._make(n, p.q0, total, den)
 
 
-def irreducible_trace(g: YoungDiagram, word: tuple[int, ...], n: int, q0) -> Fraction:
-    """Exact trace of a generator word in the irrep labeled by g.
+def irreducible_trace(g: YoungDiagram, word: tuple[int, ...], q0) -> Fraction:
+    """Exact trace of a generator word in the irrep labeled by g, in the algebra on g.n strands.
 
     With e_g the central idempotent and tau the symmetrizing trace,
     chi_g(h) = dim(g) * tau(e_g h) / tau(e_g).  tau(e_g h) is a dot
     product of e_g's coefficients, never a product of elements, and
     tau(e_g) is e_g's identity coefficient (T'_e = g_e), read directly.
     """
-    p = projector_element(hecke_projector(g, n, q0))
-    x = word_element(n, p.q0, word)
+    p = projector_element(hecke_projector(g, q0))
+    x = word_element(p.n, p.q0, word)
     return dimension(g) * symmetrizing_trace(p, x) / Fraction(p._vec[0], p._den)

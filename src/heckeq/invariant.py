@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -82,10 +82,10 @@ def rescaled_invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:
 
 
 def content_power_sum(g: YoungDiagram, k: int) -> int:
-    """The k-th power sum of the box contents of g (k >= 1)."""
+    """The k-th power sum of the box contents of g (k >= 1), one term m c^k per diagonal."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("power sum index must be a positive integer")
-    return sum(c**k for c in g.contents())
+    return sum(m * c**k for c, m in g.diagonal_counts().items())
 
 
 def _diagonals_to_rows(beta: dict[int, int]) -> tuple[int, ...]:
@@ -160,11 +160,11 @@ def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
     return diagram
 
 
-def central_character(p: int, n: int, g: YoungDiagram) -> Fraction:
+def central_character(p: int, g: YoungDiagram) -> Fraction:
     """Eigenvalue of the single-cycle class-sum of cycle length p on g.
 
-    Closed forms in the content power sums s_k are implemented for
-    p = 2..5:
+    Closed forms in the content power sums s_k of g's n boxes are
+    implemented for p = 2..5:
 
         p=2: s_1
         p=3: s_2 - n(n-1)/2
@@ -173,19 +173,15 @@ def central_character(p: int, n: int, g: YoungDiagram) -> Fraction:
 
     When the class is empty (p > n) the formulas evaluate to zero.
     """
-    if g.n != n:
-        raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
+    n, s = g.n, partial(content_power_sum, g)
     if p == 2:
-        return Fraction(content_power_sum(g, 1))
+        return Fraction(s(1))
     if p == 3:
-        return Fraction(content_power_sum(g, 2)) - Fraction(n * (n - 1), 2)
+        return Fraction(s(2)) - Fraction(n * (n - 1), 2)
     if p == 4:
-        return Fraction(content_power_sum(g, 3) - (2 * n - 3) * content_power_sum(g, 1))
+        return Fraction(s(3) - (2 * n - 3) * s(1))
     if p == 5:
-        s1 = content_power_sum(g, 1)
-        s2 = content_power_sum(g, 2)
-        s4 = content_power_sum(g, 4)
-        return Fraction(s4 - (3 * n - 10) * s2 - 2 * s1 * s1) + Fraction(n * (n - 1) * (5 * n - 19), 6)
+        return Fraction(s(4) - (3 * n - 10) * s(2) - 2 * s(1) ** 2) + Fraction(n * (n - 1) * (5 * n - 19), 6)
     raise UnsupportedCycle(f"no closed form for cycle length {p} (supported: 2..5)")
 
 
@@ -199,7 +195,7 @@ def central_character_table(p: int, n: int) -> Mapping[YoungDiagram, int]:
     """
     values: dict[YoungDiagram, int] = {}
     for g in partitions(n):
-        value = central_character(p, n, g)
+        value = central_character(p, g)
         if value.denominator != 1:
             raise AssertionError(f"non-integer {p}-cycle class-sum eigenvalue {value} on {g}")
         values[g] = value.numerator
@@ -250,20 +246,15 @@ def separating_depth(n: int) -> int:
     """Minimal k such that (s_1, ..., s_k) separates the partitions of n.
 
     The tuples of content power sums are compared across all partitions
-    of n; the depth never exceeds n - 1 because the full eigenvalue
-    already separates.
+    of n; past n = 1 the depth never exceeds n - 1 because the full
+    eigenvalue already separates.
     """
     if not isinstance(n, int) or not 1 <= n <= MAX_SEPARATION_N:
         raise ValueError(f"n must lie in 1..{MAX_SEPARATION_N}")
     parts = partitions(n)
-    if len(parts) == 1:
-        return 1
-    contents = [g.contents() for g in parts]
     signatures: list[tuple[int, ...]] = [() for _ in parts]
-    for k in range(1, n):
-        signatures = [
-            sig + (sum(c**k for c in cs),) for sig, cs in zip(signatures, contents)
-        ]
+    for k in range(1, max(n, 2)):
+        signatures = [sig + (content_power_sum(g, k),) for sig, g in zip(signatures, parts)]
         if len(set(signatures)) == len(parts):
             return k
     raise AssertionError(f"power sums up to {n - 1} failed to separate partitions of {n}")

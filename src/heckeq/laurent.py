@@ -231,7 +231,7 @@ class LaurentPoly(SparseVector):
             return cls.zero()
         pos = 0
         first = True
-        pairs: list[tuple[int, Fraction]] = []
+        pairs: list[tuple[int, Scalar]] = []
         while pos < len(s):
             m = _TERM_RE.match(s, pos)
             if m is None or m.end() == pos:
@@ -239,14 +239,11 @@ class LaurentPoly(SparseVector):
             if not first and m.group("sign") is None:
                 raise PolynomialParseError(f"missing '+' or '-' before term at position {pos} in {text!r}")
             sign = -1 if m.group("sign") == "-" else 1
-            if m.group("const") is not None:
-                exp, coeff = 0, Fraction(m.group("const"))
-            else:
-                raw = m.group("coeff")
-                coeff = Fraction(raw) if raw is not None else Fraction(1)
-                raw_exp = m.group("exp1") if raw is not None else m.group("exp2")
-                exp = int(raw_exp) if raw_exp is not None else 1
-            pairs.append((exp, sign * coeff))
+            const = m.group("const")
+            exp = 0 if const else int(m.group("exp1") or m.group("exp2") or 1)
+            raw = const or m.group("coeff") or "1"
+            # an int unless written p/q: a Fraction for every term doubles the parse time
+            pairs.append((exp, sign * (Fraction(raw) if "/" in raw else int(raw))))
             pos = m.end()
             first = False
         return cls(pairs)

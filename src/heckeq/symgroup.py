@@ -356,8 +356,8 @@ def _transposition_lagrange(n: int, value: int) -> tuple[ClassVector, int]:
     return sum((power * weight for weight, power in zip(weights, powers)), ClassVector.zero(n)), denominator
 
 
-def build_projector(g: YoungDiagram, n: int) -> ClassVector:
-    """Central idempotent projecting onto the irrep labeled by g.
+def build_projector(g: YoungDiagram) -> ClassVector:
+    """Central idempotent projecting onto the irrep labeled by g, in the class algebra of S_{g.n}.
 
     Stage one is the Lagrange polynomial in the transposition class-sum
     that is 1 at g's eigenvalue and 0 at every other irrep's: the
@@ -371,8 +371,7 @@ def build_projector(g: YoungDiagram, n: int) -> ClassVector:
     disguise, which separate the partitions of n through n = 41, so
     `NotSeparated` cannot occur up to there.
     """
-    if g.n != n:
-        raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
+    n = g.n
     lam2 = central_character_table(2, n)
     mine = lam2[g]
     numerator, denominator = _transposition_lagrange(n, mine)
@@ -460,7 +459,7 @@ def character_table(n: int, method: str = "mn") -> dict[YoungDiagram, dict[Cycle
             for g in partitions(n)
         }
     if method == "projector":
-        return {g: characters_from_projector(build_projector(g, n), g) for g in partitions(n)}
+        return {g: characters_from_projector(build_projector(g), g) for g in partitions(n)}
     raise ValueError(f"unknown method {method!r} (expected 'mn' or 'projector')")
 
 

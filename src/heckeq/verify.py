@@ -120,7 +120,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     name = "fundamental_invariant_central"
     checks[name] = central(name, fundamental_invariant(n, q0))
 
-    projectors = {g: projector_element(hecke_projector(g, n, q0)) for g in parts}
+    projectors = {g: projector_element(hecke_projector(g, q0)) for g in parts}
     eigenvalues = _spectrum(n, q0)
 
     def eigenvector(name: str, g: YoungDiagram) -> bool:
@@ -148,7 +148,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     )
 
     def trace_check(name: str, g: YoungDiagram, symbolic, word: tuple[int, ...]) -> bool:
-        return compare(name, symbolic.evaluate(q0), irreducible_trace(g, word, n, q0), g, word)
+        return compare(name, symbolic.evaluate(q0), irreducible_trace(g, word, q0), g, word)
 
     name = "simply_connected_traces_agree"
     checks[name] = all(

@@ -4,6 +4,7 @@ from functools import cache
 import pytest
 
 from heckeq import HeckeElement, LaurentPoly, YoungDiagram
+from heckeq.diagrams import row_removals
 from heckeq.hecke_oracle import _act, _kernel
 
 
@@ -24,6 +25,11 @@ def F(*args) -> Fraction:
     return Fraction(*args)
 
 
+def box_contents(g: YoungDiagram) -> list[int]:
+    """Contents j - i of all boxes of g, row by row: the reference for the content histogram."""
+    return [j - i for i, length in enumerate(g.rows, start=1) for j in range(1, length + 1)]
+
+
 def tableau_chains(g: YoungDiagram) -> list[tuple[YoungDiagram, ...]]:
     """Every standard-tableau chain [1] = G_1 < G_2 < ... < G_n = g, one box per step.
 
@@ -32,7 +38,7 @@ def tableau_chains(g: YoungDiagram) -> list[tuple[YoungDiagram, ...]]:
     """
     if g.n == 1:
         return [(g,)]
-    return [chain + (g,) for below in g.branch_down() for chain in tableau_chains(below)]
+    return [chain + (g,) for rows, _ in row_removals(g.rows) for chain in tableau_chains(YoungDiagram(rows))]
 
 
 @cache

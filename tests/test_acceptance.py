@@ -94,19 +94,19 @@ def test_criterion_3_character_extraction():
         for n in range(3, 7):
             assert character_table(n, "projector") == character_table(n, "mn")
 
-        row = characters_from_projector(build_projector(Y(2, 1), 3), Y(2, 1))
+        row = characters_from_projector(build_projector(Y(2, 1)), Y(2, 1))
         assert row == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
 
         # the two-stage S_6 construction: prefilter on the transposition
         # eigenvalue, then the verbatim factor ([3-cycles] + 8)/12
         n = 6
-        lam2 = {g: central_character(2, n, g) for g in partitions(n)}
+        lam2 = {g: central_character(2, g) for g in partitions(n)}
         prefilter = ClassVector.identity(n)
         transposition = single_cycle_class_sum(n, 2)
         for value in sorted({v for v in lam2.values() if v != 3}):
             prefilter = class_product(prefilter, transposition - value) / (3 - value)
         stage_two = (single_cycle_class_sum(n, 3) + 8) / 12
-        assert build_projector(Y(4, 1, 1), n) == class_product(stage_two, prefilter)
+        assert build_projector(Y(4, 1, 1)) == class_product(stage_two, prefilter)
 
 
 def test_criterion_4_trace_tables():
@@ -137,12 +137,12 @@ def _oracle_equivalence_sweep(n: int) -> None:
     for g in partitions(n):
         for k in range(2, n + 1):
             symbolic = simply_connected_trace(g, k).evaluate(q0)
-            assert symbolic == irreducible_trace(g, tuple(range(1, k)), n, q0)
+            assert symbolic == irreducible_trace(g, tuple(range(1, k)), q0)
         if n >= 4:
             solved = doubly_connected_traces(g)
-            assert solved["g1*g3"].evaluate(q0) == irreducible_trace(g, (1, 3), n, q0)
+            assert solved["g1*g3"].evaluate(q0) == irreducible_trace(g, (1, 3), q0)
             if n >= 5:
-                assert solved["g1*g3*g4"].evaluate(q0) == irreducible_trace(g, (1, 3, 4), n, q0)
+                assert solved["g1*g3*g4"].evaluate(q0) == irreducible_trace(g, (1, 3, 4), q0)
 
 
 def test_criterion_5_oracle_equivalence_through_five():
@@ -161,7 +161,7 @@ def test_criterion_6_projector_algebra():
     with criterion(6, "oracle projector algebra at q0=2 for n <= 5, exact"):
         q0 = F(2)
         for n in range(2, 6):
-            projectors = {g: projector_element(hecke_projector(g, n, q0)) for g in partitions(n)}
+            projectors = {g: projector_element(hecke_projector(g, q0)) for g in partitions(n)}
             total = HeckeElement.zero(n, q0)
             for g, p in projectors.items():
                 assert product(p, p) == p

@@ -244,6 +244,15 @@ class TestVerify:
         assert code == 0
         assert doc["result"]["all_pass"] is True
 
+    @pytest.mark.parametrize("q0", ["1e100000", "1e5000", "2.5", "3 / 2"])
+    def test_q0_outside_integer_or_ratio_refused(self, q0):
+        # Fraction alone reads each of these, and "1e100000" as a 100001-digit integer
+        code, doc = run_cold("verify", "--n", "3", "--q0", q0, timeout=10)
+        assert code == 1
+        assert doc["error"] == {
+            "type": "CommandError", "message": f"cannot parse q0 {q0!r} (expected an integer or p/q)"
+        }
+
     def test_scale_guard(self, capsys):
         # no CLI default: the library's ceiling answers, and no flag lifts it
         code, doc, _ = run_json(capsys, "verify", "--n", "8")

@@ -11,13 +11,14 @@ from heckeq.diagrams import (
     dimension,
     generic_degree,
     partitions,
+    row_removals,
 )
 from heckeq.hecke_oracle import hecke_projector
 from heckeq.laurent import LaurentPoly
 from heckeq.suq import GZPattern, SuqIrrep
 from heckeq.traces import MurphyTraceTable, murphy_traces
 
-from conftest import P, Y, tableau_chains
+from conftest import P, Y, box_contents, tableau_chains
 
 
 @lru_cache(maxsize=None)
@@ -65,9 +66,9 @@ RECORDS = {
     "SuqIrrep": (lambda: SuqIrrep(3, (2, 1, 0)), (3, (2, 1, 0)), "SuqIrrep(N=3, top=(2, 1, 0))"),
     "GZPattern": (lambda: GZPattern(((1,), (1, 0))), (((1,), (1, 0)),), "GZPattern(rows=((1,), (1, 0)))"),
     "ProjectorPoly": (
-        lambda: hecke_projector(Y(2, 1), 3, 2),
-        (Y(2, 1), 3, Fraction(2), (Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49))),
-        "ProjectorPoly(diagram=YoungDiagram((2, 1)), n=3, q0=Fraction(2, 1), "
+        lambda: hecke_projector(Y(2, 1), 2),
+        (Y(2, 1), Fraction(2), (Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49))),
+        "ProjectorPoly(diagram=YoungDiagram((2, 1)), q0=Fraction(2, 1), "
         "coeffs=(Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49)))",
     ),
     "MurphyTraceTable": (
@@ -168,13 +169,18 @@ class TestPartitions:
 
 class TestContents:
     def test_single_column(self):
-        assert sorted(Y(1, 1, 1).contents()) == [-2, -1, 0]
+        assert Y(1, 1, 1).diagonal_counts() == {-2: 1, -1: 1, 0: 1}
 
     def test_two_rows(self):
-        assert Counter(Y(3, 3).contents()) == Counter({0: 2, 1: 2, -1: 1, 2: 1})
+        assert Y(3, 2).diagonal_counts() == {-1: 1, 0: 2, 1: 1, 2: 1}
 
     def test_hook(self):
-        assert sorted(Y(4, 1, 1).contents()) == [-2, -1, 0, 1, 2, 3]
+        assert Y(4, 1, 1).diagonal_counts() == dict.fromkeys(range(-2, 4), 1)
+
+    def test_histogram_counts_the_box_contents(self):
+        for n in range(1, 9):
+            for g in partitions(n):
+                assert g.diagonal_counts() == Counter(box_contents(g))
 
     def test_diagonal_counts(self):
         assert Y(3, 3).diagonal_counts() == {-1: 1, 0: 2, 1: 2, 2: 1}
@@ -192,32 +198,33 @@ class TestContents:
         for n in range(1, 8):
             for g in partitions(n):
                 beta = g.diagonal_counts()
-                assert sum(k * b for k, b in beta.items()) == sum(g.contents())
+                assert sum(k * b for k, b in beta.items()) == sum(box_contents(g))
 
 
 class TestBranching:
     def test_branch_down_examples(self):
-        assert [h.rows for h in Y(3, 1).branch_down()] == [(2, 1), (3,)]
-        assert [h.rows for h in Y(2, 1).branch_down()] == [(1, 1), (2,)]
-        assert Y(1).branch_down() == []
+        assert [rows for rows, _ in row_removals((3, 1))] == [(2, 1), (3,)]
+        assert [rows for rows, _ in row_removals((2, 1))] == [(1, 1), (2,)]
+        assert row_removals((1,)) == []
 
     def test_removals_carry_the_removed_box_content(self):
-        assert [(h.rows, c) for h, c in Y(3, 1).removals()] == [((2, 1), 2), ((3,), -1)]
-        assert [(h.rows, c) for h, c in Y(2, 2).removals()] == [((2, 1), 0)]
-        assert Y(1).removals() == []
+        assert row_removals((3, 1)) == [((2, 1), 2), ((3,), -1)]
+        assert row_removals((2, 2)) == [((2, 1), 0)]
+        assert row_removals((1,)) == []
 
-    def test_branch_up_examples(self):
-        assert [h.rows for h in Y(2).branch_up()] == [(3,), (2, 1)]
-        assert [h.rows for h in Y(2, 1).branch_up()] == [(3, 1), (2, 2), (2, 1, 1)]
-
-    def test_adjunction(self):
-        for n in range(1, 7):
-            for g in partitions(n):
-                for h in g.branch_up():
-                    assert g in h.branch_down()
-                if n >= 2:
-                    for h in g.branch_down():
-                        assert g in h.branch_up()
+    def test_removals_are_the_smaller_partitions_inside(self):
+        # every partition of n - 1 that fits inside h, each once, with the
+        # content of the one box of h it lacks
+        for n in range(2, 9):
+            for h in partitions(n):
+                removals = row_removals(h.rows)
+                inside = [
+                    g.rows for g in partitions(n - 1)
+                    if len(g.rows) <= len(h.rows) and all(a <= b for a, b in zip(g.rows, h.rows))
+                ]
+                assert sorted(rows for rows, _ in removals) == sorted(inside)
+                for rows, c in removals:
+                    assert Counter(box_contents(h)) - Counter(box_contents(YoungDiagram(rows))) == {c: 1}
 
 
 class TestPathsAndDimension:
@@ -254,7 +261,7 @@ class TestPathsAndDimension:
         # the recursion is the oracle for the hook-length formula
         for n in range(2, 13):
             for g in partitions(n):
-                assert dimension(g) == sum(dimension(h) for h in g.branch_down())
+                assert dimension(g) == sum(dimension(YoungDiagram(rows)) for rows, _ in row_removals(g.rows))
 
 
 

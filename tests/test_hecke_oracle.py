@@ -132,10 +132,10 @@ def ref_regular_trace(x):
     return Fraction(total, x._den)
 
 
-def ref_irreducible_trace(g, word, n, q0):
+def ref_irreducible_trace(g, word, q0):
     """The regular-representation route: tr_reg(e_g * word) / dim(g)."""
-    p = projector_element(hecke_projector(g, n, q0))
-    return ref_regular_trace(product(p, word_element(n, q0, word))) / dimension(g)
+    p = projector_element(hecke_projector(g, q0))
+    return ref_regular_trace(product(p, word_element(g.n, q0, word))) / dimension(g)
 
 
 def horner_projector(p, x):
@@ -144,7 +144,7 @@ def horner_projector(p, x):
     Repeated multiplication by the invariant, no powers of it stored:
     the reference for `projector_element`'s sum over cached powers.
     """
-    invariant = fundamental_invariant(p.n, p.q0)
+    invariant = fundamental_invariant(p.diagram.n, p.q0)
     result = x * p.coeffs[-1]
     for a in reversed(p.coeffs[:-1]):
         result = product(result, invariant) + x * a
@@ -277,20 +277,20 @@ class TestAgainstReference:
 
 class TestCachesAndTables:
     def test_cached_elements_cannot_be_mutated(self):
-        p = hecke_projector(Y(2, 1), 3, 2)
+        p = hecke_projector(Y(2, 1), 2)
         projector_element(p).coeffs.clear()
-        assert irreducible_trace(Y(2, 1), (1,), 3, 2) == 1
+        assert irreducible_trace(Y(2, 1), (1,), 2) == 1
 
     def test_cached_projector_cannot_be_mutated(self):
-        p = hecke_projector(Y(2, 1), 3, 2)
-        assert hecke_projector(Y(2, 1), 3, F(2)) is p
+        p = hecke_projector(Y(2, 1), 2)
+        assert hecke_projector(Y(2, 1), F(2)) is p
         coeffs = p.coeffs
         with pytest.raises(AttributeError):
             p.coeffs = ()
         with pytest.raises(TypeError):
             p.coeffs[0] = 0
         assert p.coeffs is coeffs and p.coeffs == (F(40, 49), F(11, 49), F(-2, 49))
-        assert irreducible_trace(Y(2, 1), (1,), 3, 2) == 1
+        assert irreducible_trace(Y(2, 1), (1,), 2) == 1
 
     def test_kernel_matches_value_swap_reference(self):
         for n in range(1, 8):
@@ -381,7 +381,7 @@ class TestTimesInvariant:
         for n in range(1, 7):
             invariant = fundamental_invariant(n, q0)
             central = list(_invariant_powers(n, q0)) + [_dual_basis_sum(n, q0)]
-            central += [projector_element(hecke_projector(g, n, q0)) for g in partitions(n)]
+            central += [projector_element(hecke_projector(g, q0)) for g in partitions(n)]
             for x in central:
                 assert _times_invariant(x) == product(x, invariant)
 
@@ -459,7 +459,7 @@ class TestRegularTraceThroughTau:
     def test_every_projector_matches_walk(self, q0):
         for n in range(1, 7):
             for g in partitions(n):
-                p = projector_element(hecke_projector(g, n, q0))
+                p = projector_element(hecke_projector(g, q0))
                 assert regular_trace(p) == ref_regular_trace(p) == dimension(g) ** 2
 
     @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2)])
@@ -494,7 +494,7 @@ class TestTauRouteAgainstRegularTrace:
                 words.append((1, 3))
             for g in partitions(n):
                 for word in words:
-                    assert irreducible_trace(g, word, n, q0) == ref_irreducible_trace(g, word, n, q0)
+                    assert irreducible_trace(g, word, q0) == ref_irreducible_trace(g, word, q0)
 
     def test_every_symbolic_trace_at_seven(self):
         q0 = F(2)
@@ -502,10 +502,10 @@ class TestTauRouteAgainstRegularTrace:
         for g in partitions(7):
             for k in range(2, 8):
                 word = tuple(range(1, k))
-                assert simply_connected_trace(g, k).evaluate(q0) == irreducible_trace(g, word, 7, q0)
+                assert simply_connected_trace(g, k).evaluate(q0) == irreducible_trace(g, word, q0)
             solved = doubly_connected_traces(g)
             for label, word in words.items():
-                assert solved[label].evaluate(q0) == irreducible_trace(g, word, 7, q0)
+                assert solved[label].evaluate(q0) == irreducible_trace(g, word, q0)
 
 
 class TestGenericDegreeAgainstOracle:
@@ -517,7 +517,7 @@ class TestGenericDegreeAgainstOracle:
             for k in range(2, n + 1):
                 factorial_q *= q_integer(k).evaluate(q0)
             for g in partitions(n):
-                tau = symmetrizing_trace(projector_element(hecke_projector(g, n, q0)), one)
+                tau = symmetrizing_trace(projector_element(hecke_projector(g, q0)), one)
                 hooks = 1
                 for i, length in enumerate(g.rows):
                     for j in range(length):
@@ -539,7 +539,7 @@ class TestVerifyMutations:
     def test_non_central_perturbation_fails_idempotence(self, monkeypatch):
         real = heckeq.verify.projector_element
         monkeypatch.setattr(
-            heckeq.verify, "projector_element", lambda p: real(p) + word_element(p.n, p.q0, (1,))
+            heckeq.verify, "projector_element", lambda p: real(p) + word_element(p.diagram.n, p.q0, (1,))
         )
         report = oracle_checks(4, F(2))
         assert report.checks["projector_idempotent"] is False
@@ -549,7 +549,7 @@ class TestVerifyMutations:
         )
 
     def test_zero_projector_fails_idempotence(self, monkeypatch):
-        monkeypatch.setattr(heckeq.verify, "projector_element", lambda p: HeckeElement.zero(p.n, p.q0))
+        monkeypatch.setattr(heckeq.verify, "projector_element", lambda p: HeckeElement.zero(p.diagram.n, p.q0))
         report = oracle_checks(3, F(2))
         assert report.checks["projector_idempotent"] is False
         assert report.witness == {
@@ -565,7 +565,7 @@ class TestVerifyMutations:
 
         def shifted(p):
             other = parts[(parts.index(p.diagram) + 1) % len(parts)]
-            return real(p) + real(hecke_projector(other, p.n, p.q0))
+            return real(p) + real(hecke_projector(other, p.q0))
 
         monkeypatch.setattr(heckeq.verify, "projector_element", shifted)
         report = oracle_checks(4, F(5, 3))
@@ -597,18 +597,18 @@ class TestProjectors:
         for q0 in (F(2), F(5, 3), F(-3, 2)):
             for n in (2, 3, 4, 5):
                 for g in partitions(n):
-                    p = hecke_projector(g, n, q0)
+                    p = hecke_projector(g, q0)
                     assert projector_element(p) == horner_projector(p, HeckeElement.identity(n, q0))
 
     def test_two_point_lagrange(self):
-        p = hecke_projector(Y(2), 2, 2)
+        p = hecke_projector(Y(2), 2)
         assert p.coeffs == (F(1, 3), F(1, 3))
-        p11 = hecke_projector(Y(1, 1), 2, 2)
+        p11 = hecke_projector(Y(1, 1), 2)
         assert p11.coeffs == (F(2, 3), F(-1, 3))
 
     def test_projector_algebra_small(self):
         for n in (2, 3, 4):
-            projectors = {g: projector_element(hecke_projector(g, n, 2)) for g in partitions(n)}
+            projectors = {g: projector_element(hecke_projector(g, 2)) for g in partitions(n)}
             total = HeckeElement.zero(n, 2)
             for g, p in projectors.items():
                 assert product(p, p) == p
@@ -624,17 +624,17 @@ class TestProjectors:
         for n in (2, 3, 4):
             invariant = fundamental_invariant(n, 2)
             for g in partitions(n):
-                p = projector_element(hecke_projector(g, n, 2))
+                p = projector_element(hecke_projector(g, 2))
                 lam = invariant_eigenvalue(g).evaluate(2)
                 assert product(invariant, p) == p * lam
 
     def test_degenerate_specializations_refused(self):
         for q0 in (1, -1):
             with pytest.raises(DegenerateSpecialization):
-                hecke_projector(Y(2), 2, q0)
+                hecke_projector(Y(2), q0)
 
     def test_apply_projector_via_horner(self):
-        p = hecke_projector(Y(2, 1), 3, 2)
+        p = hecke_projector(Y(2, 1), 2)
         x = word_element(3, 2, (1, 2))
         assert horner_projector(p, x) == product(projector_element(p), x)
 
@@ -652,7 +652,7 @@ class TestSpectrumCollision:
 
     def test_hecke_projector_refuses(self, one_eigenvalue):
         with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
-            hecke_projector(Y(2, 2), 4, F(7, 2))
+            hecke_projector(Y(2, 2), F(7, 2))
 
     def test_oracle_checks_refuse(self, one_eigenvalue):
         with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
@@ -684,38 +684,38 @@ class TestIrreducibleTraces:
     )
     def test_h3_published_traces(self, rows, word, expected_fn):
         for q0 in (F(2), F(3)):
-            assert irreducible_trace(Y(*rows), word, 3, q0) == expected_fn(q0)
+            assert irreducible_trace(Y(*rows), word, q0) == expected_fn(q0)
 
     def test_h4_nonconsecutive_word(self):
         for q0 in (F(2), F(3)):
-            assert irreducible_trace(Y(3, 1), (1, 3), 4, q0) == q0**2 - 2 * q0
-            assert irreducible_trace(Y(4), (1, 3), 4, q0) == q0**2
+            assert irreducible_trace(Y(3, 1), (1, 3), q0) == q0**2 - 2 * q0
+            assert irreducible_trace(Y(4), (1, 3), q0) == q0**2
 
     def test_identity_word_gives_dimension(self):
         for g in partitions(4):
-            assert irreducible_trace(g, (), 4, 2) == dimension(g)
+            assert irreducible_trace(g, (), 2) == dimension(g)
 
 
 @pytest.mark.slow
 class TestDegeneratePairAtSix:
     def test_hook_projector_annihilates_two_row_image(self):
         q0 = F(2)
-        p_hook = hecke_projector(Y(4, 1, 1), 6, q0)
-        p_rows = hecke_projector(Y(3, 3), 6, q0)
+        p_hook = hecke_projector(Y(4, 1, 1), q0)
+        p_rows = hecke_projector(Y(3, 3), q0)
         image = horner_projector(p_rows, word_element(6, q0, (1, 2, 3)))
         assert image.coeffs  # a nonzero vector in the [3,3] component
         assert horner_projector(p_hook, image) == HeckeElement.zero(6, q0)
 
     def test_projector_algebra_at_six(self):
         q0 = F(2)
-        projectors = {g: projector_element(hecke_projector(g, 6, q0)) for g in partitions(6)}
+        projectors = {g: projector_element(hecke_projector(g, q0)) for g in partitions(6)}
         total = HeckeElement.zero(6, q0)
         for g, p in projectors.items():
-            assert horner_projector(hecke_projector(g, 6, q0), p) == p
+            assert horner_projector(hecke_projector(g, q0), p) == p
             assert regular_trace(p) == dimension(g) ** 2
             total = total + p
         assert total == HeckeElement.identity(6, q0)
         items = list(projectors.items())
         for i, (g, p) in enumerate(items):
             for h, _ in items[i + 1 :]:
-                assert horner_projector(hecke_projector(h, 6, q0), p) == HeckeElement.zero(6, q0)
+                assert horner_projector(hecke_projector(h, q0), p) == HeckeElement.zero(6, q0)

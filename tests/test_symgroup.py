@@ -225,7 +225,7 @@ class TestClassProduct:
 
 class TestProjectors:
     def test_s3_standard_projector(self):
-        p = build_projector(Y(2, 1), 3)
+        p = build_projector(Y(2, 1))
         expected = (ClassVector.identity(3) * 2 - single_cycle_class_sum(3, 3)) * Fraction(1, 3)
         assert p == expected
 
@@ -235,15 +235,15 @@ class TestProjectors:
         # 3-cycle factor ([3-cycles] + 8)/12 picks out the hook diagram
         n = 6
         target = Y(4, 1, 1)
-        lam2 = {g: central_character(2, n, g) for g in partitions(n)}
+        lam2 = {g: central_character(2, g) for g in partitions(n)}
         prefilter = ClassVector.identity(n)
         transposition = single_cycle_class_sum(n, 2)
         for value in sorted({v for g, v in lam2.items() if v != 3}):
             prefilter = class_product(prefilter, transposition - value) / (3 - value)
         stage_two = (single_cycle_class_sum(n, 3) + 8) / 12
-        assert build_projector(target, n) == class_product(stage_two, prefilter)
+        assert build_projector(target) == class_product(stage_two, prefilter)
         companion = (single_cycle_class_sum(n, 3) - 4) / -12
-        assert build_projector(Y(3, 3), n) == class_product(companion, prefilter)
+        assert build_projector(Y(3, 3)) == class_product(companion, prefilter)
 
     def test_partners_left_after_five_cycles_are_refused(self, monkeypatch):
         # pretend the 3-, 4- and 5-cycle class-sums cannot tell the S_6 pair
@@ -255,20 +255,20 @@ class TestProjectors:
 
         monkeypatch.setattr(symgroup, "central_character_table", blind)
         with pytest.raises(NotSeparated):
-            build_projector(Y(4, 1, 1), 6)
+            build_projector(Y(4, 1, 1))
         # a diagram without partners needs no p-cycle eigenvalue
-        assert build_projector(Y(6), 6) == ClassVector(6, dict.fromkeys(ref_class_elements(6), Fraction(1, 720)))
+        assert build_projector(Y(6)) == ClassVector(6, dict.fromkeys(ref_class_elements(6), Fraction(1, 720)))
 
     def test_resolution_of_identity(self):
         for n in (3, 4, 5):
             total = ClassVector.zero(n)
             for g in partitions(n):
-                total = total + build_projector(g, n)
+                total = total + build_projector(g)
             assert total == ClassVector.identity(n)
 
     def test_idempotent_and_orthogonal(self):
         for n in (3, 4, 6):
-            projectors = {g: build_projector(g, n) for g in partitions(n)}
+            projectors = {g: build_projector(g) for g in partitions(n)}
             for g, p in projectors.items():
                 assert class_product(p, p) == p
             items = list(projectors.items())
@@ -279,19 +279,19 @@ class TestProjectors:
     def test_class_sums_act_by_central_characters(self):
         for n in range(2, 7):
             for g in partitions(n):
-                p = build_projector(g, n)
+                p = build_projector(g)
                 for cycle in range(2, min(5, n) + 1):
                     cs = single_cycle_class_sum(n, cycle)
-                    assert class_product(cs, p) == p * central_character(cycle, n, g)
+                    assert class_product(cs, p) == p * central_character(cycle, g)
 
     def test_identity_coefficient_is_dim_squared_over_factorial(self):
         for n in range(2, 7):
             for g in partitions(n):
-                p = build_projector(g, n)
+                p = build_projector(g)
                 assert p.coefficient((1,) * n) == Fraction(dimension(g) ** 2, factorial(n))
 
     def test_projector_past_the_old_enumeration_cap(self):
-        p = build_projector(Y(10), 10)
+        p = build_projector(Y(10))
         assert p.coefficient((1,) * 10) == Fraction(1, factorial(10))
         row = characters_from_projector(p, Y(10))
         assert row == {h.rows: murnaghan_nakayama_character(Y(10), h.rows) for h in partitions(10)}
@@ -299,12 +299,12 @@ class TestProjectors:
 
 class TestCharacters:
     def test_s3_row(self):
-        row = characters_from_projector(build_projector(Y(2, 1), 3), Y(2, 1))
+        row = characters_from_projector(build_projector(Y(2, 1)), Y(2, 1))
         assert row == {(1, 1, 1): 2, (2, 1): 0, (3,): -1}
 
     def test_trivial_irrep_is_all_ones(self):
         for n in (3, 4, 5):
-            row = characters_from_projector(build_projector(Y(n), n), Y(n))
+            row = characters_from_projector(build_projector(Y(n)), Y(n))
             assert set(row.values()) == {1}
 
     def test_projector_route_matches_mn(self):
@@ -319,7 +319,7 @@ class TestCharacters:
     @pytest.mark.slow
     def test_projector_route_needs_four_cycles_at_fifteen(self):
         # n = 15 is the first size where s_1, s_2 fail to separate: [(4)] enters
-        lam = {p: {g: central_character(p, 15, g) for g in partitions(15)} for p in (2, 3)}
+        lam = {p: {g: central_character(p, g) for g in partitions(15)} for p in (2, 3)}
         assert len({(lam[2][g], lam[3][g]) for g in partitions(15)}) < len(partitions(15))
         assert character_table(15, "projector") == character_table(15, "mn")
 

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from heckeq.diagrams import YoungDiagram, dimension, partitions
+from heckeq.diagrams import YoungDiagram, dimension, partitions, row_removals
 from heckeq.hecke_oracle import irreducible_trace
 from heckeq.invariant import invariant_eigenvalue
 from heckeq.laurent import LaurentPoly, q_content
@@ -35,7 +35,7 @@ class TestMurphyTraces:
         for n in range(3, 8):
             for g in partitions(n):
                 table = murphy_traces(g).entries
-                parents = [murphy_traces(h).entries for h in g.branch_down()]
+                parents = [murphy_traces(YoungDiagram(rows)).entries for rows, _ in row_removals(g.rows)]
                 for i in range(2, n):
                     total = LaurentPoly.zero()
                     for parent in parents:
@@ -207,7 +207,7 @@ class TestMurphyProducts:
         q0 = Fraction(2)
         for g in partitions(4):
             murphy = product(murphy_element(4, q0, 2), murphy_element(4, q0, 4))
-            pe = projector_element(hecke_projector(g, 4, q0))
+            pe = projector_element(hecke_projector(g, q0))
             oracle = regular_trace(product(pe, murphy)) / dimension(g)
             assert murphy_product_trace(g, (2, 4)).evaluate(q0) == oracle
 
@@ -229,17 +229,17 @@ class TestDoublyConnected:
         q0 = Fraction(2)
         for g in partitions(5):
             solved = doubly_connected_traces(g)
-            assert solved["g1*g3"].evaluate(q0) == irreducible_trace(g, (1, 3), 5, q0)
-            assert solved["g1*g3*g4"].evaluate(q0) == irreducible_trace(g, (1, 3, 4), 5, q0)
+            assert solved["g1*g3"].evaluate(q0) == irreducible_trace(g, (1, 3), q0)
+            assert solved["g1*g3*g4"].evaluate(q0) == irreducible_trace(g, (1, 3, 4), q0)
 
 
 class TestConnectivityClasses:
     def test_trace_depends_only_on_connectivity_at_four(self):
         q0 = Fraction(2)
         for g in partitions(4):
-            singles = {irreducible_trace(g, (i,), 4, q0) for i in range(1, 4)}
+            singles = {irreducible_trace(g, (i,), q0) for i in range(1, 4)}
             assert len(singles) == 1
-            adjacent = {irreducible_trace(g, (i, i + 1), 4, q0) for i in range(1, 3)}
+            adjacent = {irreducible_trace(g, (i, i + 1), q0) for i in range(1, 3)}
             assert len(adjacent) == 1
 
     def test_trace_depends_only_on_connectivity_at_five(self):
@@ -247,11 +247,11 @@ class TestConnectivityClasses:
         # pair of adjacent generators, and any pair of separated generators
         q0 = Fraction(2)
         for g in partitions(5):
-            singles = {irreducible_trace(g, (i,), 5, q0) for i in range(1, 5)}
+            singles = {irreducible_trace(g, (i,), q0) for i in range(1, 5)}
             assert len(singles) == 1
-            adjacent = {irreducible_trace(g, (i, i + 1), 5, q0) for i in range(1, 4)}
+            adjacent = {irreducible_trace(g, (i, i + 1), q0) for i in range(1, 4)}
             assert len(adjacent) == 1
-            separated = {irreducible_trace(g, (1, 3), 5, q0), irreducible_trace(g, (1, 4), 5, q0)}
+            separated = {irreducible_trace(g, (1, 3), q0), irreducible_trace(g, (1, 4), q0)}
             assert len(separated) == 1
 
 
