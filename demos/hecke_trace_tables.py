@@ -25,7 +25,7 @@ from heckeq import (
 print("Murphy trace tables for H_4")
 print("-" * 60)
 for g in partitions(4):
-    entries = murphy_traces(g).entries
+    entries = murphy_traces(g)
     cells = ", ".join(f"tr(L_{i}) = {entries[i]}" for i in sorted(entries))
     print(f"  [{g}]: {cells}")
 

@@ -143,7 +143,7 @@ def _cmd_traces(args) -> tuple[dict, int]:
     g = _parse_diagram(args.diagram, n)
     doc: dict = {"n": n, "kind": kind, "diagram": str(g)}
     if kind == "murphy":
-        entries = murphy_traces(g).entries
+        entries = murphy_traces(g)
         doc["murphy_traces"] = {str(i): str(entries[i]) for i in sorted(entries)}
     elif kind == "simply":
         doc["connected_traces"] = {str(k): str(simply_connected_trace(g, k)) for k in range(2, n + 1)}

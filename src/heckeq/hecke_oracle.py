@@ -71,9 +71,10 @@ of unity, which is all the genericity the spectrum needs.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import gcd, lcm
 from types import MappingProxyType
 
@@ -83,6 +84,7 @@ from .laurent import is_scalar
 
 __all__ = [
     "MAX_ORACLE_N",
+    "MAX_Q0_BITS",
     "DegenerateSpecialization",
     "HeckeElement",
     "ProjectorPoly",
@@ -96,8 +98,10 @@ __all__ = [
     "irreducible_trace",
 ]
 
-# Word-basis arithmetic scales with n!; S_7 is the intended ceiling.
+# Word-basis arithmetic scales with n!; S_7 is the intended ceiling.  The
+# coefficients grow with the bits of q0 = a/b, so |a| and b are capped too.
 MAX_ORACLE_N = 7
+MAX_Q0_BITS = 64
 
 
 class DegenerateSpecialization(ValueError):
@@ -115,6 +119,8 @@ def _check_q0(q0) -> Fraction:
     value = Fraction(q0)
     if value == 0:
         raise ValueError("q0 = 0 is outside the algebra's parameter range")
+    if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_Q0_BITS:
+        raise ValueError(f"q0's numerator and denominator are capped at {MAX_Q0_BITS} bits")
     return value
 
 
@@ -163,9 +169,8 @@ class HeckeElement:
 
     All arithmetic returns new objects, the integer vector is a tuple,
     and `coeffs` builds a fresh dict on every read, so the cached
-    instances handed out by the constructors below (invariant, Murphy
-    elements, projector elements) cannot be altered through their
-    coefficients.
+    instances handed out by the constructors below (invariant, projector
+    elements) cannot be altered through their coefficients.
     """
 
     __slots__ = ("n", "q0", "_vec", "_den")
@@ -185,7 +190,7 @@ class HeckeElement:
         self._set(n, q0, vec, den)
 
     def _set(self, n: int, q0: Fraction, vec, den: int) -> None:
-        g = gcd(den, *vec)
+        g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)  # the sign goes into the vector
         self.n = n
         self.q0 = q0
         self._vec = tuple(vec) if g == 1 else tuple(c // g for c in vec)
@@ -193,7 +198,7 @@ class HeckeElement:
 
     @classmethod
     def _make(cls, n: int, q0: Fraction, vec, den: int) -> "HeckeElement":
-        """The element vec/den in the T' basis, reduced to lowest terms."""
+        """The element vec/den (den != 0) in the T' basis, reduced to lowest terms."""
         obj = cls.__new__(cls)
         obj._set(n, q0, vec, den)
         return obj
@@ -270,9 +275,9 @@ class HeckeElement:
     def __mul__(self, other):
         """A scalar multiple; the product of two elements is not offered (see `_times_invariant`)."""
         if is_scalar(other):
-            f = Fraction(other)
-            scaled = [f.numerator * x for x in self._vec]
-            return HeckeElement._make(self.n, self.q0, scaled, self._den * f.denominator)
+            numerator, denominator = Fraction(other).as_integer_ratio()
+            scaled = [numerator * x for x in self._vec]
+            return HeckeElement._make(self.n, self.q0, scaled, self._den * denominator)
         return NotImplemented
 
     def __rmul__(self, other):
@@ -325,45 +330,45 @@ def _word_product(n: int, q0: Fraction, word: tuple[int, ...]) -> HeckeElement:
 
 
 def _conjugate(x: HeckeElement, j: int) -> HeckeElement:
-    """q0^-1 g_j x g_j, two generator actions and one scalar multiple."""
-    return x.times_generator(j, "left").times_generator(j) * (1 / x.q0)
+    """q0^-1 g_j x g_j = T'_j (vec/den) T'_j / (ab), both actions reduced at once."""
+    kernel = _kernel(x.n)
+    a, b = x.q0.numerator, x.q0.denominator
+    vec = _act(_act(x._vec, kernel.left[j - 1], a * b, a - b), kernel.right[j - 1], a * b, a - b)
+    return HeckeElement._make(x.n, x.q0, vec, x._den * a * b)
 
 
-@lru_cache(maxsize=128)
-def murphy_element(n: int, q0: Fraction, i: int) -> HeckeElement:
-    """The i-th Murphy operator inside the n-strand algebra.
+def _murphy_terms(x: HeckeElement) -> Iterator[HeckeElement]:
+    """x L_2, ..., x L_n by the module docstring's recursion, for x central (or 1) only."""
+    for j in range(1, x.n):
+        term = x.times_generator(j) if j == 1 else x.times_generator(j) + _conjugate(term, j)
+        yield term
 
-    Built by the Jucys-Murphy recursion L_2 = g_1 and
-    L_i = g_{i-1} + q0^-1 g_{i-1} L_{i-1} g_{i-1}, three generator
-    actions a step.  Each conjugation lengthens every word on both
-    sides, so the recursion expands into the sandwich words ending at
-    generator i-1:
+
+def murphy_element(n: int, q0, i: int) -> HeckeElement:
+    """The i-th Murphy operator inside the n-strand algebra, built anew on each call.
+
+    The Jucys-Murphy recursion L_2 = g_1 and
+    L_i = g_{i-1} + q0^-1 g_{i-1} L_{i-1} g_{i-1} expands into the
+    sandwich words ending at generator i-1:
 
         L_i = sum_{j=1}^{i-1} q0^(j-i+1) g_j g_{j+1} ... g_{i-1} ... g_{j+1} g_j
 
     each summand a single basis word (a transposition).
     """
     _check_n(n)
-    q0 = _check_q0(q0)
     if not 2 <= i <= n:
         raise ValueError(f"Murphy index {i} must lie in 2..{n}")
-    g = word_element(n, q0, (i - 1,))
-    return g if i == 2 else g + _conjugate(murphy_element(n, q0, i - 1), i - 1)
+    return next(islice(_murphy_terms(HeckeElement.identity(n, q0)), i - 2, None))
 
 
 def _times_invariant(x: HeckeElement) -> HeckeElement:
     """x C for a central x, C the fundamental invariant; for any other x it is not x C.
 
-    The sum of the x L_j by the recursion in the module docstring, 3n - 5
-    generator actions; zero at n = 1, where the sum is empty.
+    The sum of the x L_j, 3n - 5 generator actions; zero at n = 1, where
+    the sum is empty.
     """
-    if x.n == 1:
-        return HeckeElement.zero(1, x.q0)
-    total = term = x.times_generator(1)
-    for j in range(2, x.n):
-        term = x.times_generator(j) + _conjugate(term, j)
-        total = total + term
-    return total
+    terms = _murphy_terms(x)
+    return sum(terms, next(terms, HeckeElement.zero(x.n, x.q0)))
 
 
 @lru_cache(maxsize=64)
@@ -474,15 +479,16 @@ def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
 
 @lru_cache(maxsize=8)
 def _invariant_powers(n: int, q0: Fraction) -> tuple[HeckeElement, ...]:
-    """1, C, C^2, ... up to the projector degree, C the fundamental invariant.
+    """1, C, C^2, ... up to the projector degree, C the cached `fundamental_invariant`.
 
-    Every power of C is central, so each is the previous one through
-    `_times_invariant`.
+    Every power of C is central, so each further one is the previous one
+    through `_times_invariant`.
     """
-    powers = [HeckeElement.identity(n, q0)]
-    for _ in range(len(partitions(n)) - 1):
+    count = len(partitions(n))
+    powers = [HeckeElement.identity(n, q0), fundamental_invariant(n, q0)]
+    for _ in range(count - 2):
         powers.append(_times_invariant(powers[-1]))
-    return tuple(powers)
+    return tuple(powers[:count])
 
 
 @lru_cache(maxsize=64)

@@ -42,6 +42,9 @@ __all__ = [
     "check_ef_commutator",
 ]
 
+_RATIO = LaurentPoly({0: 1, -2: -1})  # (q^2 - 1)/q^2
+_RATIO_SQUARED = _RATIO * _RATIO
+
 
 class PatternViolation(ValueError):
     """A pattern shift left the Gelfand-Tsetlin cone."""
@@ -193,8 +196,7 @@ def hecke_casimir_correspondence(g: YoungDiagram, N: int) -> bool:
     """
     if len(g.rows) > N - 1:
         raise ValueError(f"diagram {g} needs more than {N - 1} rows")
-    ratio = LaurentPoly({0: 1, -2: -1})  # (q^2 - 1)/q^2
-    lhs = ratio * ratio * invariant_eigenvalue(g).substitute_power(2) + ratio * g.n
+    lhs = _RATIO_SQUARED * invariant_eigenvalue(g).substitute_power(2) + _RATIO * g.n
     rhs = casimir_eigenvalue(SuqIrrep.from_diagram(g, N)) + q_integer(-(N - 1)).substitute_power(2)
     return lhs == rhs
 

@@ -29,12 +29,11 @@ from functools import cache
 from math import comb
 from types import MappingProxyType
 
-from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions, row_removals
+from .diagrams import YoungDiagram, dimension, partitions, row_removals
 from .invariant import invariant_eigenvalue
 from .laurent import LaurentPoly, q_content, q_content_sum
 
 __all__ = [
-    "MurphyTraceTable",
     "murphy_traces",
     "simply_connected_trace",
     "invariant_trace_consistency",
@@ -46,20 +45,6 @@ __all__ = [
 _Q = LaurentPoly.q()
 _ZERO = LaurentPoly.zero()
 _QM1 = _Q - 1
-
-
-class MurphyTraceTable(FrozenRecord):
-    """Traces of the Murphy operators L_2..L_n in one irrep.
-
-    The entries sum to dim(diagram) times the invariant eigenvalue,
-    because the invariant is the sum of the Murphy operators.  They are
-    a read-only view, because `murphy_traces` hands the same cached
-    table to every caller.
-    """
-
-    __slots__ = __match_args__ = ("diagram", "entries")
-    diagram: YoungDiagram
-    entries: Mapping[int, LaurentPoly]
 
 
 _Level = list[tuple[tuple[int, ...], list[tuple[int, int]]]]
@@ -148,15 +133,18 @@ def _murphy_columns(tops: list[YoungDiagram]) -> Iterator[tuple[YoungDiagram, di
 
 
 @cache
-def murphy_traces(g: YoungDiagram) -> MurphyTraceTable:
-    """All Murphy traces of the irrep labeled by g.
+def murphy_traces(g: YoungDiagram) -> Mapping[int, LaurentPoly]:
+    """All Murphy traces {i: tr(L_i)} of the irrep labeled by g.
 
     tr(L_i) is the sum over standard tableaux of the q-content of box i,
     so it is read off the integer counts of tableaux by the content of
     box i, for every i at once, from one climb of the lattice below g.
+    The traces sum to dim(g) times the invariant eigenvalue, because the
+    invariant is the sum of the Murphy operators.  The mapping is
+    read-only, because every caller shares the cached one.
     """
     ((_, entries),) = _murphy_columns([g])
-    return MurphyTraceTable(g, MappingProxyType(entries))
+    return MappingProxyType(entries)
 
 
 def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:
@@ -172,7 +160,7 @@ def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:
     n = g.n
     if not 2 <= k <= n:
         raise ValueError(f"word length index {k} must lie in 2..{n}")
-    table = murphy_traces(g).entries
+    table = murphy_traces(g)
     acc = LaurentPoly.zero()
     for i in range(k - 1):
         term = table[k - i] * comb(k - 1, i)
@@ -247,7 +235,8 @@ def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
     q_plus_inv = _Q + LaurentPoly.monomial(-1)
     ratio = _QM1 * LaurentPoly.monomial(-1)  # (q-1)/q, a Laurent polynomial
 
-    t24 = murphy_product_trace(g, (2, 4))
+    levels = _lattice([g], 1)  # both path sums start at level 1
+    t24 = _path_sums(levels, (2, 4))[0]
     g13 = (
         t24
         - ratio * q_plus_inv * tau[4]
@@ -256,7 +245,7 @@ def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
     )
     out = {"g1*g3": g13}
     if n >= 5:
-        t25 = murphy_product_trace(g, (2, 5))
+        t25 = _path_sums(levels, (2, 5))[0]
         three_q = _Q * 3 - 2 + LaurentPoly.monomial(-1, 3)
         remainder = (
             t25

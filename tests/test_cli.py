@@ -12,6 +12,7 @@ import heckeq
 import heckeq.verify
 from heckeq.cli import main
 from heckeq.diagrams import partitions
+from heckeq.hecke_oracle import MAX_Q0_BITS
 from heckeq.laurent import LaurentPoly
 
 
@@ -253,6 +254,20 @@ class TestVerify:
             "type": "CommandError", "message": f"cannot parse q0 {q0!r} (expected an integer or p/q)"
         }
 
+    def test_q0_past_the_bit_cap_refused_promptly(self):
+        # the library's size guard answers before any element is built
+        code, doc = run_cold("verify", "--n", "5", "--q0", "9" * 4000, timeout=10)
+        assert code == 1
+        assert doc["error"] == {
+            "type": "ValueError", "message": f"q0's numerator and denominator are capped at {MAX_Q0_BITS} bits"
+        }
+
+    def test_q0_just_inside_the_bit_cap(self, capsys):
+        largest = 2**MAX_Q0_BITS - 1
+        code, doc, _ = run_json(capsys, "verify", "--n", "3", "--q0", f"-{largest}/{largest - 2}")
+        assert code == 0
+        assert doc["result"]["all_pass"] is True
+
     def test_scale_guard(self, capsys):
         # no CLI default: the library's ceiling answers, and no flag lifts it
         code, doc, _ = run_json(capsys, "verify", "--n", "8")
@@ -468,7 +483,7 @@ def test_import_set():
 
 
 # every name the package exported while it kept a hand-written list, less
-# `paths` and `TableauPath`, which left the API
+# `paths`, `TableauPath` and `MurphyTraceTable`, which left the API
 EARLIER_EXPORTS = {
     "LaurentPoly", "NotDivisible", "PolynomialParseError", "ZeroSpecialization", "exp_series",
     "q_content", "q_integer", "symmetric_bracket", "YoungDiagram", "dimension", "generic_degree",
@@ -481,7 +496,7 @@ EARLIER_EXPORTS = {
     "murnaghan_nakayama_character", "single_cycle_class_sum", "DegenerateSpecialization",
     "HeckeElement", "ProjectorPoly", "fundamental_invariant", "hecke_projector",
     "irreducible_trace", "murphy_element", "projector_element", "regular_trace",
-    "symmetrizing_trace", "word_element", "MurphyTraceTable", "doubly_connected_traces",
+    "symmetrizing_trace", "word_element", "doubly_connected_traces",
     "invariant_trace_consistency", "murphy_product_trace", "murphy_trace_table_json",
     "murphy_traces", "simply_connected_trace", "GZPattern", "PatternViolation", "SuqIrrep",
     "casimir_eigenvalue", "check_ef_commutator", "chevalley_weight", "gz_patterns",
@@ -495,7 +510,7 @@ def test_package_exports_are_the_module_alls():
     names = [name for module in modules for name in module.__all__]
     assert heckeq.__all__ == names
     assert len(set(names)) == len(names)
-    assert len(EARLIER_EXPORTS) == 64 and EARLIER_EXPORTS <= set(names)
+    assert len(EARLIER_EXPORTS) == 63 and EARLIER_EXPORTS <= set(names)
     for module in modules:
         for name in module.__all__:
             assert getattr(heckeq, name) is getattr(module, name)

@@ -16,7 +16,6 @@ from heckeq.diagrams import (
 from heckeq.hecke_oracle import hecke_projector
 from heckeq.laurent import LaurentPoly
 from heckeq.suq import GZPattern, SuqIrrep
-from heckeq.traces import MurphyTraceTable, murphy_traces
 
 from conftest import P, Y, box_contents, tableau_chains
 
@@ -71,11 +70,6 @@ RECORDS = {
         "ProjectorPoly(diagram=YoungDiagram((2, 1)), q0=Fraction(2, 1), "
         "coeffs=(Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49)))",
     ),
-    "MurphyTraceTable": (
-        lambda: murphy_traces(Y(2, 1)),
-        (Y(2, 1), murphy_traces(Y(2, 1)).entries),
-        "MurphyTraceTable(diagram=YoungDiagram((2, 1)), entries=mappingproxy({2: LaurentPoly('q-1'), 3: LaurentPoly('q-1')}))",
-    ),
 }
 
 
@@ -111,12 +105,8 @@ class TestRecords:
 
     def test_hash_is_the_hash_of_the_fields(self, make, fields, text):
         record = make()
-        if isinstance(record, MurphyTraceTable):  # its entries are a mappingproxy
-            with pytest.raises(TypeError):
-                hash(record)
-        else:
-            assert hash(record) == hash(fields)
-            assert pickle.loads(pickle.dumps(record)) == record
+        assert hash(record) == hash(fields)
+        assert pickle.loads(pickle.dumps(record)) == record
 
 
 @pytest.mark.parametrize("key", ["YoungDiagram", "YoungDiagram one row"])

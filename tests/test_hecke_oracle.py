@@ -15,7 +15,9 @@ from heckeq.diagrams import dimension, generic_degree, partitions
 from heckeq.hecke_oracle import (
     DegenerateSpecialization,
     HeckeElement,
+    MAX_Q0_BITS,
     _act,
+    _conjugate,
     _dual_basis_sum,
     _invariant_powers,
     _kernel,
@@ -219,6 +221,16 @@ class TestGeneratorRelations:
         with pytest.raises(ValueError):
             HeckeElement.identity(3, 0)
 
+    def test_q0_size_is_capped(self):
+        largest = 2**MAX_Q0_BITS - 1
+        for q0 in (F(largest), F(-largest, largest - 2), F(1, largest)):
+            assert HeckeElement.identity(3, q0).q0 == q0
+        for q0 in (F(largest + 1), F(-1, largest + 1), F(largest + 2, largest)):
+            with pytest.raises(ValueError, match=f"capped at {MAX_Q0_BITS} bits"):
+                HeckeElement.identity(3, q0)
+            with pytest.raises(ValueError, match=f"capped at {MAX_Q0_BITS} bits"):
+                hecke_projector(Y(2, 1), q0)
+
     def test_constructor_validates_permutations(self):
         assert HeckeElement(3, 2, {(2, 1, 3): Fraction(1)}).support_size == 1
         assert HeckeElement(3, 2, {(2, 1, 3): Fraction(0)}).support_size == 0
@@ -384,6 +396,20 @@ class TestTimesInvariant:
             central += [projector_element(hecke_projector(g, q0)) for g in partitions(n)]
             for x in central:
                 assert _times_invariant(x) == product(x, invariant)
+
+    def test_powers_start_from_the_cached_invariant(self):
+        q0 = F(11, 7)  # a q0 no other test caches
+        for n in range(2, 6):
+            assert _invariant_powers(n, q0)[1] is fundamental_invariant(n, q0)
+
+    @pytest.mark.parametrize("q0", [F(5, 3), F(-3, 2)])
+    def test_conjugation_of_a_non_central_element(self, q0):
+        # one reduction, the sign of q0 in the vector: the same pair as the three-pass route
+        x = word_element(4, q0, (1, 2)) + word_element(4, q0, (3,)) * F(2, 7)
+        for j in range(1, 4):
+            conjugate = _conjugate(x, j)
+            assert conjugate == x.times_generator(j, "left").times_generator(j) * (1 / q0)
+            assert conjugate._den > 0
 
 
 class TestMurphyElements:
