@@ -262,27 +262,48 @@ def _print_json(document: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _emit(command: str, payload: dict, fmt: str) -> None:
-    document = {"command": command, "format": fmt, "result": payload}
+def _emit(command: str, fmt: str, payload: dict | None, exc: Exception | None = None) -> None:
+    """Print a command's result, or the error it raised, as JSON or as a table (errors to stderr)."""
     if fmt == "json":
-        _print_json(document)
+        key, value = ("result", payload) if exc is None else ("error", {"type": type(exc).__name__, "message": str(exc)})
+        _print_json({"command": command, "format": fmt, key: value})
+    elif exc is not None:
+        print(f"error: {exc}", file=sys.stderr)
     else:
         print(_render_table(payload))
 
 
-def _emit_error(command: str, exc: Exception, fmt: str) -> None:
-    if fmt == "json":
-        document = {
-            "command": command,
-            "format": fmt,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        _print_json(document)
-    else:
-        print(f"error: {exc}", file=sys.stderr)
-
-
 # -- argument parsing -----------------------------------------------------
+
+
+_N = ("--n", dict(type=int, required=True))
+
+# One row per command: its help, its handler, whether it takes
+# --unsafe-large-n (only the commands with a default in SCALE_DEFAULTS do),
+# and its own options as (flag, add_argument keywords) pairs.
+COMMANDS = {
+    "eigenvalue": ("invariant eigenvalue of a diagram", _cmd_eigenvalue, False,
+                   [_N, ("--diagram", dict(required=True, help="comma-separated rows, e.g. 3,3"))]),
+    "reconstruct": ("diagram from an eigenvalue polynomial", _cmd_reconstruct, False,
+                    [_N, ("--poly", dict(required=True, help="e.g. 'q^2+3*q-1'"))]),
+    "characters": ("S_n character table", _cmd_characters, True,
+                   [_N, ("--method", dict(choices=("projector", "mn", "both"), default="both"))]),
+    "traces": ("symbolic Hecke trace tables", _cmd_traces, True, [
+        _N,
+        ("--diagram", {}),
+        ("--kind", dict(choices=("murphy", "simply", "products", "doubly"), required=True)),
+        ("--alphas", dict(help="Murphy indices for kind=products, e.g. 2,4")),
+    ]),
+    "verify": ("run the oracle suite", _cmd_verify, False,
+               [_N, ("--q0", dict(default="2", help="rational specialization point (default 2)"))]),
+    "suq": ("quantum-group Casimir machinery", _cmd_suq, True, [
+        ("--N", dict(type=int, required=True)),
+        ("--action", dict(choices=("casimir", "reconstruct", "check", "dimension"), required=True)),
+        ("--diagram", dict(help="Young-diagram rows, trailing zeros optional")),
+        ("--poly", dict(help="Casimir spectrum polynomial for action=reconstruct")),
+        ("--sweep-n", dict(type=int, help="for action=check: verify all diagrams up to this size")),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,51 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heckeq",
         description="Exact Hecke-algebra invariants, characters, traces, and Casimir spectra.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("table", "json"), default="table")
-    # only the commands with a default in SCALE_DEFAULTS take the flag that lifts it
-    guarded = argparse.ArgumentParser(add_help=False, parents=[common])
-    guarded.add_argument(
-        "--unsafe-large-n",
-        action="store_true",
-        help="lift this command's default scale guards",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eigenvalue", parents=[common], help="invariant eigenvalue of a diagram")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--diagram", required=True, help="comma-separated rows, e.g. 3,3")
-    p.set_defaults(handler=_cmd_eigenvalue)
-
-    p = sub.add_parser("reconstruct", parents=[common], help="diagram from an eigenvalue polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--poly", required=True, help="e.g. 'q^2+3*q-1'")
-    p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser("characters", parents=[guarded], help="S_n character table")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=("projector", "mn", "both"), default="both")
-    p.set_defaults(handler=_cmd_characters)
-
-    p = sub.add_parser("traces", parents=[guarded], help="symbolic Hecke trace tables")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--diagram")
-    p.add_argument("--kind", choices=("murphy", "simply", "products", "doubly"), required=True)
-    p.add_argument("--alphas", help="Murphy indices for kind=products, e.g. 2,4")
-    p.set_defaults(handler=_cmd_traces)
-
-    p = sub.add_parser("verify", parents=[common], help="run the oracle suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q0", default="2", help="rational specialization point (default 2)")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("suq", parents=[guarded], help="quantum-group Casimir machinery")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--action", choices=("casimir", "reconstruct", "check", "dimension"), required=True)
-    p.add_argument("--diagram", help="Young-diagram rows, trailing zeros optional")
-    p.add_argument("--poly", help="Casimir spectrum polynomial for action=reconstruct")
-    p.add_argument("--sweep-n", type=int, help="for action=check: verify all diagrams up to this size")
-    p.set_defaults(handler=_cmd_suq)
+    for name, (help_text, handler, guarded, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("table", "json"), default="table")
+        if guarded:
+            p.add_argument("--unsafe-large-n", action="store_true", help="lift this command's default scale guards")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -344,9 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload, code = args.handler(args)
     except (ValueError, ArithmeticError, RecursionError) as exc:
-        _emit_error(args.command, exc, args.format)
+        _emit(args.command, args.format, None, exc)
         return 1
-    _emit(args.command, payload, args.format)
+    _emit(args.command, args.format, payload)
     return code
 
 

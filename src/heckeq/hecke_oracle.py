@@ -63,6 +63,10 @@ eigenvalues collide is refused.  Together with the two traces these
 produce exact irreducible traces, the oracle every symbolic result in
 the package is checked against.
 
+The facts of an (n, q0) pair are kept for the last 8 pairs, per-diagram
+and per-word ones for the last 64.  Only the per-n tables and reduced
+words, whose keys `MAX_ORACLE_N` bounds, are kept for good.
+
 The representation is specialized at a rational q0 rather than kept
 symbolic because any rational with |q0| not in {0, 1} is never a root
 of unity, which is all the genericity the spectrum needs.
@@ -371,7 +375,7 @@ def _times_invariant(x: HeckeElement) -> HeckeElement:
     return sum(terms, next(terms, HeckeElement.zero(x.n, x.q0)))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=8)
 def fundamental_invariant(n: int, q0: Fraction) -> HeckeElement:
     """The fundamental invariant: the sum of all Murphy operators.
 
@@ -439,6 +443,7 @@ class ProjectorPoly(FrozenRecord):
     coeffs: tuple[Fraction, ...]
 
 
+@lru_cache(maxsize=64)
 def hecke_projector(g: YoungDiagram, q0) -> ProjectorPoly:
     """Lagrange interpolation onto g's eigenvalue of the invariant.
 
@@ -447,16 +452,19 @@ def hecke_projector(g: YoungDiagram, q0) -> ProjectorPoly:
     eigenvalues to be distinct at q0, which is asserted rather than
     assumed.  q0 = 1 and q0 = -1 are refused outright: they are roots of
     unity, where the word basis stops being semisimple-generic.  Cached
-    per (g, q0); the result is read-only, so every caller can share it.
+    for the last 64 (g, q0), and nothing is stored for a refused
+    argument; the result is read-only, so every caller can share it.
     """
     _check_n(g.n)
     q0 = _check_q0(q0)
     if q0 == 1 or q0 == -1:
         raise DegenerateSpecialization(f"q0 = {q0} is a root of unity")
-    return _projector(g, q0)
+    values = _spectrum(g.n, q0)
+    weights, denominator = lagrange_numerator(values.values(), values[g])
+    return ProjectorPoly(g, q0, tuple(Fraction(c) / denominator for c in weights))
 
 
-@cache
+@lru_cache(maxsize=8)
 def _spectrum(n: int, q0: Fraction) -> MappingProxyType[YoungDiagram, Fraction]:
     """The invariant's eigenvalue on each diagram of n at q0, asserted distinct.
 
@@ -467,14 +475,6 @@ def _spectrum(n: int, q0: Fraction) -> MappingProxyType[YoungDiagram, Fraction]:
     if len(set(values.values())) != len(values):
         raise DegenerateSpecialization(f"invariant eigenvalues collide at q0 = {q0}")
     return MappingProxyType(values)
-
-
-@cache
-def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
-    """g's Lagrange polynomial on the invariant's spectrum at q0."""
-    values = _spectrum(g.n, q0)
-    weights, denominator = lagrange_numerator(values.values(), values[g])
-    return ProjectorPoly(g, q0, tuple(Fraction(c) / denominator for c in weights))
 
 
 @lru_cache(maxsize=8)

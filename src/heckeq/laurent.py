@@ -3,12 +3,12 @@
 `SparseVector` is the one sparse-coefficient arithmetic of the package: a
 finite map key -> nonzero rational, each coefficient stored as an `int`
 when it is integral and as a `fractions.Fraction` only when it is not.
-It owns that normal form and the linear operations (sum, difference,
-negation, scalar multiple, equality).  Two types are built on it: the
-`LaurentPoly` here, keyed by exponents of q, in which every q-dependent
-quantity of the package lives, and `symgroup.ClassVector`, keyed by cycle
-types.  Every symbolic table of the package has integer coefficients, so
-its arithmetic runs on `int`s.  This module also supplies the q-integer
+It owns that normal form, the linear operations (sum, difference,
+negation, scalar multiple, equality) and the text of a sum.  Two types
+are built on it: the `LaurentPoly` here, keyed by exponents of q, in
+which every q-dependent quantity of the package lives, and
+`symgroup.ClassVector`, keyed by cycle types.  Every symbolic table of
+the package has integer coefficients, so its arithmetic runs on `int`s.  This module also supplies the q-integer
 family [k]_q = (q^k - 1)/(q - 1), q-contents q*[c]_q, the symmetric
 bracket (q^x - q^-x)/(q - q^-1), and truncated series expansion around
 q = exp(delta).
@@ -83,14 +83,14 @@ class SparseVector:
 
     `_terms` holds the coefficients in normal form: no zero is stored,
     and a coefficient is an `int` when it is integral and a `Fraction`
-    otherwise.  The linear operations are written once here.  A subclass
-    supplies `_key(key)`, which validates a key and gives its canonical
-    form; `_like(terms)`, a vector of its own kind and space with terms
-    already in normal form; and `_coerce(other)`, which reads another
-    vector or a scalar as such a vector, raises where the two cannot mix,
-    and gives None where it cannot read `other` at all.  Vectors in
-    different `_space`s are never equal.  Instances are immutable; all
-    arithmetic returns new objects.
+    otherwise.  The linear operations and the text rule (`_render`) are
+    written once here.  A subclass supplies `_key(key)`, which validates a
+    key and gives its canonical form; `_like(terms)`, a vector of its own
+    kind and space with terms already in normal form; and
+    `_coerce(other)`, which reads another vector or a scalar as such a
+    vector, raises where the two cannot mix, and gives None where it
+    cannot read `other` at all.  Vectors in different `_space`s are never
+    equal.  Instances are immutable; all arithmetic returns new objects.
     """
 
     __slots__ = ("_terms",)
@@ -157,6 +157,26 @@ class SparseVector:
                 return NotImplemented
         return self._space == other._space and self._terms == other._terms
 
+    @staticmethod
+    def _render(pairs: Iterable[tuple[str, Scalar]]) -> str:
+        """The text of a sum of (label, coefficient) terms, in the given order.
+
+        An empty label is the constant term, a coefficient of +-1 drops its
+        1, every term after the first carries its sign, the empty sum is "0".
+        """
+        parts: list[str] = []
+        for label, c in pairs:
+            if not label:
+                text = str(c)
+            elif c == 1:
+                text = label
+            elif c == -1:
+                text = "-" + label
+            else:
+                text = f"{c}*{label}"
+            parts.append("+" + text if c > 0 and parts else text)
+        return "".join(parts) or "0"
+
 
 _TERM_RE = re.compile(
     r"""(?P<sign>[+-])?\s*
@@ -167,6 +187,19 @@ _TERM_RE = re.compile(
         )\s*""",
     re.VERBOSE,
 )
+
+
+class _ExponentLabels(dict):
+    """The label of q^e: "" for e = 0, "q" for e = 1, "q^e" otherwise; the first 1024 are kept."""
+
+    def __missing__(self, e: int) -> str:
+        label = "" if e == 0 else "q" if e == 1 else f"q^{e}"
+        if len(self) < 1024:
+            self[e] = label
+        return label
+
+
+_EXPONENT_LABELS = _ExponentLabels()
 
 
 class LaurentPoly(SparseVector):
@@ -400,20 +433,8 @@ class LaurentPoly(SparseVector):
         return hash(frozenset(self._terms.items()))
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts: list[str] = []
-        for e in sorted(self._terms, reverse=True):
-            c = self._terms[e]
-            mag = -c if c < 0 else c
-            if e == 0:
-                body = str(mag)
-            else:
-                qpart = "q" if e == 1 else f"q^{e}"
-                body = qpart if mag == 1 else f"{mag}*{qpart}"
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+        exps = sorted(self._terms, reverse=True)
+        return self._render(zip(map(_EXPONENT_LABELS.__getitem__, exps), map(self._terms.__getitem__, exps)))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({str(self)!r})"

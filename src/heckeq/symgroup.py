@@ -262,21 +262,10 @@ class ClassVector(SparseVector):
         return NotImplemented
 
     def __repr__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for g in partitions(self._space):
-            t = g.rows
-            if t not in self._terms:
-                continue
-            c = self._terms[t]
-            label = "" if all(p == 1 for p in t) else f"[{display_cycle_type(t, suppress_units=True)}]_{self._space}"
-            if label:
-                text = label if c == 1 else (f"-{label}" if c == -1 else f"{c}*{label}")
-            else:
-                text = str(c)
-            parts.append(text if not parts or text.startswith("-") else "+" + text)
-        return "".join(parts)
+        n = self._space
+        types = [g.rows for g in partitions(n) if g.rows in self._terms]
+        labels = [f"[{display_cycle_type(t, suppress_units=True)}]_{n}" if t[0] > 1 else "" for t in types]
+        return self._render(zip(labels, map(self._terms.__getitem__, types)))
 
 
 def single_cycle_class_sum(n: int, p: int) -> ClassVector:

@@ -45,6 +45,12 @@ __all__ = [
 _Q = LaurentPoly.q()
 _ZERO = LaurentPoly.zero()
 _QM1 = _Q - 1
+# the coefficients of the two relations solved in `doubly_connected_traces`
+_Q_PLUS_INV = LaurentPoly({1: 1, -1: 1})  # q + 1/q
+_RATIO = LaurentPoly({0: 1, -1: -1})  # (q-1)/q
+_Q_MINUS_1_PLUS_INV = LaurentPoly({1: 1, 0: -1, -1: 1})  # q - 1 + 1/q
+_3Q_MINUS_2 = LaurentPoly({1: 3, 0: -2, -1: 3})  # 3q - 2 + 3/q
+_3Q_MINUS_4 = LaurentPoly({1: 3, 0: -4, -1: 3})  # 3q - 4 + 3/q
 
 
 _Level = list[tuple[tuple[int, ...], list[tuple[int, int]]]]
@@ -232,27 +238,18 @@ def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
     if n < 4:
         raise ValueError("doubly-connected words need n >= 4")
     tau = {k: simply_connected_trace(g, k) for k in range(2, min(n, 5) + 1)}
-    q_plus_inv = _Q + LaurentPoly.monomial(-1)
-    ratio = _QM1 * LaurentPoly.monomial(-1)  # (q-1)/q, a Laurent polynomial
-
     levels = _lattice([g], 1)  # both path sums start at level 1
     t24 = _path_sums(levels, (2, 4))[0]
-    g13 = (
-        t24
-        - ratio * q_plus_inv * tau[4]
-        - (_QM1 + LaurentPoly.monomial(-1)) * 2 * tau[3]
-        - _QM1 * tau[2]
-    )
+    g13 = t24 - _RATIO * _Q_PLUS_INV * tau[4] - _Q_MINUS_1_PLUS_INV * 2 * tau[3] - _QM1 * tau[2]
     out = {"g1*g3": g13}
     if n >= 5:
         t25 = _path_sums(levels, (2, 5))[0]
-        three_q = _Q * 3 - 2 + LaurentPoly.monomial(-1, 3)
         remainder = (
             t25
             - g13 * 2
-            - ratio * ratio * q_plus_inv * tau[5]
-            - ratio * three_q * tau[4]
-            - (_Q * 3 - 4 + LaurentPoly.monomial(-1, 3)) * tau[3]
+            - _RATIO * _RATIO * _Q_PLUS_INV * tau[5]
+            - _RATIO * _3Q_MINUS_2 * tau[4]
+            - _3Q_MINUS_4 * tau[3]
             - _QM1 * tau[2]
         )
         out["g1*g3*g4"] = (remainder * _Q).divide_exact(_QM1)

@@ -21,7 +21,6 @@ from heckeq.hecke_oracle import (
     _dual_basis_sum,
     _invariant_powers,
     _kernel,
-    _projector,
     _spectrum,
     _times_invariant,
     fundamental_invariant,
@@ -303,6 +302,20 @@ class TestCachesAndTables:
             p.coeffs[0] = 0
         assert p.coeffs is coeffs and p.coeffs == (F(40, 49), F(11, 49), F(-2, 49))
         assert irreducible_trace(Y(2, 1), (1,), 2) == 1
+
+    def test_q0_keyed_memos_are_bounded(self):
+        for q0 in range(2, 102):
+            for g in partitions(4):
+                hecke_projector(g, q0)
+        assert hecke_projector.cache_info().currsize <= 64
+        assert _spectrum.cache_info().currsize <= 8
+
+    def test_refused_projector_is_not_stored(self):
+        before = hecke_projector.cache_info().currsize
+        for q0 in (1, -1, 2**MAX_Q0_BITS):
+            with pytest.raises(ValueError):
+                hecke_projector(Y(2, 1), q0)
+        assert hecke_projector.cache_info().currsize == before
 
     def test_kernel_matches_value_swap_reference(self):
         for n in range(1, 8):
@@ -671,10 +684,10 @@ class TestSpectrumCollision:
         # every diagram gets the eigenvalue q, a collision at every q0
         monkeypatch.setattr(heckeq.hecke_oracle, "invariant_eigenvalue", lambda g: LaurentPoly.q())
         _spectrum.cache_clear()
-        _projector.cache_clear()
+        hecke_projector.cache_clear()
         yield
         _spectrum.cache_clear()
-        _projector.cache_clear()
+        hecke_projector.cache_clear()
 
     def test_hecke_projector_refuses(self, one_eigenvalue):
         with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):

@@ -150,6 +150,37 @@ class TestSharedArithmetic:
         assert make({unit: 5}) == 5 and make({}) == 0
 
 
+# The one text rule of a sparse sum: a constant prints its coefficient, a
+# coefficient of +-1 drops its 1, and every term after the first is signed.
+RENDERED = {
+    "LaurentPoly": (LaurentPoly, str, 0, -2, "q^-2"),
+    "ClassVector": (lambda terms: ClassVector(3, terms), repr, (1, 1, 1), (2, 1), "[(2)]_3"),
+}
+UNIT_AND_OTHER = [(1, ""), (-1, "-"), (2, "2*"), (-2, "-2*"), (F(1, 2), "1/2*"), (F(-1, 2), "-1/2*")]
+
+
+@pytest.mark.parametrize("kind", RENDERED)
+@pytest.mark.parametrize("c,prefix", UNIT_AND_OTHER, ids=[str(c) for c, _ in UNIT_AND_OTHER])
+def test_text_of_one_term(kind, c, prefix):
+    make, text, unit, key, label = RENDERED[kind]
+    assert text(make({unit: c})) == str(c)
+    assert text(make({key: c})) == prefix + label
+
+
+@pytest.mark.parametrize(
+    "kind,terms,expected",
+    [
+        ("LaurentPoly", {}, "0"),
+        ("ClassVector", {}, "0"),
+        ("LaurentPoly", {0: F(-1, 2), 1: 1, -2: -2}, "q-1/2-2*q^-2"),
+        ("ClassVector", {(1, 1, 1): F(1, 2), (2, 1): -1, (3,): 2}, "2*[(3)]_3-[(2)]_3+1/2"),
+    ],
+)
+def test_text_of_a_sum(kind, terms, expected):
+    make, text, *_ = RENDERED[kind]
+    assert text(make(terms)) == expected
+
+
 # A bool is an int to Python but never a scalar of the arithmetic.
 @pytest.mark.parametrize(
     "make",
