@@ -200,7 +200,7 @@ def _cmd_suq(args) -> tuple[dict, int]:
         doc["row_lengths"] = ",".join(str(h) for h in irrep.row_lengths)
     elif action == "check":
         if args.diagram:
-            g = _parse_diagram(args.diagram)
+            g = YoungDiagram(tuple(r for r in _suq_irrep_from_args(args, N).row_lengths if r))
             doc["diagram"] = str(g)
             doc["holds"] = hecke_casimir_correspondence(g, N)
         elif args.sweep_n is not None:

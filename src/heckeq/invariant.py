@@ -107,50 +107,35 @@ def _diagonals_to_rows(beta: dict[int, int]) -> tuple[int, ...]:
 def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
     """Recover the Young diagram of n boxes whose invariant eigenvalue is p.
 
-    The coefficient of q^k for k > 0 counts boxes of content >= k, and
-    the coefficient of q^(k+1) for k < 0 counts (negated) boxes of
-    content <= k; first differences give the diagonal lengths, which in
-    turn give the row lengths.  Neighbouring diagonals of a Young diagram
-    differ by at most one box, which is checked first: it keeps the row
-    count within the number of diagonals, whatever n is.  Rather than
-    assuming the input is otherwise well-formed, the reconstructed diagram
-    is validated by recomputing its eigenvalue, so malformed input raises
-    `InvalidSpectrum`.
+    `q_content_sum` makes the coefficient c_k of q^k the count of boxes
+    of content >= k for k >= 1, and minus the count of content <= k - 1
+    for k <= 0, so one first difference gives every diagonal length on
+    both sides of 0: beta_k = c_k - c_(k+1) + n [k = 0].  An eigenvalue's
+    exponents form one unbroken run through 0 or 1, or there are none,
+    and its contents run from one below that run to its top.
+    Neighbouring diagonals of a Young diagram differ by at most one box,
+    which is checked before the rows are built: it keeps the row count
+    within the number of diagonals, whatever n is.  The reconstructed
+    diagram is then validated by recomputing its eigenvalue, so malformed
+    input raises `InvalidSpectrum`.
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("n must be a positive integer")
     terms = p.terms
-    for coeff in terms.values():
-        if not isinstance(coeff, int):
-            raise InvalidSpectrum(f"non-integer coefficient in {p}")
+    if not all(isinstance(coeff, int) for coeff in terms.values()):
+        raise InvalidSpectrum(f"non-integer coefficient in {p}")
+    low, high = min(terms, default=1), max(terms, default=0)
+    if len(terms) != high - low + 1 or not low <= 1 <= high + 1:
+        raise InvalidSpectrum(f"exponents of {p} do not form one unbroken run through 0 or 1")
 
-    pos = sorted(e for e in terms if e > 0)
-    if pos and pos[-1] != len(pos):
-        raise InvalidSpectrum(f"positive exponents of {p} are not contiguous from 1")
-    k_max = pos[-1] if pos else 0
-    pi = {k: int(terms[k]) for k in pos}
-
-    nonpos = sorted((e for e in terms if e <= 0), reverse=True)
-    if nonpos and nonpos[-1] != 1 - len(nonpos):
-        raise InvalidSpectrum(f"nonpositive exponents of {p} are not contiguous from 0")
-    k_min = (nonpos[-1] - 1) if nonpos else 0
-    nu = {e - 1: -int(terms[e]) for e in nonpos}
-
-    beta: dict[int, int] = {}
-    for k in range(1, k_max + 1):
-        beta[k] = pi[k] - pi.get(k + 1, 0)
-    for k in range(k_min, 0):
-        beta[k] = nu[k] - nu.get(k - 1, 0)
-    beta[0] = n - pi.get(1, 0) - nu.get(-1, 0)
-
-    if any(b < 0 for b in beta.values()) or beta[0] < 1:
-        raise InvalidSpectrum(f"{p} does not yield valid diagonal lengths for n={n}")
+    contents = range(low - 1, high + 1)
+    beta = [terms.get(k, 0) - terms.get(k + 1, 0) + (n if k == 0 else 0) for k in contents]
     # The diagonals past the extremes are empty, so the extremes hold one box.
-    lengths = [0, *(beta[k] for k in range(k_min, k_max + 1)), 0]
-    if any(abs(a - b) > 1 for a, b in zip(lengths, lengths[1:])):
-        raise InvalidSpectrum(f"neighbouring diagonals of {p} differ by more than one box for n={n}")
+    lengths = [0, *beta, 0]
+    if min(beta) < 0 or any(abs(a - b) > 1 for a, b in zip(lengths, lengths[1:])):
+        raise InvalidSpectrum(f"{p} does not give the diagonal lengths of a Young diagram for n={n}")
 
-    rows = _diagonals_to_rows({k: b for k, b in beta.items() if b})
+    rows = _diagonals_to_rows({k: b for k, b in zip(contents, beta) if b})
     try:
         diagram = YoungDiagram(rows)
     except ValueError as exc:

@@ -458,12 +458,9 @@ def q_content(c: int) -> LaurentPoly:
 
     Equals q + q^2 + ... + q^c for c > 0, zero for c = 0, and
     -(1 + q^-1 + ... + q^(c+1)) for c < 0.  At q = 1 it collapses to c.
+    It is the content histogram {c: 1} read by `q_content_sum`.
     """
-    if c > 0:
-        return LaurentPoly._make(dict.fromkeys(range(1, c + 1), 1))
-    if c == 0:
-        return LaurentPoly.zero()
-    return LaurentPoly._make(dict.fromkeys(range(c + 1, 1), -1))
+    return q_content_sum({c: 1})
 
 
 def q_content_sum(counts: Mapping[int, int]) -> LaurentPoly:

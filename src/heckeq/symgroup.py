@@ -103,9 +103,7 @@ def cycle_type_from_string(text: str) -> CycleType:
         parts = tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse cycle type {text!r}") from exc
-    if not parts or any(p < 1 for p in parts):
-        raise ValueError(f"cycle lengths must be positive, got {text!r}")
-    return tuple(sorted(parts, reverse=True))
+    return _canonical_type(parts)
 
 
 def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
@@ -121,9 +119,9 @@ def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
 
 
 def _canonical_type(t: CycleType) -> CycleType:
-    """The cycle type sorted descending; a part below 1 is an error."""
-    if any(p < 1 for p in t):
-        raise ValueError(f"cycle lengths must be positive, got {t}")
+    """The cycle type sorted descending; a part that is not an integer >= 1 is an error."""
+    if any(not isinstance(p, int) or p < 1 for p in t):
+        raise ValueError(f"cycle lengths must be positive integers, got {t}")
     return tuple(sorted(t, reverse=True))
 
 
@@ -383,13 +381,16 @@ def characters_from_projector(p: ClassVector, g: YoungDiagram) -> dict[CycleType
 
     The coefficient of class C in the projector is dim(g)/n! times the
     character on C, so scaling by n!/dim(g) recovers the full row.  Every
-    value must come out an integer; anything else means the projector was
-    not built for g.
+    value must come out an integer, the row must give chi(1) = dim(g),
+    and for p = 2..min(n, 5) the p-cycle class-sum eigenvalue
+    |C_(p)| chi((p)) / dim(g) must be g's, from `central_character_table`;
+    anything else means the projector was not built for g.
     """
     n = p.n
     if g.n != n:
         raise ValueError(f"diagram {g} has {g.n} boxes, expected n={n}")
-    scale = Fraction(factorial(n), dimension(g))
+    dim = dimension(g)
+    scale = Fraction(factorial(n), dim)
     row: dict[CycleType, int] = {}
     for h in partitions(n):
         t = h.rows
@@ -397,6 +398,11 @@ def characters_from_projector(p: ClassVector, g: YoungDiagram) -> dict[CycleType
         if value.denominator != 1:
             raise NonIntegerCharacter(f"coefficient of class {t} scales to non-integer {value}")
         row[t] = int(value)
+    cycles = [(k,) + (1,) * (n - k) for k in range(2, min(n, 5) + 1)]
+    if row[(1,) * n] != dim or any(
+        class_size(t) * row[t] != dim * central_character_table(t[0], n)[g] for t in cycles
+    ):
+        raise ValueError(f"the projector's coefficients are not the character row of {g}")
     return row
 
 
@@ -433,7 +439,7 @@ def murnaghan_nakayama_character(g: YoungDiagram, c: CycleType) -> int:
     """Irreducible character of S_n: independent of the projector route."""
     if sum(c) != g.n:
         raise ValueError(f"cycle type {c} does not partition {g.n}")
-    return _mn_recursion(g.rows, tuple(sorted(c, reverse=True)))
+    return _mn_recursion(g.rows, _canonical_type(c))
 
 
 def character_table(n: int, method: str = "mn") -> dict[YoungDiagram, dict[CycleType, int]]:

@@ -160,10 +160,9 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     if n >= 4:
         words = {"g1*g3": (1, 3), "g1*g3*g4": (1, 3, 4)} if n >= 5 else {"g1*g3": (1, 3)}
         name = "doubly_connected_traces_agree"
-        checks[name] = True
-        for g in parts:
-            solved = doubly_connected_traces(g)
-            if not all(trace_check(name, g, solved[label], word) for label, word in words.items()):
-                checks[name] = False
-                break
+        checks[name] = all(
+            trace_check(name, g, solved[label], word)
+            for g, solved in zip(parts, map(doubly_connected_traces, parts))
+            for label, word in words.items()
+        )
     return report

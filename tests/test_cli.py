@@ -352,6 +352,14 @@ class TestSuq:
         assert code == 0
         assert doc["result"]["holds"] is True
 
+    def test_check_single_with_trailing_zero(self, capsys):
+        # --diagram takes trailing zeros for every action, as casimir and dimension do
+        code, doc, _ = run_json(
+            capsys, "suq", "--N", "3", "--action", "check", "--diagram", "2,1,0"
+        )
+        assert code == 0
+        assert doc["result"] == {"N": 3, "action": "check", "diagram": "2,1", "holds": True}
+
     def test_check_sweep(self, capsys):
         code, doc, _ = run_json(capsys, "suq", "--N", "6", "--action", "check", "--sweep-n", "5")
         assert code == 0

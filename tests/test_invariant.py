@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -100,6 +101,24 @@ class TestReconstruction:
             for g in partitions(n):
                 assert reconstruct_diagram(invariant_eigenvalue(g), n) == g
 
+    def test_exhaustive_window(self):
+        # every polynomial with exponents in -2..2 and coefficients in -2..2:
+        # accepted exactly when it is the eigenvalue of a diagram of n boxes
+        window = range(-2, 3)
+        eigenvalues = {(g.n, invariant_eigenvalue(g)): g for n in range(1, 8) for g in partitions(n)}
+        accepted = 0
+        for coeffs in product(range(-2, 3), repeat=len(window)):
+            p = LaurentPoly(dict(zip(window, coeffs)))
+            for n in range(1, 8):
+                expected = eigenvalues.get((n, p))
+                if expected is None:
+                    with pytest.raises(InvalidSpectrum):
+                        reconstruct_diagram(p, n)
+                else:
+                    assert reconstruct_diagram(p, n) == expected
+                    accepted += 1
+        assert accepted > 10
+
     @pytest.mark.parametrize(
         "text,n",
         [
@@ -108,6 +127,8 @@ class TestReconstruction:
             ("q^3+q", 4),  # gap in the positive exponents
             ("1/2*q", 2),  # fractional coefficient
             ("q+1", 2),  # positive constant term
+            ("q^2", 3),  # positive run not starting at 1
+            ("-q^-2", 3),  # nonpositive run not reaching 0
         ],
     )
     def test_invalid_spectra(self, text, n):

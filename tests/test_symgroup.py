@@ -328,6 +328,18 @@ class TestCharacters:
         with pytest.raises(NonIntegerCharacter):
             characters_from_projector(corrupted, Y(2, 1))
 
+    @pytest.mark.parametrize(
+        "built,read",
+        [
+            ((2, 1), (3,)),  # scales to {3: -2, 2,1: 0, 1,1,1: 4}
+            ((3,), (1, 1, 1)),  # scales to the all-ones row, whose chi(1) is right
+            ((4, 1, 1), (3, 3)),  # the degenerate pair: s_1 agrees, s_2 does not
+        ],
+    )
+    def test_another_irreps_integer_row_is_refused(self, built, read):
+        with pytest.raises(ValueError, match="not the character row"):
+            characters_from_projector(build_projector(Y(*built)), Y(*read))
+
 
 class TestMurnaghanNakayama:
     def test_three_cycle_value(self):
@@ -358,6 +370,12 @@ class TestMurnaghanNakayama:
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError):
             murnaghan_nakayama_character(Y(2, 1), (2, 2))
+
+    @pytest.mark.parametrize("c", [(1, 1, 1, 0), (0, 3), (4, -1), (1.5, 1.5)])
+    def test_parts_that_are_not_positive_integers_are_refused(self, c):
+        # each sums to 3, so only this check stands between it and a wrong value (0, 0, 0, -1)
+        with pytest.raises(ValueError, match="cycle lengths must be positive integers"):
+            murnaghan_nakayama_character(Y(2, 1), c)
 
 
 class TestJsonAndPersistence:
