@@ -14,7 +14,7 @@ from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 
-from .laurent import LaurentPoly, q_integer
+from .laurent import LaurentPoly, is_int, q_integer
 
 __all__ = [
     "YoungDiagram",
@@ -73,7 +73,7 @@ class YoungDiagram(FrozenRecord):
         if not rows:
             raise ValueError("a Young diagram needs at least one row")
         for r in rows:
-            if not isinstance(r, int) or isinstance(r, bool) or r < 1:
+            if not is_int(r) or r < 1:
                 raise ValueError(f"row lengths must be positive integers, got {rows}")
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise ValueError(f"row lengths must be weakly decreasing, got {rows}")
@@ -149,7 +149,7 @@ def partitions(n: int) -> list[YoungDiagram]:
     This fixed order is the canonical row/column order for every table
     in the package.
     """
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     return [YoungDiagram(rows) for rows in _partition_tuples(n, n)]
 

@@ -84,7 +84,7 @@ from types import MappingProxyType
 
 from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue, lagrange_numerator
-from .laurent import is_scalar
+from .laurent import _scalar, is_int, is_scalar
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -113,14 +113,14 @@ class DegenerateSpecialization(ValueError):
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ValueError("n must be a positive integer")
     if n > MAX_ORACLE_N:
         raise ValueError(f"the regular-representation oracle is capped at n <= {MAX_ORACLE_N}")
 
 
 def _check_q0(q0) -> Fraction:
-    value = Fraction(q0)
+    value = Fraction(_scalar(q0))
     if value == 0:
         raise ValueError("q0 = 0 is outside the algebra's parameter range")
     if max(value.numerator.bit_length(), value.denominator.bit_length()) > MAX_Q0_BITS:
@@ -186,7 +186,7 @@ class HeckeElement:
         scaled: dict[int, Fraction] = {}
         for perm, c in (coeffs or {}).items():
             r = _rank(n, perm)
-            scaled[r] = Fraction(c) / q0.denominator ** kernel.lengths[r]
+            scaled[r] = Fraction(_scalar(c)) / q0.denominator ** kernel.lengths[r]
         den = lcm(*(f.denominator for f in scaled.values()))
         vec = [0] * len(kernel.perms)
         for r, f in scaled.items():
@@ -279,9 +279,8 @@ class HeckeElement:
     def __mul__(self, other):
         """A scalar multiple; the product of two elements is not offered (see `_times_invariant`)."""
         if is_scalar(other):
-            numerator, denominator = Fraction(other).as_integer_ratio()
-            scaled = [numerator * x for x in self._vec]
-            return HeckeElement._make(self.n, self.q0, scaled, self._den * denominator)
+            numerator, denominator = other.as_integer_ratio()
+            return HeckeElement._make(self.n, self.q0, [numerator * x for x in self._vec], self._den * denominator)
         return NotImplemented
 
     def __rmul__(self, other):

@@ -16,7 +16,10 @@ q = exp(delta).
 Only exact operations exist here: division either succeeds exactly or
 raises `NotDivisible`, and rational functions are never materialized.
 Formulas that look like rational functions must either divide exactly or
-be evaluated at a specialized rational q0.
+be evaluated at a specialized rational q0.  What a number is is decided
+here alone: `is_int` (an `int`, never a `bool`) for every integer the
+package takes, `is_scalar` (an integer or a `Fraction`) for every scalar,
+which `_scalar` alone converts, refusing anything else with `TypeError`.
 """
 
 from __future__ import annotations
@@ -53,29 +56,28 @@ class PolynomialParseError(ValueError):
     """Text does not match the polynomial grammar."""
 
 
-def _as_fraction(value: Scalar) -> Fraction:
-    if isinstance(value, Fraction):
+def is_int(value) -> bool:
+    """Whether `value` is an integer of the library: an `int`, never a `bool`."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_scalar(value) -> bool:
+    """Whether `value` is a scalar of the library: an integer (`is_int`) or a `Fraction`."""
+    return is_int(value) or isinstance(value, Fraction)
+
+
+def _scalar(value) -> Scalar:
+    """A caller's scalar in its stored form; whatever `is_scalar` refuses is a `TypeError`."""
+    if type(value) is int:  # the common case, ahead of the full test
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
-
-
-def _scalar(value: Scalar) -> Scalar:
-    """Validate a coefficient and give it its stored type."""
-    if isinstance(value, int):
-        return int(value)  # a bool becomes a plain int
-    return _tidy(_as_fraction(value))
+    if not is_scalar(value):
+        raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
+    return int(value) if is_int(value) else _tidy(value)
 
 
 def _tidy(c: Scalar) -> Scalar:
     """The stored form of a coefficient: an `int` whenever it is integral."""
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def is_scalar(value) -> bool:
-    """Whether `value` can scale a vector: an `int` or a `Fraction`, never a `bool`."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 class SparseVector:
@@ -213,7 +215,7 @@ class LaurentPoly(SparseVector):
 
     @staticmethod
     def _key(exp: int) -> int:
-        if not isinstance(exp, int) or isinstance(exp, bool):
+        if not is_int(exp):
             raise TypeError("exponents must be integers")
         return exp
 
@@ -246,8 +248,8 @@ class LaurentPoly(SparseVector):
 
     @classmethod
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
-        f = _scalar(coeff)
-        return cls._make({exp: f} if f else {})
+        e, f = cls._key(exp), _scalar(coeff)
+        return cls._make({e: f} if f else {})
 
     @classmethod
     def from_string(cls, text: str) -> "LaurentPoly":
@@ -353,7 +355,7 @@ class LaurentPoly(SparseVector):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int) or n < 0:
+        if not is_int(n) or n < 0:
             raise ValueError("only nonnegative integer powers are supported")
         result = LaurentPoly.one()
         base = self
@@ -409,7 +411,7 @@ class LaurentPoly(SparseVector):
         q0 is made a `Fraction` before any power is taken, so a negative
         exponent at an integer q0 still gives an exact value.
         """
-        v = _as_fraction(q0)
+        v = Fraction(_scalar(q0))
         if v == 0:
             raise ZeroSpecialization("cannot evaluate at q = 0")
         return sum((c * v**e for e, c in self._terms.items()), Fraction(0))
@@ -418,7 +420,7 @@ class LaurentPoly(SparseVector):
 
     def substitute_power(self, m: int) -> "LaurentPoly":
         """Apply q -> q^m (m a nonzero integer) by rescaling exponents."""
-        if not isinstance(m, int) or m == 0:
+        if not is_int(m) or m == 0:
             raise ValueError("substitution power must be a nonzero integer")
         return LaurentPoly._make({e * m: c for e, c in self._terms.items()})
 
@@ -504,7 +506,7 @@ def exp_series(p: LaurentPoly, order: int) -> tuple[Fraction, ...]:
     Returns the coefficients c_0..c_order of sum(c_k * delta^k); the
     coefficient of delta^k is sum over terms a_e * e^k / k!.
     """
-    if not isinstance(order, int) or order < 0:
+    if not is_int(order) or order < 0:
         raise ValueError("series order must be a nonnegative integer")
     return tuple(
         sum((c * Fraction(e**k, factorial(k)) for e, c in p._terms.items()), Fraction(0))

@@ -27,7 +27,7 @@ from math import prod
 
 from .diagrams import FrozenRecord, YoungDiagram
 from .invariant import InvalidSpectrum, invariant_eigenvalue
-from .laurent import LaurentPoly, q_integer, symmetric_bracket
+from .laurent import LaurentPoly, _scalar, is_int, q_integer, symmetric_bracket
 
 __all__ = [
     "PatternViolation",
@@ -60,11 +60,11 @@ class SuqIrrep(FrozenRecord):
     def __init__(self, N: int, top: tuple[int, ...]):
         top = tuple(top)
         super().__init__(N, top)
-        if not isinstance(N, int) or N < 2:
+        if not is_int(N) or N < 2:
             raise ValueError("N must be an integer >= 2")
         if len(top) != N:
             raise ValueError(f"top row must have {N} entries, got {top}")
-        if any(not isinstance(h, int) or h < 0 for h in top):
+        if any(not is_int(h) or h < 0 for h in top):
             raise ValueError(f"top row entries must be nonnegative integers, got {top}")
         if any(top[i] < top[i + 1] for i in range(N - 1)):
             raise ValueError(f"top row must be weakly decreasing, got {top}")
@@ -150,12 +150,10 @@ class GZPattern(FrozenRecord):
         leaves the cone."""
         new_row = list(self.rows[j - 1])
         new_row[i - 1] += delta
-        rows = self.rows[: j - 1] + (tuple(new_row),) + self.rows[j:]
-        if j > 1 and not _interlaces(rows[j - 1], rows[j - 2]):
+        try:
+            return GZPattern(self.rows[: j - 1] + (tuple(new_row),) + self.rows[j:])
+        except PatternViolation:
             return None
-        if j < self.N and not _interlaces(rows[j], rows[j - 1]):
-            return None
-        return GZPattern(rows)
 
 
 def gz_patterns(irrep: SuqIrrep) -> list[GZPattern]:
@@ -194,8 +192,6 @@ def hecke_casimir_correspondence(g: YoungDiagram, N: int) -> bool:
 
     as Laurent polynomials, provided g fits in N - 1 rows.
     """
-    if len(g.rows) > N - 1:
-        raise ValueError(f"diagram {g} needs more than {N - 1} rows")
     lhs = _RATIO_SQUARED * invariant_eigenvalue(g).substitute_power(2) + _RATIO * g.n
     rhs = casimir_eigenvalue(SuqIrrep.from_diagram(g, N)) + q_integer(-(N - 1)).substitute_power(2)
     return lhs == rhs
@@ -208,7 +204,7 @@ def irrep_from_casimir(spectrum: LaurentPoly, N: int) -> SuqIrrep:
     with unit coefficients; sorting the halved exponents L_k in
     decreasing order and setting l_k = L_k + k rebuilds the row lengths.
     """
-    if not isinstance(N, int) or N < 2:
+    if not is_int(N) or N < 2:
         raise ValueError("N must be an integer >= 2")
     terms = spectrum.terms
     if len(terms) != N - 1:
@@ -223,6 +219,13 @@ def irrep_from_casimir(spectrum: LaurentPoly, N: int) -> SuqIrrep:
         return SuqIrrep.from_rows(N, rows)
     except ValueError as exc:
         raise InvalidSpectrum(f"{spectrum} does not sort into valid row lengths") from exc
+
+
+def _q0_above_one(q0) -> Fraction:
+    q0 = Fraction(_scalar(q0))
+    if q0 <= 1:
+        raise ValueError("q0 must be a rational greater than 1")
+    return q0
 
 
 def _bracket_at(x: int, q0: Fraction) -> Fraction:
@@ -245,9 +248,7 @@ def lowering_squared(p: GZPattern, j: int, k: int, q0) -> Fraction:
     N = p.N
     if not 1 <= j <= k <= N - 1:
         raise ValueError(f"need 1 <= j <= k <= N-1, got j={j}, k={k}")
-    q0 = Fraction(q0)
-    if q0 <= 1:
-        raise ValueError("q0 must be a rational greater than 1")
+    q0 = _q0_above_one(q0)
     if p.shifted(j, k, -1) is None:
         return Fraction(0)
     h_jk = p.entry(j, k)
@@ -284,9 +285,7 @@ def check_ef_commutator(irrep: SuqIrrep, k: int, q0) -> bool:
     the state minus the sum of squared amplitudes into it from above must
     equal the symmetric bracket of the Cartan weight, exactly at q0.
     """
-    q0 = Fraction(q0)
-    if q0 <= 1:
-        raise ValueError("q0 must be a rational greater than 1")
+    q0 = _q0_above_one(q0)
     for p in gz_patterns(irrep):
         down = Fraction(0)
         up = Fraction(0)

@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import central_character_table, lagrange_numerator
-from .laurent import Scalar, SparseVector, is_scalar
+from .laurent import Scalar, SparseVector, is_int, is_scalar
 
 __all__ = [
     "NotSeparated",
@@ -120,7 +120,7 @@ def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
 
 def _canonical_type(t: CycleType) -> CycleType:
     """The cycle type sorted descending; a part that is not an integer >= 1 is an error."""
-    if any(not isinstance(p, int) or p < 1 for p in t):
+    if any(not is_int(p) or p < 1 for p in t):
         raise ValueError(f"cycle lengths must be positive integers, got {t}")
     return tuple(sorted(t, reverse=True))
 

@@ -317,6 +317,12 @@ class TestCachesAndTables:
                 hecke_projector(Y(2, 1), q0)
         assert hecke_projector.cache_info().currsize == before
 
+    def test_refused_q0_leaves_no_memo(self):
+        fundamental_invariant.cache_clear()
+        with pytest.raises(TypeError):
+            heckeq.verify.oracle_checks(3, 2.5)
+        assert fundamental_invariant.cache_info().currsize == 0
+
     def test_kernel_matches_value_swap_reference(self):
         for n in range(1, 8):
             kernel, reference = _kernel(n), ref_kernel(n)

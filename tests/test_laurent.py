@@ -6,21 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeq.hecke_oracle import HeckeElement
+from heckeq.diagrams import partitions
+from heckeq.hecke_oracle import HeckeElement, hecke_projector, irreducible_trace, word_element
+from heckeq.invariant import separating_depth
 from heckeq.laurent import (
     LaurentPoly,
     NotDivisible,
     PolynomialParseError,
     ZeroSpecialization,
     exp_series,
+    is_int,
+    is_scalar,
     q_content,
     q_content_sum,
     q_integer,
     symmetric_bracket,
 )
-from heckeq.symgroup import ClassVector
+from heckeq.suq import GZPattern, SuqIrrep, check_ef_commutator, lowering_squared
+from heckeq.symgroup import ClassVector, class_size
+from heckeq.verify import oracle_checks
 
-from conftest import F, P
+from conftest import F, P, Y
 
 
 def stored_canonically(p: LaurentPoly) -> bool:
@@ -198,6 +204,62 @@ def test_bool_scalars_are_refused(make, op, left):
 def test_bool_divisor_is_refused():
     with pytest.raises(TypeError):
         ClassVector.identity(3) / True
+
+
+def test_the_number_rule():
+    assert is_int(3) and is_int(-2**70)
+    assert not any(is_int(x) for x in (True, False, 3.0, F(3), "3", None))
+    assert is_scalar(3) and is_scalar(F(1, 2)) and is_scalar(F(4, 2))
+    assert not any(is_scalar(x) for x in (True, 0.5, "1/2", None, LaurentPoly.one()))
+
+
+def test_monomial_exponent_is_an_integer():
+    for exp in (True, 0.5, "2"):
+        with pytest.raises(TypeError, match="exponents must be integers"):
+            LaurentPoly.monomial(exp)
+
+
+# Every entry point that reads a scalar argument, called with that argument.
+SCALAR_ENTRY_POINTS = {
+    "HeckeElement-q0": lambda x: HeckeElement(3, x),
+    "HeckeElement-coefficient": lambda x: HeckeElement(3, 2, {(2, 1, 3): x}),
+    "HeckeElement.identity": lambda x: HeckeElement.identity(3, x),
+    "HeckeElement.zero": lambda x: HeckeElement.zero(3, x),
+    "word_element": lambda x: word_element(3, x, (1, 2)),
+    "hecke_projector": lambda x: hecke_projector(Y(2, 1), x),
+    "irreducible_trace": lambda x: irreducible_trace(Y(2, 1), (1,), x),
+    "oracle_checks": lambda x: oracle_checks(3, x),
+    "lowering_squared": lambda x: lowering_squared(GZPattern(((1,), (1, 0))), 1, 1, x),
+    "check_ef_commutator": lambda x: check_ef_commutator(SuqIrrep.from_string("3:2,1"), 1, x),
+    "LaurentPoly.evaluate": lambda x: LaurentPoly.q().evaluate(x),
+    "LaurentPoly": lambda x: LaurentPoly({1: x}),
+    "LaurentPoly.constant": LaurentPoly.constant,
+    "LaurentPoly.monomial": lambda x: LaurentPoly.monomial(2, x),
+    "ClassVector": lambda x: ClassVector(3, {(2, 1): x}),
+}
+
+
+@pytest.mark.parametrize("call", SCALAR_ENTRY_POINTS.values(), ids=SCALAR_ENTRY_POINTS)
+@pytest.mark.parametrize("value", [True, 0.5, 2.5, "1/2", "5/2"])
+def test_inexact_scalars_are_refused(call, value):
+    with pytest.raises(TypeError, match="expected int or Fraction"):
+        call(value)
+
+
+# A bool is not an integer part either; like a float part, it is a ValueError.
+BOOL_PARTS = {
+    "class_size": lambda: class_size((True, 2)),
+    "ClassVector": lambda: ClassVector(3, {(2, True): 1}),
+    "SuqIrrep.from_rows": lambda: SuqIrrep.from_rows(3, (True,)),
+    "partitions": lambda: partitions(True),
+    "separating_depth": lambda: separating_depth(True),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_PARTS.values(), ids=BOOL_PARTS)
+def test_bool_parts_are_refused(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestMixing:

@@ -118,6 +118,24 @@ class TestPatternEnumeration:
         assert p.shifted(1, 1, -1) == GZPattern(((0,), (1, 0)))
         assert p.shifted(1, 1, +1) is None
 
+    @pytest.mark.parametrize("text", ["2:2", "3:2,1", "3:3,1", "4:1", "4:2,1", "4:2,1,1", "4:3,2,1"])
+    def test_shifted_leaves_the_cone_exactly_when_interlacing_fails(self, text):
+        # brute force over every entry of every pattern, checking every pair of neighbouring rows
+        for p in gz_patterns(SuqIrrep.from_string(text)):
+            for j in range(1, p.N + 1):
+                for i in range(1, j + 1):
+                    for delta in (-1, +1):
+                        rows = [list(r) for r in p.rows]
+                        rows[j - 1][i - 1] += delta
+                        inside = all(
+                            upper[m] >= lower[m] >= upper[m + 1]
+                            for lower, upper in zip(rows, rows[1:])
+                            for m in range(len(lower))
+                        )
+                        got = p.shifted(i, j, delta)
+                        assert (got is not None) == inside, (p, i, j, delta)
+                        assert got is None or got.rows == tuple(map(tuple, rows))
+
 
 class TestCasimirSpectrum:
     def test_su2_fundamental_is_one(self):
@@ -162,7 +180,7 @@ class TestCorrespondence:
                     assert hecke_casimir_correspondence(g, N)
 
     def test_too_many_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"rows \(1, 1, 1\) exceed the 2-row limit for N=3"):
             hecke_casimir_correspondence(Y(1, 1, 1), 3)
 
 
