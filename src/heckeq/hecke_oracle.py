@@ -162,9 +162,10 @@ def _rank(n: int, perm) -> int:
     return r
 
 
-def _act(v, table, ab: int, amb: int) -> list[int]:
-    """One T'_i action (right or left, by the table) on an integer vector."""
+def _act(v, table, q0: Fraction) -> list[int]:
+    """One T'_i action (right or left, by the table) on an integer vector at q0 = a/b."""
     swap, up = table
+    ab, amb = q0.numerator * q0.denominator, q0.numerator - q0.denominator
     return [ab * v[j] if u else amb * c + v[j] for c, j, u in zip(v, swap, up)]
 
 
@@ -256,8 +257,7 @@ class HeckeElement:
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         kernel = _kernel(n)
         table = kernel.right[i - 1] if side == "right" else kernel.left[i - 1]
-        a, b = q0.numerator, q0.denominator
-        return HeckeElement._make(n, q0, _act(self._vec, table, a * b, a - b), self._den * b)
+        return HeckeElement._make(n, q0, _act(self._vec, table, q0), self._den * q0.denominator)
 
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
@@ -335,9 +335,8 @@ def _word_product(n: int, q0: Fraction, word: tuple[int, ...]) -> HeckeElement:
 def _conjugate(x: HeckeElement, j: int) -> HeckeElement:
     """q0^-1 g_j x g_j = T'_j (vec/den) T'_j / (ab), both actions reduced at once."""
     kernel = _kernel(x.n)
-    a, b = x.q0.numerator, x.q0.denominator
-    vec = _act(_act(x._vec, kernel.left[j - 1], a * b, a - b), kernel.right[j - 1], a * b, a - b)
-    return HeckeElement._make(x.n, x.q0, vec, x._den * a * b)
+    vec = _act(_act(x._vec, kernel.left[j - 1], x.q0), kernel.right[j - 1], x.q0)
+    return HeckeElement._make(x.n, x.q0, vec, x._den * x.q0.numerator * x.q0.denominator)
 
 
 def _murphy_terms(x: HeckeElement) -> Iterator[HeckeElement]:
@@ -403,7 +402,7 @@ def symmetrizing_trace(x: HeckeElement, y: HeckeElement) -> Fraction:
     x._check_compatible(y)
     kernel = _kernel(x.n)
     ab = x.q0.numerator * x.q0.denominator
-    powers = [ab**k for k in range(max(kernel.lengths) + 1)]
+    powers = [ab**k for k in range(x.n * (x.n - 1) // 2 + 1)]
     yv = y._vec
     total = sum(c * yv[s] * powers[k] for c, s, k in zip(x._vec, kernel.inverse, kernel.lengths) if c)
     return Fraction(total, x._den * y._den)
@@ -513,8 +512,8 @@ def irreducible_trace(g: YoungDiagram, word: tuple[int, ...], q0) -> Fraction:
     With e_g the central idempotent and tau the symmetrizing trace,
     chi_g(h) = dim(g) * tau(e_g h) / tau(e_g).  tau(e_g h) is a dot
     product of e_g's coefficients, never a product of elements, and
-    tau(e_g) is e_g's identity coefficient (T'_e = g_e), read directly.
+    tau(e_g) is e_g's identity coefficient, read directly.
     """
     p = projector_element(hecke_projector(g, q0))
     x = word_element(p.n, p.q0, word)
-    return dimension(g) * symmetrizing_trace(p, x) / Fraction(p._vec[0], p._den)
+    return dimension(g) * symmetrizing_trace(p, x) / p.coefficient(tuple(range(1, g.n + 1)))

@@ -274,8 +274,8 @@ def single_cycle_class_sum(n: int, p: int) -> ClassVector:
 
 
 @cache
-def _structure_row(n: int, s: CycleType, t: CycleType) -> Mapping[CycleType, int]:
-    """Integer constants N such that [s]_n [t]_n = sum_u N_u [u]_n.
+def _structure_row(s: CycleType, t: CycleType) -> Mapping[CycleType, int]:
+    """Integer constants N such that [s]_n [t]_n = sum_u N_u [u]_n, where n = sum(s).
 
     Fix the representative x of class s, multiply it by every element y
     of class t, and count the cycle types of the products; then
@@ -284,7 +284,7 @@ def _structure_row(n: int, s: CycleType, t: CycleType) -> Mapping[CycleType, int
     The row is cached, so it is returned as a read-only view.
     """
     if class_size(t) > class_size(s):
-        return _structure_row(n, t, s)
+        return _structure_row(t, s)
     x0 = _representative(s)
     counts: dict[CycleType, int] = {}
     for y in _class_members(t):
@@ -308,12 +308,11 @@ def class_product(a: ClassVector, b: ClassVector) -> ClassVector:
     structure row.
     """
     b = a._coerce(b)
-    n = a.n
-    unit = (1,) * n
+    unit = (1,) * a.n
     pairs: list[tuple[CycleType, Scalar]] = []
     for s, cs in a._terms.items():
         for t, ct in b._terms.items():
-            row = {t: 1} if s == unit else {s: 1} if t == unit else _structure_row(n, s, t)
+            row = {t: 1} if s == unit else {s: 1} if t == unit else _structure_row(s, t)
             pairs.extend((u, cs * ct * constant) for u, constant in row.items())
     return a._like(a._collect(pairs))
 

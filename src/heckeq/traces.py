@@ -56,18 +56,18 @@ _3Q_MINUS_4 = LaurentPoly({1: 3, 0: -4, -1: 3})  # 3q - 4 + 3/q
 _Level = list[tuple[tuple[int, ...], list[tuple[int, int]]]]
 
 
-def _lattice(tops: list[YoungDiagram], bottom: int) -> list[_Level]:
-    """The branching lattice from level `bottom` up to the level of `tops`.
+def _lattice(tops: list[YoungDiagram]) -> list[_Level]:
+    """The branching lattice from level 1 up to the level of `tops`.
 
-    One list per level, bottom first.  Each entry pairs a diagram's row
+    One list per level, level 1 first.  Each entry pairs a diagram's row
     tuple with its steps down: the position in the previous level of each
     diagram one box below it, and the content of the removed box.  The
-    bottom level's entries have no steps.  Diagrams below the tops are
-    kept as row tuples, so none is built as a `YoungDiagram`.
+    one-box diagram has no steps.  Diagrams below the tops are kept as
+    row tuples, so none is built as a `YoungDiagram`.
     """
     levels: list[_Level] = []
     level = [g.rows for g in tops]
-    for _ in range(tops[0].n - bottom):
+    for _ in range(tops[0].n - 1):
         position: dict[tuple[int, ...], int] = {}
         steps = [[(position.setdefault(below, len(position)), c) for below, c in row_removals(rows)] for rows in level]
         levels.append(list(zip(level, steps)))
@@ -79,15 +79,16 @@ def _lattice(tops: list[YoungDiagram], bottom: int) -> list[_Level]:
 def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPoly]:
     """tr(L_a1 ... L_al) at each diagram of the top level, by one climb.
 
-    `levels[0]` is level a1 - 1.  Summed over every chain from there up
-    to the top, the chain's first diagram contributes its dimension and
-    each marked level the q-content of the box added there.  Only one
-    level of values is held at a time; an unmarked level's sum starts
-    from its first step's value, so a single step passes it on uncopied.
+    `levels` starts at level 1 and the climb at level a1 - 1.  Summed
+    over every chain from there up to the top, the chain's first diagram
+    contributes its dimension and each marked level the q-content of the
+    box added there.  Only one level of values is held at a time; an
+    unmarked level's sum starts from its first step's value, so a single
+    step passes it on uncopied.
     """
     marked = frozenset(alphas)
-    values = [dimension(YoungDiagram(rows)) for rows, _ in levels[0]]
-    for level, entries in enumerate(levels[1:], start=alphas[0]):
+    values = [dimension(YoungDiagram(rows)) for rows, _ in levels[alphas[0] - 2]]
+    for level, entries in enumerate(levels[alphas[0] - 1 :], start=alphas[0]):
         if level in marked:
             values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for _, steps in entries]
         else:
@@ -112,7 +113,7 @@ def _murphy_columns(tops: list[YoungDiagram]) -> Iterator[tuple[YoungDiagram, di
     Only at the top do counts become polynomials, each top's columns read
     from their own windows of slots, narrowed to g's nonzero ones.
     """
-    levels = _lattice(tops, 1)
+    levels = _lattice(tops)
     width = -(-max(map(dimension, tops)).bit_length() // 8)
     bits = 8 * width
     mask = (1 << bits) - 1
@@ -211,7 +212,7 @@ def murphy_product_trace(g: YoungDiagram, alphas: tuple[int, ...] | list[int]) -
         raise ValueError(f"Murphy indices {alphas} must lie in 2..{n}")
     if any(a >= b for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"Murphy indices {alphas} must be strictly increasing")
-    return _path_sums(_lattice([g], alphas[0] - 1), alphas)[0]
+    return _path_sums(_lattice([g]), alphas)[0]
 
 
 def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
@@ -238,7 +239,7 @@ def doubly_connected_traces(g: YoungDiagram) -> dict[str, LaurentPoly]:
     if n < 4:
         raise ValueError("doubly-connected words need n >= 4")
     tau = {k: simply_connected_trace(g, k) for k in range(2, min(n, 5) + 1)}
-    levels = _lattice([g], 1)  # both path sums start at level 1
+    levels = _lattice([g])
     t24 = _path_sums(levels, (2, 4))[0]
     g13 = t24 - _RATIO * _Q_PLUS_INV * tau[4] - _Q_MINUS_1_PLUS_INV * 2 * tau[3] - _QM1 * tau[2]
     out = {"g1*g3": g13}

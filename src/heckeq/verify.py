@@ -129,7 +129,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
 
     def idempotent(name: str, g: YoungDiagram) -> bool:
         p = projectors[g]
-        tau = symmetrizing_trace(p, one)
+        tau = p.coefficient(tuple(range(1, n + 1)))
         return (
             eigenvector(name, g)
             and compare(name, tau, symmetrizing_trace(p, p), g, basis_word=())

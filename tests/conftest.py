@@ -77,7 +77,6 @@ def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     x._check_compatible(y)
     parent, walk = first_descent_tree(x.n)
     right = _kernel(x.n).right
-    a, b = x.q0.numerator, x.q0.denominator
     weights = y._vec
     keep = bytearray(len(weights))
     for r, c in enumerate(weights):
@@ -90,7 +89,7 @@ def product(x: HeckeElement, y: HeckeElement) -> HeckeElement:
     for r, i, depth in walk:
         if keep[r]:
             del path[depth:]
-            path.append(_act(path[-1], right[i - 1], a * b, a - b))
+            path.append(_act(path[-1], right[i - 1], x.q0))
             c = weights[r]
             if c:
                 total = [s + c * v for s, v in zip(total, path[-1])]

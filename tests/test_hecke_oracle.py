@@ -123,12 +123,11 @@ def ref_regular_trace(x):
     basis from g to T' leaves the trace alone.
     """
     right = _kernel(x.n).right
-    a, b = x.q0.numerator, x.q0.denominator
     path = [x._vec]
     total = x._vec[0]
     for r, i, depth in first_descent_tree(x.n)[1]:
         del path[depth:]
-        path.append(_act(path[-1], right[i - 1], a * b, a - b))
+        path.append(_act(path[-1], right[i - 1], x.q0))
         total += path[-1][r]
     return Fraction(total, x._den)
 
