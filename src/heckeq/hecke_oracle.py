@@ -64,8 +64,8 @@ produce exact irreducible traces, the oracle every symbolic result in
 the package is checked against.
 
 The facts of an (n, q0) pair are kept for the last 8 pairs, per-diagram
-and per-word ones for the last 64.  Only the per-n tables and reduced
-words, whose keys `MAX_ORACLE_N` bounds, are kept for good.
+and per-word ones for the last 64.  Only the per-n tables, whose keys
+`MAX_ORACLE_N` bounds, are kept for good.
 
 The representation is specialized at a rational q0 rather than kept
 symbolic because any rational with |q0| not in {0, 1} is never a root
@@ -84,7 +84,7 @@ from types import MappingProxyType
 
 from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue, lagrange_numerator
-from .laurent import _scalar, is_int, is_scalar
+from .laurent import _integer, _scalar, is_int, is_scalar
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -251,7 +251,7 @@ class HeckeElement:
         each basis word; left multiplication swaps the values i, i+1.
         """
         n, q0 = self.n, self.q0
-        if not 1 <= i <= n - 1:
+        if not 1 <= _integer(i) <= n - 1:
             raise ValueError(f"generator index {i} must lie in 1..{n - 1}")
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
@@ -297,7 +297,6 @@ class HeckeElement:
         return f"HeckeElement(n={self.n}, q0={self.q0}, {self.support_size} basis terms)"
 
 
-@cache
 def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
     """A fixed reduced word for the permutation (first-descent stripping).
 

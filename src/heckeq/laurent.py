@@ -19,7 +19,8 @@ Formulas that look like rational functions must either divide exactly or
 be evaluated at a specialized rational q0.  What a number is is decided
 here alone: `is_int` (an `int`, never a `bool`) for every integer the
 package takes, `is_scalar` (an integer or a `Fraction`) for every scalar,
-which `_scalar` alone converts, refusing anything else with `TypeError`.
+which `_scalar` alone converts, refusing anything else with `TypeError`,
+as `_integer` refuses what `is_int` does.
 """
 
 from __future__ import annotations
@@ -64,6 +65,13 @@ def is_int(value) -> bool:
 def is_scalar(value) -> bool:
     """Whether `value` is a scalar of the library: an integer (`is_int`) or a `Fraction`."""
     return is_int(value) or isinstance(value, Fraction)
+
+
+def _integer(value) -> int:
+    """A caller's integer argument; whatever `is_int` refuses is a `TypeError`."""
+    if not is_int(value):
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
 
 
 def _scalar(value) -> Scalar:
@@ -448,7 +456,7 @@ def q_integer(k: int) -> LaurentPoly:
     [k]_q = 1 + q + ... + q^(k-1) for k > 0, zero for k = 0, and
     -(q^-1 + q^-2 + ... + q^k) for k < 0.
     """
-    if k > 0:
+    if _integer(k) > 0:
         return LaurentPoly._make(dict.fromkeys(range(k), 1))
     if k == 0:
         return LaurentPoly.zero()
@@ -462,7 +470,7 @@ def q_content(c: int) -> LaurentPoly:
     -(1 + q^-1 + ... + q^(c+1)) for c < 0.  At q = 1 it collapses to c.
     It is the content histogram {c: 1} read by `q_content_sum`.
     """
-    return q_content_sum({c: 1})
+    return q_content_sum({_integer(c): 1})
 
 
 def q_content_sum(counts: Mapping[int, int]) -> LaurentPoly:
@@ -493,7 +501,7 @@ def symmetric_bracket(x: int) -> LaurentPoly:
     Expands to q^(x-1) + q^(x-3) + ... + q^(1-x) for x > 0 and is odd
     in x.
     """
-    if x == 0:
+    if _integer(x) == 0:
         return LaurentPoly.zero()
     sign = 1 if x > 0 else -1
     a = abs(x)

@@ -219,6 +219,22 @@ def test_monomial_exponent_is_an_integer():
             LaurentPoly.monomial(exp)
 
 
+# A bool is not an integer argument either; like a float, it is a TypeError.
+INTEGER_ARGUMENTS = {
+    "q_integer": q_integer,
+    "q_content": q_content,
+    "symmetric_bracket": symmetric_bracket,
+    "times_generator": lambda i: HeckeElement.identity(3, 2).times_generator(i),
+}
+
+
+@pytest.mark.parametrize("call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("value", [True, False, 0.5])
+def test_non_integer_arguments_are_refused(call, value):
+    with pytest.raises(TypeError, match="expected an integer"):
+        call(value)
+
+
 # Every entry point that reads a scalar argument, called with that argument.
 SCALAR_ENTRY_POINTS = {
     "HeckeElement-q0": lambda x: HeckeElement(3, x),

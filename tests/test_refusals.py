@@ -1,0 +1,78 @@
+"""Every library refusal that no other in-process test reaches.
+
+One row per refused call: the call, the exact exception type, and the
+start of its message.
+"""
+
+import pytest
+
+from heckeq.hecke_oracle import HeckeElement, murphy_element
+from heckeq.invariant import NonIntegerPowerSum, content_power_sum, power_sums_from_eigenvalue
+from heckeq.laurent import LaurentPoly, NotDivisible
+from heckeq.suq import SuqIrrep, chevalley_weight, gz_patterns, irrep_from_casimir, lowering_squared
+from heckeq.symgroup import (
+    ClassVector,
+    build_projector,
+    character_table,
+    characters_from_projector,
+    single_cycle_class_sum,
+)
+
+from conftest import F, Y
+
+
+def _pattern():
+    return gz_patterns(SuqIrrep.from_rows(3, (2, 1)))[0]
+
+
+REFUSALS = {
+    "times_generator index 0": (
+        lambda: HeckeElement.identity(3, 2).times_generator(0), ValueError, "generator index 0 must lie in 1..2"),
+    "times_generator index n": (
+        lambda: HeckeElement.identity(3, 2).times_generator(3), ValueError, "generator index 3 must lie in 1..2"),
+    "times_generator side": (
+        lambda: HeckeElement.identity(3, 2).times_generator(1, "up"), ValueError, "side must be 'right' or 'left'"),
+    "murphy_element index 1": (lambda: murphy_element(3, 2, 1), ValueError, "Murphy index 1 must lie in 2..3"),
+    "murphy_element index n + 1": (lambda: murphy_element(3, 2, 4), ValueError, "Murphy index 4 must lie in 2..3"),
+    "content_power_sum k": (
+        lambda: content_power_sum(Y(2, 1), 0), ValueError, "power sum index must be a positive integer"),
+    "power_sums_from_eigenvalue kmax": (
+        lambda: power_sums_from_eigenvalue(LaurentPoly.q(), 0), ValueError, "kmax must be a positive integer"),
+    "power_sums_from_eigenvalue non-integer power sum": (
+        lambda: power_sums_from_eigenvalue(LaurentPoly({1: F(1, 2), 0: F(-1, 2)}), 2),
+        NonIntegerPowerSum, "power sum s_1 = 1/2 is not an integer"),
+    "divide_exact divisor type": (
+        lambda: LaurentPoly.q().divide_exact("q"), TypeError, "divisor must be a LaurentPoly or scalar"),
+    "divide_exact divisor degree": (
+        lambda: LaurentPoly.q().divide_exact(LaurentPoly({2: 1, 0: 1})), NotDivisible,
+        "(q) is not divisible by (q^2+1)"),
+    "single_cycle_class_sum p 1": (
+        lambda: single_cycle_class_sum(3, 1), ValueError, "cycle length 1 must lie in 2..3"),
+    "single_cycle_class_sum p n + 1": (
+        lambda: single_cycle_class_sum(3, 4), ValueError, "cycle length 4 must lie in 2..3"),
+    "ClassVector key of wrong n": (
+        lambda: ClassVector(3, {(2, 2): 1}), ValueError, "cycle type (2, 2) does not partition n=3"),
+    "characters_from_projector n": (
+        lambda: characters_from_projector(build_projector(Y(2, 1)), Y(2, 2)), ValueError,
+        "diagram 2,2 has 4 boxes, expected n=3"),
+    "character_table method": (
+        lambda: character_table(3, "brute"), ValueError, "unknown method 'brute' (expected 'mn' or 'projector')"),
+    "SuqIrrep top row length": (
+        lambda: SuqIrrep(3, (2, 0)), ValueError, "top row must have 3 entries, got (2, 0)"),
+    "irrep_from_casimir N": (
+        lambda: irrep_from_casimir(LaurentPoly.q(), 1), ValueError, "N must be an integer >= 2"),
+    "lowering_squared j above k": (
+        lambda: lowering_squared(_pattern(), 2, 1, 2), ValueError, "need 1 <= j <= k <= N-1, got j=2, k=1"),
+    "lowering_squared k above N - 1": (
+        lambda: lowering_squared(_pattern(), 1, 3, 2), ValueError, "need 1 <= j <= k <= N-1, got j=1, k=3"),
+    "chevalley_weight k 0": (lambda: chevalley_weight(_pattern(), 0), ValueError, "need 1 <= k <= N-1, got k=0"),
+    "chevalley_weight k N": (lambda: chevalley_weight(_pattern(), 3), ValueError, "need 1 <= k <= N-1, got k=3"),
+}
+
+
+@pytest.mark.parametrize("call, kind, start", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refusal(call, kind, start):
+    with pytest.raises(Exception) as info:
+        call()
+    assert type(info.value) is kind
+    assert str(info.value).startswith(start)
