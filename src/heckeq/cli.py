@@ -27,7 +27,7 @@ from itertools import islice
 
 from .diagrams import YoungDiagram, partitions
 from .invariant import invariant_eigenvalue, reconstruct_diagram
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _integers
 from .suq import (
     SuqIrrep,
     casimir_eigenvalue,
@@ -150,10 +150,7 @@ def _cmd_traces(args) -> tuple[dict, int]:
     elif kind == "products":
         if not args.alphas:
             raise CommandError("--alphas is required for kind=products (e.g. --alphas 2,4)")
-        try:
-            alphas = tuple(int(a) for a in args.alphas.split(","))
-        except ValueError as exc:
-            raise CommandError(f"cannot parse --alphas {args.alphas!r}") from exc
+        alphas = _integers(args.alphas, "--alphas")
         doc["alphas"] = list(alphas)
         doc["trace"] = str(murphy_product_trace(g, alphas))
     elif kind == "doubly":
@@ -229,7 +226,7 @@ def _suq_irrep_from_args(args, N: int) -> SuqIrrep:
         raise CommandError(f"--diagram is required for action={args.action}")
     text = args.diagram
     try:
-        return SuqIrrep.from_rows(N, tuple(int(p) for p in text.split(",")))
+        return SuqIrrep.from_rows(N, _integers(text, "diagram"))
     except ValueError as exc:
         raise CommandError(f"cannot build an SU_q({N}) irrep from {text!r}: {exc}") from exc
 
@@ -276,7 +273,16 @@ def _emit(command: str, fmt: str, payload: dict | None, exc: Exception | None = 
 # -- argument parsing -----------------------------------------------------
 
 
-_N = ("--n", dict(type=int, required=True))
+def _integer_option(text: str) -> int:
+    """An integer option's value, read by `laurent._integers`; other text is the usage error `type=int` gave."""
+    try:
+        (value,) = _integers(text, "integer")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return value
+
+
+_N = ("--n", dict(type=_integer_option, required=True))
 
 # One row per command: its help, its handler, whether it takes
 # --unsafe-large-n (only the commands with a default in SCALE_DEFAULTS do),
@@ -297,11 +303,11 @@ COMMANDS = {
     "verify": ("run the oracle suite", _cmd_verify, False,
                [_N, ("--q0", dict(default="2", help="rational specialization point (default 2)"))]),
     "suq": ("quantum-group Casimir machinery", _cmd_suq, True, [
-        ("--N", dict(type=int, required=True)),
+        ("--N", dict(type=_integer_option, required=True)),
         ("--action", dict(choices=("casimir", "reconstruct", "check", "dimension"), required=True)),
         ("--diagram", dict(help="Young-diagram rows, trailing zeros optional")),
         ("--poly", dict(help="Casimir spectrum polynomial for action=reconstruct")),
-        ("--sweep-n", dict(type=int, help="for action=check: verify all diagrams up to this size")),
+        ("--sweep-n", dict(type=_integer_option, help="for action=check: verify all diagrams up to this size")),
     ]),
 }
 

@@ -14,7 +14,7 @@ from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 
-from .laurent import LaurentPoly, is_int, q_integer
+from .laurent import LaurentPoly, _integer, _integers, q_integer
 
 __all__ = [
     "YoungDiagram",
@@ -73,19 +73,14 @@ class YoungDiagram(FrozenRecord):
         if not rows:
             raise ValueError("a Young diagram needs at least one row")
         for r in rows:
-            if not is_int(r) or r < 1:
-                raise ValueError(f"row lengths must be positive integers, got {rows}")
+            _integer(r, "row length", 1)
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise ValueError(f"row lengths must be weakly decreasing, got {rows}")
 
     @classmethod
     def from_string(cls, text: str) -> "YoungDiagram":
         """Parse comma-separated row lengths, e.g. ``4,1,1``."""
-        try:
-            rows = tuple(int(part) for part in text.split(","))
-        except ValueError as exc:
-            raise ValueError(f"cannot parse diagram {text!r}") from exc
-        return cls(rows)
+        return cls(_integers(text, "diagram"))
 
     @property
     def n(self) -> int:
@@ -149,8 +144,7 @@ def partitions(n: int) -> list[YoungDiagram]:
     This fixed order is the canonical row/column order for every table
     in the package.
     """
-    if not is_int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
+    _integer(n, "n", 1)
     return [YoungDiagram(rows) for rows in _partition_tuples(n, n)]
 
 

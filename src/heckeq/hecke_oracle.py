@@ -84,7 +84,7 @@ from types import MappingProxyType
 
 from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue, lagrange_numerator
-from .laurent import _integer, _scalar, is_int, is_scalar
+from .laurent import _integer, _scalar, is_scalar
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -113,9 +113,7 @@ class DegenerateSpecialization(ValueError):
 
 
 def _check_n(n: int) -> None:
-    if not is_int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
-    if n > MAX_ORACLE_N:
+    if _integer(n, "n", 1) > MAX_ORACLE_N:
         raise ValueError(f"the regular-representation oracle is capped at n <= {MAX_ORACLE_N}")
 
 
@@ -251,8 +249,7 @@ class HeckeElement:
         each basis word; left multiplication swaps the values i, i+1.
         """
         n, q0 = self.n, self.q0
-        if not 1 <= _integer(i) <= n - 1:
-            raise ValueError(f"generator index {i} must lie in 1..{n - 1}")
+        _integer(i, "generator index", 1, n - 1)
         if side not in ("right", "left"):
             raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         kernel = _kernel(n)
@@ -357,8 +354,7 @@ def murphy_element(n: int, q0, i: int) -> HeckeElement:
     each summand a single basis word (a transposition).
     """
     _check_n(n)
-    if not 2 <= i <= n:
-        raise ValueError(f"Murphy index {i} must lie in 2..{n}")
+    _integer(i, "Murphy index", 2, n)
     return next(islice(_murphy_terms(HeckeElement.identity(n, q0)), i - 2, None))
 
 

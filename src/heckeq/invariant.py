@@ -22,7 +22,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import LaurentPoly, Scalar, exp_series, is_int, q_content_sum
+from .laurent import LaurentPoly, Scalar, _integer, exp_series, is_int, q_content_sum
 
 __all__ = [
     "InvalidSpectrum",
@@ -83,8 +83,7 @@ def rescaled_invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:
 
 def content_power_sum(g: YoungDiagram, k: int) -> int:
     """The k-th power sum of the box contents of g (k >= 1), one term m c^k per diagonal."""
-    if not is_int(k) or k < 1:
-        raise ValueError("power sum index must be a positive integer")
+    _integer(k, "power sum index", 1)
     return sum(m * c**k for c, m in g.diagonal_counts().items())
 
 
@@ -119,8 +118,7 @@ def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
     diagram is then validated by recomputing its eigenvalue, so malformed
     input raises `InvalidSpectrum`.
     """
-    if not is_int(n) or n < 1:
-        raise ValueError("n must be a positive integer")
+    _integer(n, "n", 1)
     terms = p.terms
     if not all(is_int(coeff) for coeff in terms.values()):
         raise InvalidSpectrum(f"non-integer coefficient in {p}")
@@ -211,8 +209,7 @@ def power_sums_from_eigenvalue(p: LaurentPoly, kmax: int) -> list[int]:
     was not a rescaled invariant eigenvalue and raises
     `NonIntegerPowerSum`; likewise a nonzero constant term.
     """
-    if not is_int(kmax) or kmax < 1:
-        raise ValueError("kmax must be a positive integer")
+    _integer(kmax, "kmax", 1)
     series = exp_series(p, kmax)
     if series[0] != 0:
         raise NonIntegerPowerSum("nonzero constant term: not a rescaled eigenvalue")
@@ -234,8 +231,7 @@ def separating_depth(n: int) -> int:
     of n; past n = 1 the depth never exceeds n - 1 because the full
     eigenvalue already separates.
     """
-    if not is_int(n) or not 1 <= n <= MAX_SEPARATION_N:
-        raise ValueError(f"n must lie in 1..{MAX_SEPARATION_N}")
+    _integer(n, "n", 1, MAX_SEPARATION_N)
     parts = partitions(n)
     signatures: list[tuple[int, ...]] = [() for _ in parts]
     for k in range(1, max(n, 2)):

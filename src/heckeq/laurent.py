@@ -18,9 +18,10 @@ raises `NotDivisible`, and rational functions are never materialized.
 Formulas that look like rational functions must either divide exactly or
 be evaluated at a specialized rational q0.  What a number is is decided
 here alone: `is_int` (an `int`, never a `bool`) for every integer the
-package takes, `is_scalar` (an integer or a `Fraction`) for every scalar,
-which `_scalar` alone converts, refusing anything else with `TypeError`,
-as `_integer` refuses what `is_int` does.
+package takes, which `_integer` alone checks, range included, and
+`is_scalar` (an integer or a `Fraction`) for every scalar, which `_scalar`
+alone converts; both refuse anything else with `TypeError`.  Integer
+text has one reader, `_integers`.
 """
 
 from __future__ import annotations
@@ -67,11 +68,29 @@ def is_scalar(value) -> bool:
     return is_int(value) or isinstance(value, Fraction)
 
 
-def _integer(value) -> int:
-    """A caller's integer argument; whatever `is_int` refuses is a `TypeError`."""
+def _integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """A caller's integer argument, refused by name: a `TypeError` for whatever `is_int`
+    refuses, a `ValueError` below `low` or above `high` (given only with `low`)."""
     if not is_int(value):
-        raise TypeError(f"expected an integer, got {type(value).__name__}")
+        raise TypeError(f"expected an integer {name}, got {type(value).__name__}")
+    if low is not None and value < low or high is not None and value > high:
+        bounds = f"be at least {low}" if high is None else f"lie in {low}..{high}"
+        raise ValueError(f"{name} must {bounds}, got {value}")
     return value
+
+
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+\s*")  # the integers of `_TERM_RE` and `cli.Q0_TEXT`
+
+
+def _integers(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, each an optional sign and digits with blanks around it.
+
+    The one reader of integer text: anything else, "1_0" too, is a `ValueError` naming `what`.
+    """
+    parts = text.split(",")
+    if not all(map(_INTEGER_TEXT.fullmatch, parts)):
+        raise ValueError(f"cannot parse {what} {text!r}")
+    return tuple(map(int, parts))
 
 
 def _scalar(value) -> Scalar:
@@ -223,9 +242,7 @@ class LaurentPoly(SparseVector):
 
     @staticmethod
     def _key(exp: int) -> int:
-        if not is_int(exp):
-            raise TypeError("exponents must be integers")
-        return exp
+        return _integer(exp, "exponent")
 
     # -- constructors -------------------------------------------------
 
@@ -363,8 +380,7 @@ class LaurentPoly(SparseVector):
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not is_int(n) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
+        _integer(n, "power", 0)
         result = LaurentPoly.one()
         base = self
         while n:
@@ -428,8 +444,8 @@ class LaurentPoly(SparseVector):
 
     def substitute_power(self, m: int) -> "LaurentPoly":
         """Apply q -> q^m (m a nonzero integer) by rescaling exponents."""
-        if not is_int(m) or m == 0:
-            raise ValueError("substitution power must be a nonzero integer")
+        if _integer(m, "substitution power") == 0:
+            raise ValueError("substitution power must be nonzero")
         return LaurentPoly._make({e * m: c for e, c in self._terms.items()})
 
     # -- hash and text ------------------------------------------------
@@ -456,7 +472,7 @@ def q_integer(k: int) -> LaurentPoly:
     [k]_q = 1 + q + ... + q^(k-1) for k > 0, zero for k = 0, and
     -(q^-1 + q^-2 + ... + q^k) for k < 0.
     """
-    if _integer(k) > 0:
+    if _integer(k, "k") > 0:
         return LaurentPoly._make(dict.fromkeys(range(k), 1))
     if k == 0:
         return LaurentPoly.zero()
@@ -470,7 +486,7 @@ def q_content(c: int) -> LaurentPoly:
     -(1 + q^-1 + ... + q^(c+1)) for c < 0.  At q = 1 it collapses to c.
     It is the content histogram {c: 1} read by `q_content_sum`.
     """
-    return q_content_sum({_integer(c): 1})
+    return q_content_sum({_integer(c, "c"): 1})
 
 
 def q_content_sum(counts: Mapping[int, int]) -> LaurentPoly:
@@ -501,7 +517,7 @@ def symmetric_bracket(x: int) -> LaurentPoly:
     Expands to q^(x-1) + q^(x-3) + ... + q^(1-x) for x > 0 and is odd
     in x.
     """
-    if _integer(x) == 0:
+    if _integer(x, "x") == 0:
         return LaurentPoly.zero()
     sign = 1 if x > 0 else -1
     a = abs(x)
@@ -514,8 +530,7 @@ def exp_series(p: LaurentPoly, order: int) -> tuple[Fraction, ...]:
     Returns the coefficients c_0..c_order of sum(c_k * delta^k); the
     coefficient of delta^k is sum over terms a_e * e^k / k!.
     """
-    if not is_int(order) or order < 0:
-        raise ValueError("series order must be a nonnegative integer")
+    _integer(order, "series order", 0)
     return tuple(
         sum((c * Fraction(e**k, factorial(k)) for e, c in p._terms.items()), Fraction(0))
         for k in range(order + 1)

@@ -27,7 +27,7 @@ from math import prod
 
 from .diagrams import FrozenRecord, YoungDiagram
 from .invariant import InvalidSpectrum, invariant_eigenvalue
-from .laurent import LaurentPoly, _scalar, is_int, q_integer, symmetric_bracket
+from .laurent import LaurentPoly, _integer, _integers, _scalar, q_integer, symmetric_bracket
 
 __all__ = [
     "PatternViolation",
@@ -60,12 +60,10 @@ class SuqIrrep(FrozenRecord):
     def __init__(self, N: int, top: tuple[int, ...]):
         top = tuple(top)
         super().__init__(N, top)
-        if not is_int(N) or N < 2:
-            raise ValueError("N must be an integer >= 2")
-        if len(top) != N:
+        if len(top) != _integer(N, "N", 2):
             raise ValueError(f"top row must have {N} entries, got {top}")
-        if any(not is_int(h) or h < 0 for h in top):
-            raise ValueError(f"top row entries must be nonnegative integers, got {top}")
+        for h in top:
+            _integer(h, "top row entry", 0)
         if any(top[i] < top[i + 1] for i in range(N - 1)):
             raise ValueError(f"top row must be weakly decreasing, got {top}")
         if top[-1] != 0:
@@ -89,8 +87,8 @@ class SuqIrrep(FrozenRecord):
         """Parse ``N:l1,l2,...`` with trailing zeros optional."""
         try:
             n_text, rows_text = text.split(":")
-            N = int(n_text)
-            rows = tuple(int(r) for r in rows_text.split(",")) if rows_text else ()
+            (N,) = _integers(n_text, "N")
+            rows = _integers(rows_text, "rows") if rows_text else ()
         except ValueError as exc:
             raise ValueError(f"cannot parse irrep {text!r} (expected 'N:l1,l2,...')") from exc
         return cls.from_rows(N, rows)
@@ -204,8 +202,7 @@ def irrep_from_casimir(spectrum: LaurentPoly, N: int) -> SuqIrrep:
     with unit coefficients; sorting the halved exponents L_k in
     decreasing order and setting l_k = L_k + k rebuilds the row lengths.
     """
-    if not is_int(N) or N < 2:
-        raise ValueError("N must be an integer >= 2")
+    _integer(N, "N", 2)
     terms = spectrum.terms
     if len(terms) != N - 1:
         raise InvalidSpectrum(f"expected {N - 1} distinct powers, got {len(terms)}")
@@ -245,9 +242,8 @@ def lowering_squared(p: GZPattern, j: int, k: int, q0) -> Fraction:
     square root.  If lowering h_{j,k} leaves the cone, the element is
     zero.
     """
-    N = p.N
-    if not 1 <= j <= k <= N - 1:
-        raise ValueError(f"need 1 <= j <= k <= N-1, got j={j}, k={k}")
+    _integer(k, "k", 1, p.N - 1)
+    _integer(j, "j", 1, k)
     q0 = _q0_above_one(q0)
     if p.shifted(j, k, -1) is None:
         return Fraction(0)
@@ -270,8 +266,7 @@ def lowering_squared(p: GZPattern, j: int, k: int, q0) -> Fraction:
 def chevalley_weight(p: GZPattern, k: int) -> int:
     """Exponent of the diagonal Cartan action q^(h_k) on the pattern:
     twice the row-k sum minus the sums of rows k+1 and k-1."""
-    if not 1 <= k <= p.N - 1:
-        raise ValueError(f"need 1 <= k <= N-1, got k={k}")
+    _integer(k, "k", 1, p.N - 1)
     total = 2 * sum(p.rows[k - 1]) - sum(p.rows[k])
     if k >= 2:
         total -= sum(p.rows[k - 2])

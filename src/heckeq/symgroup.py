@@ -27,7 +27,7 @@ from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import central_character_table, lagrange_numerator
-from .laurent import Scalar, SparseVector, is_int, is_scalar
+from .laurent import Scalar, SparseVector, _integer, _integers, is_scalar
 
 __all__ = [
     "NotSeparated",
@@ -99,11 +99,7 @@ def cycle_type_to_string(t: CycleType) -> str:
 
 
 def cycle_type_from_string(text: str) -> CycleType:
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"cannot parse cycle type {text!r}") from exc
-    return _canonical_type(parts)
+    return _canonical_type(_integers(text, "cycle type"))
 
 
 def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
@@ -120,8 +116,8 @@ def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
 
 def _canonical_type(t: CycleType) -> CycleType:
     """The cycle type sorted descending; a part that is not an integer >= 1 is an error."""
-    if any(not is_int(p) or p < 1 for p in t):
-        raise ValueError(f"cycle lengths must be positive integers, got {t}")
+    for p in t:
+        _integer(p, "cycle length", 1)
     return tuple(sorted(t, reverse=True))
 
 
@@ -268,8 +264,7 @@ class ClassVector(SparseVector):
 
 def single_cycle_class_sum(n: int, p: int) -> ClassVector:
     """The class-sum of p-cycles in S_n (unit cycles filled in)."""
-    if not 2 <= p <= n:
-        raise ValueError(f"cycle length {p} must lie in 2..{n}")
+    _integer(p, "cycle length", 2, n)
     return ClassVector(n, {(p,) + (1,) * (n - p): 1})
 
 

@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions, row_removals
 from .invariant import invariant_eigenvalue
-from .laurent import LaurentPoly, q_content, q_content_sum
+from .laurent import LaurentPoly, _integer, q_content, q_content_sum
 
 __all__ = [
     "murphy_traces",
@@ -164,9 +164,7 @@ def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:
     The prefactor must divide exactly; a `NotDivisible` failure would
     mean the lattice walk produced an inconsistent table.
     """
-    n = g.n
-    if not 2 <= k <= n:
-        raise ValueError(f"word length index {k} must lie in 2..{n}")
+    _integer(k, "word length index", 2, g.n)
     table = murphy_traces(g)
     acc = LaurentPoly.zero()
     for i in range(k - 1):
@@ -208,8 +206,8 @@ def murphy_product_trace(g: YoungDiagram, alphas: tuple[int, ...] | list[int]) -
     n = g.n
     if not alphas:
         raise ValueError("need at least one Murphy index")
-    if any(not 2 <= a <= n for a in alphas):
-        raise ValueError(f"Murphy indices {alphas} must lie in 2..{n}")
+    for a in alphas:
+        _integer(a, "Murphy index", 2, n)
     if any(a >= b for a, b in zip(alphas, alphas[1:])):
         raise ValueError(f"Murphy indices {alphas} must be strictly increasing")
     return _path_sums(_lattice([g]), alphas)[0]

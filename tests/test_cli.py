@@ -442,6 +442,28 @@ class TestScaleGuards:
         assert doc["result"]["dimension"] == 65 * 66 * 67 * 64 // 8
 
 
+# int() alone reads "1_0" as 10; the one integer grammar has no "_", for q0 as for every integer
+UNDERSCORED = {
+    "verify q0": ("verify --n 3 --q0 1_0", "1_0"),
+    "eigenvalue diagram": ("eigenvalue --n 10 --diagram 1_0", "1_0"),
+    "eigenvalue n": ("eigenvalue --n 1_0 --diagram 10", "1_0"),
+    "traces alphas": ("traces --n 6 --kind products --diagram 3,3 --alphas 2,0_4", "2,0_4"),
+    "suq diagram": ("suq --N 3 --action casimir --diagram 1_0", "1_0"),
+}
+
+
+@pytest.mark.parametrize("argv, text", UNDERSCORED.values(), ids=UNDERSCORED.keys())
+def test_underscored_integer_text_is_refused(capsys, argv, text):
+    try:
+        code = main(argv.split())
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code in (1, 2)
+    assert not captured.out
+    assert repr(text) in captured.err
+
+
 class TestOutputDiscipline:
     def test_json_is_deterministic(self, capsys):
         _, out1, _ = run_cli(capsys, "characters", "--n", "4", "--format", "json")

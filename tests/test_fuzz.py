@@ -14,10 +14,11 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckeq import LaurentPoly, SuqIrrep, YoungDiagram
+from heckeq import LaurentPoly, SuqIrrep, YoungDiagram, cycle_type_from_string
 from heckeq.cli import main
 
-# the grammars' own symbols, or any text at all; int() also reads "_"
+# the grammars' own symbols, "_" (int() reads "1_0" as 10, the integer grammar refuses it),
+# or any text at all; a run of digits and "_" is cut to two characters either way
 texts = st.one_of(st.text(alphabet="0123456789,:q^*+-/_ x.", max_size=16), st.text(max_size=16))
 texts = texts.map(lambda t: re.sub(r"[\d_]+", lambda m: m.group()[:2], t))
 
@@ -25,7 +26,7 @@ texts = texts.map(lambda t: re.sub(r"[\d_]+", lambda m: m.group()[:2], t))
 @given(texts)
 @settings(max_examples=100, deadline=None)
 def test_parsers_return_or_raise_value_error(text):
-    for parse in (YoungDiagram.from_string, SuqIrrep.from_string, LaurentPoly.from_string):
+    for parse in (YoungDiagram.from_string, SuqIrrep.from_string, cycle_type_from_string, LaurentPoly.from_string):
         try:
             parse(text)
         except ValueError:
