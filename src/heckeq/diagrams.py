@@ -159,7 +159,6 @@ def _hooks(g: YoungDiagram) -> list[int]:
     return [(length - j) + (columns[j] - i) - 1 for i, length in enumerate(rows) for j in range(length)]
 
 
-@cache
 def dimension(g: YoungDiagram) -> int:
     """Irrep dimension by the hook-length formula (Frame-Robinson-Thrall).
 

@@ -171,9 +171,9 @@ class HeckeElement:
     """A Hecke-algebra element at specialized q0, in the word basis.
 
     All arithmetic returns new objects, the integer vector is a tuple,
-    and `coeffs` builds a fresh dict on every read, so the cached
-    instances handed out by the constructors below (invariant, projector
-    elements) cannot be altered through their coefficients.
+    `coeffs` builds a fresh dict on every read, and no field can be
+    assigned or deleted, so the cached instances handed out by the
+    constructors below (invariant, projector elements) cannot be altered.
     """
 
     __slots__ = ("n", "q0", "_vec", "_den")
@@ -194,10 +194,15 @@ class HeckeElement:
 
     def _set(self, n: int, q0: Fraction, vec, den: int) -> None:
         g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)  # the sign goes into the vector
-        self.n = n
-        self.q0 = q0
-        self._vec = tuple(vec) if g == 1 else tuple(c // g for c in vec)
-        self._den = den // g
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "q0", q0)
+        object.__setattr__(self, "_vec", tuple(vec) if g == 1 else tuple(c // g for c in vec))
+        object.__setattr__(self, "_den", den // g)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def _make(cls, n: int, q0: Fraction, vec, den: int) -> "HeckeElement":
@@ -208,15 +213,12 @@ class HeckeElement:
 
     @classmethod
     def zero(cls, n: int, q0) -> "HeckeElement":
-        _check_n(n)
-        return cls._make(n, _check_q0(q0), [0] * len(_kernel(n).perms), 1)
+        return cls(n, q0)
 
     @classmethod
     def identity(cls, n: int, q0) -> "HeckeElement":
         _check_n(n)
-        vec = [0] * len(_kernel(n).perms)
-        vec[0] = 1
-        return cls._make(n, _check_q0(q0), vec, 1)
+        return cls(n, q0, {tuple(range(1, n + 1)): 1})
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], Fraction]:

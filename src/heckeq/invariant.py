@@ -22,7 +22,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import LaurentPoly, Scalar, _integer, exp_series, is_int, q_content_sum
+from .laurent import LaurentPoly, Scalar, _integer, is_int, q_content_sum
 
 __all__ = [
     "InvalidSpectrum",
@@ -204,20 +204,19 @@ def lagrange_numerator(values: Iterable[Scalar], target: Scalar) -> tuple[list[S
 def power_sums_from_eigenvalue(p: LaurentPoly, kmax: int) -> list[int]:
     """Recover content power sums s_1..s_kmax from a rescaled eigenvalue.
 
-    Expanding p(exp(delta)) in delta, the k-th coefficient times k! is
-    s_k.  Contents are integers, so a non-integral value means the input
-    was not a rescaled invariant eigenvalue and raises
-    `NonIntegerPowerSum`; likewise a nonzero constant term.
+    p(exp(delta)) = sum over terms c_e exp(e delta), so its k-th Taylor
+    coefficient times k! is s_k = sum of c_e e^k, read straight off the
+    terms.  Contents are integers, so a non-integral value means the
+    input was not a rescaled invariant eigenvalue and raises
+    `NonIntegerPowerSum`; likewise a nonzero constant term, sum of c_e.
     """
     _integer(kmax, "kmax", 1)
-    series = exp_series(p, kmax)
-    if series[0] != 0:
+    terms = p.terms
+    if sum(terms.values()) != 0:
         raise NonIntegerPowerSum("nonzero constant term: not a rescaled eigenvalue")
     sigmas = []
-    fact = 1
     for k in range(1, kmax + 1):
-        fact *= k
-        value = series[k] * fact
+        value = sum(c * e**k for e, c in terms.items())
         if value.denominator != 1:
             raise NonIntegerPowerSum(f"power sum s_{k} = {value} is not an integer")
         sigmas.append(int(value))

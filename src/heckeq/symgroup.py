@@ -35,7 +35,6 @@ __all__ = [
     "Permutation",
     "CycleType",
     "ClassVector",
-    "identity_perm",
     "perm_mul",
     "cycle_type",
     "cycle_type_to_string",
@@ -65,10 +64,6 @@ class NonIntegerCharacter(ArithmeticError):
 Permutation = tuple[int, ...]
 # Cycle lengths sorted descending, unit cycles included.
 CycleType = tuple[int, ...]
-
-
-def identity_perm(n: int) -> Permutation:
-    return tuple(range(1, n + 1))
 
 
 def perm_mul(u: Permutation, v: Permutation) -> Permutation:
@@ -197,7 +192,7 @@ class ClassVector(SparseVector):
     __slots__ = ("_space",)
 
     def __init__(self, n: int, coeffs: Mapping[CycleType, Scalar] | None = None):
-        self._space = n
+        self._space = _integer(n, "n", 1)
         super().__init__(coeffs)
 
     def _key(self, t: CycleType) -> CycleType:
@@ -227,7 +222,7 @@ class ClassVector(SparseVector):
 
     @classmethod
     def identity(cls, n: int) -> "ClassVector":
-        return cls(n, {(1,) * n: 1})
+        return cls(_integer(n, "n", 1), {(1,) * n: 1})
 
     @property
     def n(self) -> int:
@@ -264,7 +259,7 @@ class ClassVector(SparseVector):
 
 def single_cycle_class_sum(n: int, p: int) -> ClassVector:
     """The class-sum of p-cycles in S_n (unit cycles filled in)."""
-    _integer(p, "cycle length", 2, n)
+    _integer(p, "cycle length", 2, _integer(n, "n", 1))
     return ClassVector(n, {(p,) + (1,) * (n - p): 1})
 
 

@@ -79,16 +79,16 @@ def _lattice(tops: list[YoungDiagram]) -> list[_Level]:
 def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPoly]:
     """tr(L_a1 ... L_al) at each diagram of the top level, by one climb.
 
-    `levels` starts at level 1 and the climb at level a1 - 1.  Summed
-    over every chain from there up to the top, the chain's first diagram
-    contributes its dimension and each marked level the q-content of the
-    box added there.  Only one level of values is held at a time; an
-    unmarked level's sum starts from its first step's value, so a single
-    step passes it on uncopied.
+    The climb starts at level 1, the one-box diagram, with 1.  Summed
+    over every chain from there up to the top, each marked level
+    contributes the q-content of the box added there, so below a1 the
+    sums count the chains: each diagram's dimension.  Only one level of
+    values is held at a time; an unmarked level's sum starts from its
+    first step's value, so a single step passes it on uncopied.
     """
     marked = frozenset(alphas)
-    values = [dimension(YoungDiagram(rows)) for rows, _ in levels[alphas[0] - 2]]
-    for level, entries in enumerate(levels[alphas[0] - 1 :], start=alphas[0]):
+    values = [1]
+    for level, entries in enumerate(levels[1:], start=2):
         if level in marked:
             values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for _, steps in entries]
         else:
@@ -198,9 +198,9 @@ def invariant_trace_consistency(g: YoungDiagram) -> bool:
 def murphy_product_trace(g: YoungDiagram, alphas: tuple[int, ...] | list[int]) -> LaurentPoly:
     """Trace of a product of distinct Murphy operators L_{a1} ... L_{al}.
 
-    A path sum over the branching lattice below g, from level a1 - 1 up
-    to g, walked by `_path_sums`.  Indices must be strictly increasing
-    within 2..n.
+    A path sum over the branching lattice below g, from the one-box
+    diagram up to g, walked by `_path_sums`.  Indices must be strictly
+    increasing within 2..n.
     """
     alphas = tuple(alphas)
     n = g.n

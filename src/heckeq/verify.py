@@ -28,8 +28,9 @@ centrality is checked first:
     C central gives ev_g p_g p_h = p_g C p_h = p_g p_h C = ev_h p_g p_h,
     so distinct eigenvalues make p_g p_h = 0: orthogonality.
 
-When idempotence passes, it has shown both relations for every g, and
-orthogonality reads that pass; otherwise orthogonality checks them again.
+One pass over the projectors checks both relations for every g.
+Idempotence is that pass followed by the tau conditions, and
+orthogonality reads the same pass.
 
 The eigenvalues are distinct because the oracle's one spectrum of C at
 (n, q0), which every projector and these checks read, refuses any q0 at
@@ -123,23 +124,19 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     projectors = {g: projector_element(hecke_projector(g, q0)) for g in parts}
     eigenvalues = _spectrum(n, q0)
 
-    def eigenvector(name: str, g: YoungDiagram) -> bool:
-        p = projectors[g]
-        return central(name, p, g) and compare(name, p * eigenvalues[g], _times_invariant(p), g)
+    name = "projector_idempotent"
+    eigenvectors = all(
+        central(name, p, g) and compare(name, p * eigenvalues[g], _times_invariant(p), g) for g, p in projectors.items()
+    )
 
-    def idempotent(name: str, g: YoungDiagram) -> bool:
-        p = projectors[g]
+    def tau_checks(name: str, g: YoungDiagram, p: HeckeElement) -> bool:
         tau = p.coefficient(tuple(range(1, n + 1)))
-        return (
-            eigenvector(name, g)
-            and compare(name, tau, symmetrizing_trace(p, p), g, basis_word=())
-            and (tau != 0 or report.fail(name, "nonzero", tau, g, basis_word=()))
+        return compare(name, tau, symmetrizing_trace(p, p), g, basis_word=()) and (
+            tau != 0 or report.fail(name, "nonzero", tau, g, basis_word=())
         )
 
-    name = "projector_idempotent"
-    checks[name] = all(idempotent(name, g) for g in parts)
-    name = "projector_pairwise_orthogonal"
-    checks[name] = checks["projector_idempotent"] or all(eigenvector(name, g) for g in parts)
+    checks[name] = eigenvectors and all(tau_checks(name, g, p) for g, p in projectors.items())
+    checks["projector_pairwise_orthogonal"] = eigenvectors
     name = "projector_resolution_of_identity"
     checks[name] = compare(name, one, sum(projectors.values(), HeckeElement.zero(n, q0)))
     name = "projector_regular_trace_dimension"

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import heckeq
+import heckeq.cli
 import heckeq.verify
 from heckeq.cli import main
 from heckeq.diagrams import partitions
@@ -197,6 +198,11 @@ class TestTraces:
         assert code == 0
         assert doc["result"]["trace"] == "q^3-2*q"
 
+    def test_products_table_lists_alphas(self, capsys):
+        code, out, _ = run_cli(capsys, "traces", "--n", "4", "--diagram", "3,1", "--kind", "products", "--alphas", "2,4")
+        assert code == 0
+        assert out.splitlines() == ["alphas: 2, 4", "diagram: 3,1", "kind: products", "n: 4", "trace: q^3-2*q"]
+
     def test_products_requires_alphas(self, capsys):
         code, doc, _ = run_json(
             capsys, "traces", "--n", "4", "--diagram", "3,1", "--kind", "products"
@@ -359,6 +365,12 @@ class TestSuq:
         )
         assert code == 0
         assert doc["result"] == {"N": 3, "action": "check", "diagram": "2,1", "holds": True}
+
+    def test_failed_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(heckeq.cli, "hecke_casimir_correspondence", lambda g, N: False)
+        code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", "check", "--diagram", "2,1")
+        assert code == 1
+        assert doc["result"] == {"N": 3, "action": "check", "diagram": "2,1", "holds": False}
 
     def test_check_sweep(self, capsys):
         code, doc, _ = run_json(capsys, "suq", "--N", "6", "--action", "check", "--sweep-n", "5")

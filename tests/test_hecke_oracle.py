@@ -255,6 +255,23 @@ class TestGeneratorRelations:
         with pytest.raises(TypeError):
             x * True
 
+    def test_equality_and_repr(self):
+        x = word_element(3, F(5, 3), (1, 2))
+        assert x == HeckeElement(3, F(5, 3), {(2, 3, 1): 1})
+        assert x != (2, 3, 1) and x.__eq__((2, 3, 1)) is NotImplemented
+        assert repr(x) == "HeckeElement(n=3, q0=5/3, 1 basis terms)"
+        assert repr(HeckeElement.zero(2, 2)) == "HeckeElement(n=2, q0=2, 0 basis terms)"
+
+    def test_zero_and_identity_are_built_by_the_constructor(self):
+        assert HeckeElement.zero(3, F(5, 3)) == HeckeElement(3, F(5, 3), {})
+        assert HeckeElement.identity(3, F(5, 3)) == HeckeElement(3, F(5, 3), {(1, 2, 3): 1})
+        assert HeckeElement.identity(1, 2).coeffs == {(1,): 1}
+        for make in (HeckeElement.zero, HeckeElement.identity):
+            with pytest.raises(ValueError, match=r"capped at n <= 7"):
+                make(10**12, 2)
+            with pytest.raises(TypeError, match=r"expected an integer n"):
+                make(3.0, 2)
+
     def test_mixed_algebras_rejected(self):
         a = HeckeElement.identity(3, 2)
         b = HeckeElement.identity(3, 3)
@@ -289,6 +306,14 @@ class TestCachesAndTables:
     def test_cached_elements_cannot_be_mutated(self):
         p = hecke_projector(Y(2, 1), 2)
         projector_element(p).coeffs.clear()
+        assert irreducible_trace(Y(2, 1), (1,), 2) == 1
+        for x in (projector_element(p), fundamental_invariant(4, F(2)), word_element(3, 2, (1,))):
+            for field, value in (("n", 5), ("q0", F(3)), ("_vec", ()), ("_den", 2)):
+                with pytest.raises(AttributeError):
+                    setattr(x, field, value)
+                with pytest.raises(AttributeError):
+                    delattr(x, field)
+        assert all(oracle_checks(4, 2).checks.values())
         assert irreducible_trace(Y(2, 1), (1,), 2) == 1
 
     def test_cached_projector_cannot_be_mutated(self):
@@ -600,6 +625,16 @@ class TestVerifyMutations:
             "check": "projector_idempotent", "diagram": "3", "word": "", "basis_word": "",
             "symbolic": "nonzero", "oracle": "0",
         }
+
+    def test_one_eigenvector_pass_serves_both_projector_checks(self, monkeypatch):
+        # the zero projector passes both relations and fails only tau(p) != 0
+        calls = []
+        monkeypatch.setattr(heckeq.verify, "_times_invariant", lambda x: calls.append(x) or _times_invariant(x))
+        monkeypatch.setattr(heckeq.verify, "projector_element", lambda p: HeckeElement.zero(p.diagram.n, p.q0))
+        report = oracle_checks(3, F(2))
+        assert report.checks["projector_idempotent"] is False
+        assert report.checks["projector_pairwise_orthogonal"] is True
+        assert len(calls) == len(partitions(3))
 
     def test_projector_off_its_eigenspace_fails_orthogonality(self, monkeypatch):
         # a sum of two central idempotents is central and idempotent, but

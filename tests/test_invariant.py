@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from heckeq import invariant
 from heckeq.diagrams import dimension, partitions
 from heckeq.invariant import (
     InvalidSpectrum,
@@ -205,6 +206,11 @@ class TestCentralCharacters:
         with pytest.raises(UnsupportedCycle):
             central_character(6, Y(7))
 
+    def test_table_refuses_a_non_integer_value(self, monkeypatch):
+        monkeypatch.setattr(invariant, "central_character", lambda p, g: Fraction(1, 2))
+        with pytest.raises(AssertionError, match="non-integer 2-cycle class-sum eigenvalue 1/2 on 3"):
+            central_character_table.__wrapped__(2, 3)
+
     def test_table(self):
         for p in (2, 3, 4, 5):
             table = central_character_table(p, 6)
@@ -271,6 +277,11 @@ class TestSeparatingDepth:
     def test_depths_through_twenty(self):
         expected = [1, 1, 1, 1, 1, 2, 1, 2, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3]
         assert [separating_depth(n) for n in range(1, 21)] == expected
+
+    def test_failed_separation_is_refused(self, monkeypatch):
+        monkeypatch.setattr(invariant, "content_power_sum", lambda g, k: 0)
+        with pytest.raises(AssertionError, match="power sums up to 2 failed to separate partitions of 3"):
+            separating_depth(3)
 
     def test_range_guard(self):
         with pytest.raises(ValueError):

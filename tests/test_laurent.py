@@ -305,6 +305,23 @@ class TestMixing:
             hash(ClassVector.identity(3))
 
 
+class TestInspection:
+    def test_coefficient_and_exponents(self, q):
+        p = P("3*q^2-q^-1")
+        assert (p.coefficient(2), p.coefficient(-1), p.coefficient(0)) == (3, -1, 0)
+        assert (p.min_exp, p.max_exp) == (-1, 2)
+
+    @pytest.mark.parametrize("bound", ["min_exp", "max_exp"])
+    def test_zero_polynomial_has_no_exponents(self, bound):
+        with pytest.raises(ValueError, match="the zero polynomial has no exponents"):
+            getattr(LaurentPoly.zero(), bound)
+
+    def test_truth_length_and_repr(self, q):
+        assert not LaurentPoly.zero() and len(LaurentPoly.zero()) == 0
+        assert P("q-1") and len(P("q-1")) == 2
+        assert repr(P("q^2-1/2")) == "LaurentPoly('q^2-1/2')"
+
+
 class TestDivision:
     def test_perfect_square(self, q):
         assert P("q^2-2*q+1").divide_exact(q - 1) == q - 1

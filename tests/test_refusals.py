@@ -78,6 +78,9 @@ INTEGER_ARGUMENTS = {
     "murphy_element index": (lambda i: murphy_element(3, 2, i), "Murphy index"),
     "murphy_product_trace index": (lambda a: murphy_product_trace(Y(2, 1), (a,)), "Murphy index"),
     "single_cycle_class_sum p": (lambda p: single_cycle_class_sum(3, p), "cycle length"),
+    "single_cycle_class_sum n": (lambda n: single_cycle_class_sum(n, 2), "n"),
+    "ClassVector n": (lambda n: ClassVector(n, {(2, 1): 1}), "n"),
+    "ClassVector.identity n": (ClassVector.identity, "n"),
     "simply_connected_trace k": (lambda k: simply_connected_trace(Y(2, 1), k), "word length index"),
     "lowering_squared j": (lambda j: lowering_squared(_pattern(), j, 1, 2), "j"),
     "lowering_squared k": (lambda k: lowering_squared(_pattern(), 1, k, 2), "k"),

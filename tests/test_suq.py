@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from heckeq import suq
 from heckeq.diagrams import partitions
 from heckeq.invariant import InvalidSpectrum
 from heckeq.laurent import LaurentPoly, exp_series
@@ -242,6 +243,10 @@ class TestChevalleyData:
 
     def test_su2_commutator_by_hand(self):
         assert check_ef_commutator(SuqIrrep.from_string("2:1"), 1, 2)
+
+    def test_commutator_failure_is_reported(self, monkeypatch):
+        monkeypatch.setattr(suq, "chevalley_weight", lambda p, k: chevalley_weight(p, k) + 1)
+        assert check_ef_commutator(SuqIrrep.from_string("2:1"), 1, 2) is False
 
     @pytest.mark.parametrize("text", ["3:1", "3:1,1", "3:2,1", "3:2,2", "2:3", "4:2,1"])
     def test_commutator_across_irreps(self, text):

@@ -27,7 +27,6 @@ from heckeq.symgroup import (
     cycle_type_from_string,
     cycle_type_to_string,
     display_cycle_type,
-    identity_perm,
     murnaghan_nakayama_character,
     perm_mul,
     single_cycle_class_sum,
@@ -88,6 +87,7 @@ class TestPermutations:
         assert display_cycle_type((1, 1, 1)) == "(1)^3"
         assert display_cycle_type((2, 1)) == "(1)(2)"
         assert display_cycle_type((2, 2, 1), suppress_units=True) == "(2)^2"
+        assert display_cycle_type((1, 1), suppress_units=True) == "()"
 
 
 class TestClasses:
@@ -174,9 +174,15 @@ class TestClassVectorCoefficients:
 class TestClassProduct:
     def test_transposition_square_in_s3(self):
         t = single_cycle_class_sum(3, 2)
-        assert class_product(t, t) == ClassVector(
+        assert t * t == class_product(t, t) == ClassVector(
             3, {(1, 1, 1): Fraction(3), (3,): Fraction(3)}
         )
+
+    def test_non_integer_structure_constant_is_refused(self, monkeypatch):
+        # every product counted as a 3-cycle: 3 * 3 / |C_(3)| = 9/2
+        monkeypatch.setattr(symgroup, "cycle_type", lambda perm: (3,))
+        with pytest.raises(AssertionError, match=r"non-integer structure constant for \(2, 1\) \* \(2, 1\) at \(3,\)"):
+            _structure_row.__wrapped__((2, 1), (2, 1))
 
     def test_structure_rows_match_brute_force(self):
         for n in range(1, 7):

@@ -5,6 +5,7 @@ from math import prod
 
 import pytest
 
+from heckeq import traces
 from heckeq.diagrams import YoungDiagram, dimension, partitions, row_removals
 from heckeq.hecke_oracle import irreducible_trace
 from heckeq.invariant import invariant_eigenvalue
@@ -282,6 +283,23 @@ class TestJson:
         monkeypatch.setattr(YoungDiagram, "__init__", lambda self, rows: built.append(rows) or init(self, rows))
         murphy_trace_table_json(12)
         assert sorted(built) == sorted(g.rows for g in partitions(12))
+
+    def test_path_sums_count_their_own_chains(self, monkeypatch):
+        # below a1 the climb counts chains from the one-box diagram: no diagram is
+        # built below the top and no dimension is taken
+        g = Y(4, 3, 2)
+        cases = [(2,), (5,), (9,), (3, 6, 9)]
+        expected = [murphy_product_trace(g, alphas) for alphas in cases]
+        built = []
+        init = YoungDiagram.__init__
+        monkeypatch.setattr(YoungDiagram, "__init__", lambda self, rows: built.append(rows) or init(self, rows))
+
+        def refuse(d):
+            raise AssertionError(f"dimension({d}) taken")
+
+        monkeypatch.setattr(traces, "dimension", refuse)
+        assert [murphy_product_trace(g, alphas) for alphas in cases] == expected
+        assert built == []
 
     def test_cached_table_is_read_only(self):
         with pytest.raises(TypeError):
