@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from fractions import Fraction
 from itertools import islice
 
 from .diagrams import YoungDiagram, partitions
 from .invariant import invariant_eigenvalue, reconstruct_diagram
-from .laurent import LaurentPoly, _integers
+from .laurent import _RATIONAL_TEXT, LaurentPoly, _integers
 from .suq import (
     SuqIrrep,
     casimir_eigenvalue,
@@ -61,9 +60,6 @@ SCALE_DEFAULTS = {
 # Options whose value may start with a minus sign, as in "--q0 -3/2".
 SIGNED_OPTIONS = ("--q0", "--poly")
 
-# An integer or p/q: `Fraction` alone also reads "1e100000", an integer of any size.
-Q0_TEXT = re.compile(r"\s*[+-]?\d+(?:/\d+)?\s*")
-
 
 class CommandError(ValueError):
     """A validation failure surfaced to the user."""
@@ -82,10 +78,10 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 def _parse_q0(text: str) -> Fraction:
     try:
-        if not Q0_TEXT.fullmatch(text):
+        if not _RATIONAL_TEXT.fullmatch(text):
             raise ValueError(text)
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)  # a ValueError past 4300 digits
+    except ValueError as exc:
         raise CommandError(f"cannot parse q0 {text!r} (expected an integer or p/q)") from exc
 
 

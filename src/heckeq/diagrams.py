@@ -14,7 +14,7 @@ from functools import cache
 from itertools import accumulate
 from math import factorial, prod
 
-from .laurent import LaurentPoly, _integer, _integers, q_integer
+from .laurent import FrozenRecord, LaurentPoly, _integer, _integers, q_integer
 
 __all__ = [
     "YoungDiagram",
@@ -22,43 +22,6 @@ __all__ = [
     "dimension",
     "generic_degree",
 ]
-
-
-class FrozenRecord:
-    """A read-only record of the fields `__match_args__` names, given positionally or by name.
-
-    `==` holds only within one class, field by field; the hash is that of
-    the tuple of fields, `_values`, and the repr names each field.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, *fields, **named):
-        if named:
-            fields += tuple(named.pop(name) for name in self.__match_args__[len(fields) :] if name in named)
-        if named or len(fields) != len(self.__match_args__):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__match_args__)}")
-        object.__setattr__(self, "_values", fields)
-        for name, value in zip(self.__match_args__, fields):
-            object.__setattr__(self, name, value)
-
-    def __eq__(self, other):
-        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._values)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values))
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), self._values
 
 
 class YoungDiagram(FrozenRecord):

@@ -82,9 +82,9 @@ from itertools import combinations, islice, permutations
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .diagrams import FrozenRecord, YoungDiagram, dimension, partitions
+from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue, lagrange_numerator
-from .laurent import _integer, _scalar, is_scalar
+from .laurent import FrozenRecord, _integer, _scalar, is_scalar
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -167,16 +167,16 @@ def _act(v, table, q0: Fraction) -> list[int]:
     return [ab * v[j] if u else amb * c + v[j] for c, j, u in zip(v, swap, up)]
 
 
-class HeckeElement:
+class HeckeElement(FrozenRecord):
     """A Hecke-algebra element at specialized q0, in the word basis.
 
-    All arithmetic returns new objects, the integer vector is a tuple,
-    `coeffs` builds a fresh dict on every read, and no field can be
-    assigned or deleted, so the cached instances handed out by the
-    constructors below (invariant, projector elements) cannot be altered.
+    A `FrozenRecord` of n, q0 and the reduced vector and denominator, so
+    the cached instances handed out by the constructors below (invariant,
+    projector elements) cannot be altered; `coeffs` builds a fresh dict
+    on every read, and all arithmetic returns new objects.
     """
 
-    __slots__ = ("n", "q0", "_vec", "_den")
+    __slots__ = __match_args__ = ("n", "q0", "_vec", "_den")
 
     def __init__(self, n: int, q0, coeffs: dict[tuple[int, ...], Fraction] | None = None):
         _check_n(n)
@@ -194,15 +194,10 @@ class HeckeElement:
 
     def _set(self, n: int, q0: Fraction, vec, den: int) -> None:
         g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)  # the sign goes into the vector
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q0", q0)
-        object.__setattr__(self, "_vec", tuple(vec) if g == 1 else tuple(c // g for c in vec))
-        object.__setattr__(self, "_den", den // g)
+        FrozenRecord.__init__(self, n, q0, tuple(vec) if g == 1 else tuple(c // g for c in vec), den // g)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to or delete field {name!r}")
-
-    __delattr__ = __setattr__
+    def __reduce__(self):
+        return HeckeElement._make, self._values  # the constructor takes coefficients, not fields
 
     @classmethod
     def _make(cls, n: int, q0: Fraction, vec, den: int) -> "HeckeElement":
@@ -286,11 +281,6 @@ class HeckeElement:
         if is_scalar(other):
             return self * other
         return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return (self.n, self.q0, self._den, self._vec) == (other.n, other.q0, other._den, other._vec)
 
     def __repr__(self):
         return f"HeckeElement(n={self.n}, q0={self.q0}, {self.support_size} basis terms)"

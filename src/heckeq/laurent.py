@@ -1,27 +1,27 @@
 """Exact sparse arithmetic over the rationals, and Laurent polynomials in q.
 
 `SparseVector` is the one sparse-coefficient arithmetic of the package: a
-finite map key -> nonzero rational, each coefficient stored as an `int`
-when it is integral and as a `fractions.Fraction` only when it is not.
-It owns that normal form, the linear operations (sum, difference,
-negation, scalar multiple, equality) and the text of a sum.  Two types
-are built on it: the `LaurentPoly` here, keyed by exponents of q, in
-which every q-dependent quantity of the package lives, and
-`symgroup.ClassVector`, keyed by cycle types.  Every symbolic table of
-the package has integer coefficients, so its arithmetic runs on `int`s.  This module also supplies the q-integer
-family [k]_q = (q^k - 1)/(q - 1), q-contents q*[c]_q, the symmetric
-bracket (q^x - q^-x)/(q - q^-1), and truncated series expansion around
-q = exp(delta).
+finite map key -> nonzero rational, each coefficient stored as an `int` when
+it is integral and as a `fractions.Fraction` only when it is not.  It owns
+that normal form, the linear operations (sum, difference, negation, scalar
+multiple, equality) and the text of a sum.  Two types are built on it: the
+`LaurentPoly` here, keyed by exponents of q, in which every q-dependent
+quantity of the package lives, and `symgroup.ClassVector`, keyed by cycle
+types.  Every symbolic table of the package has integer coefficients, so its
+arithmetic runs on `int`s.  This module also supplies the q-integer family
+[k]_q = (q^k - 1)/(q - 1), q-contents q*[c]_q, the symmetric bracket
+(q^x - q^-x)/(q - q^-1), and truncated series expansion around q = exp(delta).
 
-Only exact operations exist here: division either succeeds exactly or
-raises `NotDivisible`, and rational functions are never materialized.
-Formulas that look like rational functions must either divide exactly or
-be evaluated at a specialized rational q0.  What a number is is decided
-here alone: `is_int` (an `int`, never a `bool`) for every integer the
-package takes, which `_integer` alone checks, range included, and
-`is_scalar` (an integer or a `Fraction`) for every scalar, which `_scalar`
-alone converts; both refuse anything else with `TypeError`.  Integer
-text has one reader, `_integers`.
+Only exact operations exist here: division either succeeds exactly or raises
+`NotDivisible`, and rational functions are never materialized.  Formulas
+that look like rational functions must either divide exactly or be evaluated
+at a specialized rational q0.  What a number is is decided here alone:
+`is_int` (an `int`, never a `bool`) for every integer the package takes,
+which `_integer` alone checks, range included, and `is_scalar` (an integer
+or a `Fraction`) for every scalar, which `_scalar` alone converts; both
+refuse anything else with `TypeError`.  Integer text has one reader,
+`_integers`, and rational text one grammar, `_RATIONAL`.  So is what a
+value is: every value type is a `FrozenRecord`, its fields read-only.
 """
 
 from __future__ import annotations
@@ -79,7 +79,9 @@ def _integer(value, name: str, low: int | None = None, high: int | None = None) 
     return value
 
 
-_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+\s*")  # the integers of `_TERM_RE` and `cli.Q0_TEXT`
+_INTEGER_TEXT = re.compile(r"\s*[+-]?\d+\s*")  # the integers of `_TERM_RE` and `_RATIONAL_TEXT`
+_RATIONAL = r"\d+(?:/\d*[1-9]\d*)?"  # p or p/q, q not 0: the coefficients of `_TERM_RE`, and a q0
+_RATIONAL_TEXT = re.compile(rf"\s*[+-]?{_RATIONAL}\s*")  # `Fraction` alone also reads "1e100000"
 
 
 def _integers(text: str, what: str) -> tuple[int, ...]:
@@ -107,27 +109,67 @@ def _tidy(c: Scalar) -> Scalar:
     return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
-class SparseVector:
+class FrozenRecord:
+    """A read-only record of the fields `__match_args__` names, given positionally or by name.
+
+    The base of every value type.  `==` holds only within one class, field by field; the
+    hash is that of the tuple of fields, `_values`, and the repr names each field.  `copy`
+    and `pickle` rebuild a record from `_values` by calling its class (`__reduce__`).
+    """
+
+    __slots__ = ("_values",)
+
+    def __init__(self, *fields, **named):
+        if named:
+            fields += tuple(named.pop(name) for name in self.__match_args__[len(fields) :] if name in named)
+        if named or len(fields) != len(self.__match_args__):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__match_args__)}")
+        object.__setattr__(self, "_values", fields)
+        for name, value in zip(self.__match_args__, fields):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class SparseVector(FrozenRecord):
     """A finite map key -> nonzero rational coefficient.
 
     `_terms` holds the coefficients in normal form: no zero is stored,
     and a coefficient is an `int` when it is integral and a `Fraction`
     otherwise.  The linear operations and the text rule (`_render`) are
-    written once here.  A subclass supplies `_key(key)`, which validates a
-    key and gives its canonical form; `_like(terms)`, a vector of its own
-    kind and space with terms already in normal form; and
+    written once here.  `_terms` is the last field, read from a caller by
+    `_normal`.  A subclass supplies `_like(terms)`, a vector of its own
+    kind and space with terms already in normal form, and
     `_coerce(other)`, which reads another vector or a scalar as such a
     vector, raises where the two cannot mix, and gives None where it
     cannot read `other` at all.  Vectors in different `_space`s are never
-    equal.  Instances are immutable; all arithmetic returns new objects.
+    equal.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = __match_args__ = ("_terms",)
     _space = None
 
-    def __init__(self, terms: Mapping | Iterable[tuple] | None = None):
+    @staticmethod
+    def _normal(terms: Mapping | Iterable[tuple] | None, key) -> dict:
+        """A caller's terms, a mapping or (key, coefficient) pairs, in normal form, each key read by `key`."""
         items = () if terms is None else terms.items() if isinstance(terms, Mapping) else terms
-        self._terms = self._collect((self._key(k), _scalar(c)) for k, c in items)
+        return SparseVector._collect((key(k), _scalar(c)) for k, c in items)
 
     @staticmethod
     def _collect(pairs: Iterable[tuple]) -> dict:
@@ -208,11 +250,11 @@ class SparseVector:
 
 
 _TERM_RE = re.compile(
-    r"""(?P<sign>[+-])?\s*
+    rf"""(?P<sign>[+-])?\s*
         (?:
-            (?P<coeff>\d+(?:/\d*[1-9]\d*)?)\s*\*\s*q(?:\^(?P<exp1>[+-]?\d+))?
+            (?P<coeff>{_RATIONAL})\s*\*\s*q(?:\^(?P<exp1>[+-]?\d+))?
           | q(?:\^(?P<exp2>[+-]?\d+))?
-          | (?P<const>\d+(?:/\d*[1-9]\d*)?)
+          | (?P<const>{_RATIONAL})
         )\s*""",
     re.VERBOSE,
 )
@@ -246,12 +288,16 @@ class LaurentPoly(SparseVector):
 
     # -- constructors -------------------------------------------------
 
+    def __init__(self, terms: Mapping[int, Scalar] | Iterable[tuple[int, Scalar]] | None = None):
+        super().__init__(self._normal(terms, self._key))
+
     @classmethod
     def _make(cls, terms: dict[int, Scalar]) -> "LaurentPoly":
-        """Internal fast path: `terms` must already be normalized (nonzero
-        coefficients, each an `int` when integral)."""
+        """Internal fast path: `terms` must already be normalized (nonzero coefficients, each an
+        `int` when integral).  It writes the fields itself, past `FrozenRecord.__init__`."""
         obj = cls.__new__(cls)
-        obj._terms = terms
+        object.__setattr__(obj, "_values", (terms,))
+        object.__setattr__(obj, "_terms", terms)
         return obj
 
     @classmethod

@@ -25,9 +25,9 @@ from fractions import Fraction
 from itertools import product as _iter_product
 from math import prod
 
-from .diagrams import FrozenRecord, YoungDiagram
+from .diagrams import YoungDiagram
 from .invariant import InvalidSpectrum, invariant_eigenvalue
-from .laurent import LaurentPoly, _integer, _integers, _scalar, q_integer, symmetric_bracket
+from .laurent import FrozenRecord, LaurentPoly, _integer, _integers, _scalar, q_integer, symmetric_bracket
 
 __all__ = [
     "PatternViolation",
@@ -127,7 +127,7 @@ class GZPattern(FrozenRecord):
     rows: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(tuple(_integer(h, "pattern entry") for h in r) for r in rows)
         super().__init__(rows)
         if not rows or any(len(r) != j for j, r in enumerate(rows, start=1)):
             raise ValueError("row j of a pattern must have length j")
@@ -140,16 +140,16 @@ class GZPattern(FrozenRecord):
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> int:
-        """The entry h_{i,j}, 1 <= i <= j <= N."""
-        return self.rows[j - 1][i - 1]
+        """The entry h_{i,j}; anything but integers 1 <= i <= j <= N is refused."""
+        return self.rows[_integer(j, "j", 1, self.N) - 1][_integer(i, "i", 1, j) - 1]
 
     def shifted(self, i: int, j: int, delta: int) -> "GZPattern | None":
-        """The pattern with h_{i,j} changed by delta, or None if that
-        leaves the cone."""
-        new_row = list(self.rows[j - 1])
-        new_row[i - 1] += delta
+        """The pattern with h_{i,j} changed by the integer delta, or None if
+        that leaves the cone."""
+        value = self.entry(i, j) + _integer(delta, "delta")
+        row = self.rows[j - 1]
         try:
-            return GZPattern(self.rows[: j - 1] + (tuple(new_row),) + self.rows[j:])
+            return GZPattern(self.rows[: j - 1] + (row[: i - 1] + (value,) + row[i:],) + self.rows[j:])
         except PatternViolation:
             return None
 

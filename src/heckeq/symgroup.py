@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import factorial
 from types import MappingProxyType
 
@@ -190,21 +190,25 @@ class ClassVector(SparseVector):
     """
 
     __slots__ = ("_space",)
+    __match_args__ = ("_space", "_terms")
 
     def __init__(self, n: int, coeffs: Mapping[CycleType, Scalar] | None = None):
-        self._space = _integer(n, "n", 1)
-        super().__init__(coeffs)
+        n = _integer(n, "n", 1)
+        super().__init__(n, self._normal(coeffs, partial(self._key, n)))
 
-    def _key(self, t: CycleType) -> CycleType:
+    @staticmethod
+    def _key(n: int, t: CycleType) -> CycleType:
         key = _canonical_type(t)
-        if sum(key) != self._space:
-            raise ValueError(f"cycle type {t} does not partition n={self._space}")
+        if sum(key) != n:
+            raise ValueError(f"cycle type {t} does not partition n={n}")
         return key
 
     def _like(self, terms: dict[CycleType, Scalar]) -> "ClassVector":
+        """A vector of this n from terms in normal form, its fields written as by `LaurentPoly._make`."""
         obj = ClassVector.__new__(ClassVector)
-        obj._space = self._space
-        obj._terms = terms
+        object.__setattr__(obj, "_values", (self._space, terms))
+        object.__setattr__(obj, "_space", self._space)
+        object.__setattr__(obj, "_terms", terms)
         return obj
 
     def _coerce(self, other) -> "ClassVector | None":

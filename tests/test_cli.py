@@ -260,6 +260,20 @@ class TestVerify:
             "type": "CommandError", "message": f"cannot parse q0 {q0!r} (expected an integer or p/q)"
         }
 
+    @pytest.mark.parametrize("q0", ["3/0", "3/00", "1/-2"])
+    def test_q0_denominator_outside_the_grammar_refused(self, capsys, q0):
+        # the rational grammar of polynomial coefficients, so no zero denominator reaches Fraction
+        code, doc, _ = run_json(capsys, "verify", "--n", "3", "--q0", q0)
+        assert code == 1
+        assert doc["error"] == {
+            "type": "CommandError", "message": f"cannot parse q0 {q0!r} (expected an integer or p/q)"
+        }
+
+    def test_q0_with_blanks_around(self, capsys):
+        code, doc, _ = run_json(capsys, "verify", "--n", "3", "--q0", " 3/2 ")
+        assert code == 0
+        assert doc["result"]["all_pass"] is True
+
     def test_q0_past_the_bit_cap_refused_promptly(self):
         # the library's size guard answers before any element is built
         code, doc = run_cold("verify", "--n", "5", "--q0", "9" * 4000, timeout=10)

@@ -11,7 +11,7 @@ import pytest
 from heckeq.hecke_oracle import HeckeElement, murphy_element
 from heckeq.invariant import NonIntegerPowerSum, content_power_sum, power_sums_from_eigenvalue
 from heckeq.laurent import LaurentPoly, NotDivisible
-from heckeq.suq import SuqIrrep, chevalley_weight, gz_patterns, irrep_from_casimir, lowering_squared
+from heckeq.suq import GZPattern, SuqIrrep, chevalley_weight, gz_patterns, irrep_from_casimir, lowering_squared
 from heckeq.symgroup import (
     ClassVector,
     build_projector,
@@ -70,6 +70,16 @@ REFUSALS = {
         lambda: lowering_squared(_pattern(), 1, 3, 2), ValueError, "k must lie in 1..2, got 3"),
     "chevalley_weight k 0": (lambda: chevalley_weight(_pattern(), 0), ValueError, "k must lie in 1..2, got 0"),
     "chevalley_weight k N": (lambda: chevalley_weight(_pattern(), 3), ValueError, "k must lie in 1..2, got 3"),
+    "GZPattern float entry": (
+        lambda: GZPattern(((0.5,), (1, 0))), TypeError, "expected an integer pattern entry, got float"),
+    "GZPattern bool entry": (
+        lambda: GZPattern(((True,), (1, 0))), TypeError, "expected an integer pattern entry, got bool"),
+    "GZPattern.entry j 0": (lambda: _pattern().entry(1, 0), ValueError, "j must lie in 1..3, got 0"),
+    "GZPattern.entry i 0": (lambda: _pattern().entry(0, 2), ValueError, "i must lie in 1..2, got 0"),
+    "GZPattern.entry i above j": (lambda: _pattern().entry(3, 2), ValueError, "i must lie in 1..2, got 3"),
+    "GZPattern.shifted j above N": (lambda: _pattern().shifted(1, 4, 1), ValueError, "j must lie in 1..3, got 4"),
+    "GZPattern.shifted delta float": (
+        lambda: _pattern().shifted(1, 2, 0.5), TypeError, "expected an integer delta, got float"),
 }
 
 # Each integer argument that had no check of its own, and the name its refusal gives,
@@ -85,6 +95,9 @@ INTEGER_ARGUMENTS = {
     "lowering_squared j": (lambda j: lowering_squared(_pattern(), j, 1, 2), "j"),
     "lowering_squared k": (lambda k: lowering_squared(_pattern(), 1, k, 2), "k"),
     "chevalley_weight k": (lambda k: chevalley_weight(_pattern(), k), "k"),
+    "GZPattern.entry i": (lambda i: _pattern().entry(i, 2), "i"),
+    "GZPattern.entry j": (lambda j: _pattern().entry(1, j), "j"),
+    "GZPattern.shifted delta": (lambda delta: _pattern().shifted(1, 2, delta), "delta"),
 }
 REFUSALS |= {
     f"{label} {type(value).__name__}": (
