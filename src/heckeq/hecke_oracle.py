@@ -167,6 +167,12 @@ def _act(v, table, q0: Fraction) -> list[int]:
     return [ab * v[j] if u else amb * c + v[j] for c, j, u in zip(v, swap, up)]
 
 
+def _reduced(n: int, q0: Fraction, vec, den: int) -> tuple:
+    """The fields of the element vec/den (den != 0) in the T' basis, in lowest terms, den > 0."""
+    g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)  # the sign goes into the vector
+    return n, q0, tuple(vec) if g == 1 else tuple(c // g for c in vec), den // g
+
+
 class HeckeElement(FrozenRecord):
     """A Hecke-algebra element at specialized q0, in the word basis.
 
@@ -190,21 +196,12 @@ class HeckeElement(FrozenRecord):
         vec = [0] * len(kernel.perms)
         for r, f in scaled.items():
             vec[r] = f.numerator * (den // f.denominator)
-        self._set(n, q0, vec, den)
-
-    def _set(self, n: int, q0: Fraction, vec, den: int) -> None:
-        g = gcd(den, *vec) if den > 0 else -gcd(den, *vec)  # the sign goes into the vector
-        FrozenRecord.__init__(self, n, q0, tuple(vec) if g == 1 else tuple(c // g for c in vec), den // g)
-
-    def __reduce__(self):
-        return HeckeElement._make, self._values  # the constructor takes coefficients, not fields
+        FrozenRecord.__init__(self, *_reduced(n, q0, vec, den))
 
     @classmethod
     def _make(cls, n: int, q0: Fraction, vec, den: int) -> "HeckeElement":
         """The element vec/den (den != 0) in the T' basis, reduced to lowest terms."""
-        obj = cls.__new__(cls)
-        obj._set(n, q0, vec, den)
-        return obj
+        return cls._of(*_reduced(n, q0, vec, den))
 
     @classmethod
     def zero(cls, n: int, q0) -> "HeckeElement":
@@ -277,10 +274,7 @@ class HeckeElement(FrozenRecord):
             return HeckeElement._make(self.n, self.q0, [numerator * x for x in self._vec], self._den * denominator)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if is_scalar(other):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __repr__(self):
         return f"HeckeElement(n={self.n}, q0={self.q0}, {self.support_size} basis terms)"
@@ -308,8 +302,13 @@ def reduced_word(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def word_element(n: int, q0, word: tuple[int, ...] | list[int]) -> HeckeElement:
-    """The product of the word's generators g_{i1} ... g_{ik}, built once per (n, q0, word) and shared."""
-    return _word_product(n, _check_q0(q0), tuple(word))
+    """The product of the word's generators g_{i1} ... g_{ik}, built once per (n, q0, word) and shared.
+
+    Cached for the last 64 once n, q0 and the word are checked, keyed by q0's `Fraction`.
+    """
+    _check_n(n)
+    word = tuple(_integer(i, "generator index", 1, n - 1) for i in word)
+    return _word_product(n, _check_q0(q0), word)
 
 
 @lru_cache(maxsize=64)
@@ -360,13 +359,19 @@ def _times_invariant(x: HeckeElement) -> HeckeElement:
     return sum(terms, next(terms, HeckeElement.zero(x.n, x.q0)))
 
 
-@lru_cache(maxsize=8)
-def fundamental_invariant(n: int, q0: Fraction) -> HeckeElement:
+def fundamental_invariant(n: int, q0) -> HeckeElement:
     """The fundamental invariant: the sum of all Murphy operators.
 
     Central in the algebra; its spectrum is given by `invariant_eigenvalue`
     specialized at q0.  Built as 1 C by `_times_invariant`; zero at n = 1.
+    Cached for the last 8 (n, q0) once both are checked, keyed by q0's `Fraction`.
     """
+    _check_n(n)
+    return _invariant(n, _check_q0(q0))
+
+
+@lru_cache(maxsize=8)
+def _invariant(n: int, q0: Fraction) -> HeckeElement:
     return _times_invariant(HeckeElement.identity(n, q0))
 
 
@@ -428,7 +433,6 @@ class ProjectorPoly(FrozenRecord):
     coeffs: tuple[Fraction, ...]
 
 
-@lru_cache(maxsize=64)
 def hecke_projector(g: YoungDiagram, q0) -> ProjectorPoly:
     """Lagrange interpolation onto g's eigenvalue of the invariant.
 
@@ -437,13 +441,18 @@ def hecke_projector(g: YoungDiagram, q0) -> ProjectorPoly:
     eigenvalues to be distinct at q0, which is asserted rather than
     assumed.  q0 = 1 and q0 = -1 are refused outright: they are roots of
     unity, where the word basis stops being semisimple-generic.  Cached
-    for the last 64 (g, q0), and nothing is stored for a refused
-    argument; the result is read-only, so every caller can share it.
+    for the last 64 (g, q0) once both are checked, keyed by q0's `Fraction`;
+    the result is read-only, so every caller can share it.
     """
     _check_n(g.n)
     q0 = _check_q0(q0)
     if q0 == 1 or q0 == -1:
         raise DegenerateSpecialization(f"q0 = {q0} is a root of unity")
+    return _projector(g, q0)
+
+
+@lru_cache(maxsize=64)
+def _projector(g: YoungDiagram, q0: Fraction) -> ProjectorPoly:
     values = _spectrum(g.n, q0)
     weights, denominator = lagrange_numerator(values.values(), values[g])
     return ProjectorPoly(g, q0, tuple(Fraction(c) / denominator for c in weights))
@@ -470,7 +479,7 @@ def _invariant_powers(n: int, q0: Fraction) -> tuple[HeckeElement, ...]:
     through `_times_invariant`.
     """
     count = len(partitions(n))
-    powers = [HeckeElement.identity(n, q0), fundamental_invariant(n, q0)]
+    powers = [HeckeElement.identity(n, q0), _invariant(n, q0)]
     for _ in range(count - 2):
         powers.append(_times_invariant(powers[-1]))
     return tuple(powers[:count])

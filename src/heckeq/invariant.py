@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import cache, partial
+from functools import lru_cache, partial
 from itertools import accumulate
 from types import MappingProxyType
 
@@ -157,7 +157,7 @@ def central_character(p: int, g: YoungDiagram) -> Fraction:
     When the class is empty (p > n) the formulas evaluate to zero.
     """
     n, s = g.n, partial(content_power_sum, g)
-    if p == 2:
+    if _integer(p, "p") == 2:
         return Fraction(s(1))
     if p == 3:
         return Fraction(s(2)) - Fraction(n * (n - 1), 2)
@@ -168,13 +168,14 @@ def central_character(p: int, g: YoungDiagram) -> Fraction:
     raise UnsupportedCycle(f"no closed form for cycle length {p} (supported: 2..5)")
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def central_character_table(p: int, n: int) -> Mapping[YoungDiagram, int]:
     """The p-cycle class-sum's eigenvalue on each irrep of S_n, p in 2..5.
 
     A class-sum's eigenvalue is an algebraic integer, so each value of
     `central_character` must be a whole number.  The table is cached, so
-    it is returned as a read-only view.
+    it is returned as a read-only view; the cache is keyed by type too,
+    so a float or a bool that equals a cached integer is still refused.
     """
     values: dict[YoungDiagram, int] = {}
     for g in partitions(n):

@@ -113,8 +113,9 @@ class FrozenRecord:
     """A read-only record of the fields `__match_args__` names, given positionally or by name.
 
     The base of every value type.  `==` holds only within one class, field by field; the
-    hash is that of the tuple of fields, `_values`, and the repr names each field.  `copy`
-    and `pickle` rebuild a record from `_values` by calling its class (`__reduce__`).
+    hash is that of the tuple of fields, `_values`, and the repr names each field.  `_of` is
+    the one trusted constructor, for fields already checked and in normal form; `copy` and
+    `pickle` rebuild a record from its `_values` through it (`__reduce__`), unchecked.
     """
 
     __slots__ = ("_values",)
@@ -124,6 +125,16 @@ class FrozenRecord:
             fields += tuple(named.pop(name) for name in self.__match_args__[len(fields) :] if name in named)
         if named or len(fields) != len(self.__match_args__):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__match_args__)}")
+        self._write(fields)
+
+    @classmethod
+    def _of(cls, *fields):
+        record = cls.__new__(cls)
+        record._write(fields)
+        return record
+
+    def _write(self, fields: tuple) -> None:
+        """The one field writer of `__init__` and `_of`, past the refusing `__setattr__`."""
         object.__setattr__(self, "_values", fields)
         for name, value in zip(self.__match_args__, fields):
             object.__setattr__(self, name, value)
@@ -144,7 +155,7 @@ class FrozenRecord:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), self._values
+        return self._of, self._values
 
 
 class SparseVector(FrozenRecord):
@@ -154,16 +165,13 @@ class SparseVector(FrozenRecord):
     and a coefficient is an `int` when it is integral and a `Fraction`
     otherwise.  The linear operations and the text rule (`_render`) are
     written once here.  `_terms` is the last field, read from a caller by
-    `_normal`.  A subclass supplies `_like(terms)`, a vector of its own
-    kind and space with terms already in normal form, and
-    `_coerce(other)`, which reads another vector or a scalar as such a
-    vector, raises where the two cannot mix, and gives None where it
-    cannot read `other` at all.  Vectors in different `_space`s are never
-    equal.
+    `_normal`; the fields before it name the vector's space, which `_like`
+    keeps.  A subclass supplies `_coerce(other)`, which reads another
+    vector or a scalar as such a vector, raises where the two cannot mix,
+    and gives None where it cannot read `other` at all.
     """
 
     __slots__ = __match_args__ = ("_terms",)
-    _space = None
 
     @staticmethod
     def _normal(terms: Mapping | Iterable[tuple] | None, key) -> dict:
@@ -181,6 +189,9 @@ class SparseVector(FrozenRecord):
         for k, c in pairs:
             out[k] = out.get(k, 0) + c
         return {k: c if type(c) is int else _tidy(c) for k, c in out.items() if c}
+
+    def _like(self, terms: dict):
+        return self._of(*self._values[:-1], terms)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -226,7 +237,7 @@ class SparseVector(FrozenRecord):
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        return self._space == other._space and self._terms == other._terms
+        return self._values == other._values
 
     @staticmethod
     def _render(pairs: Iterable[tuple[str, Scalar]]) -> str:
@@ -292,35 +303,26 @@ class LaurentPoly(SparseVector):
         super().__init__(self._normal(terms, self._key))
 
     @classmethod
-    def _make(cls, terms: dict[int, Scalar]) -> "LaurentPoly":
-        """Internal fast path: `terms` must already be normalized (nonzero coefficients, each an
-        `int` when integral).  It writes the fields itself, past `FrozenRecord.__init__`."""
-        obj = cls.__new__(cls)
-        object.__setattr__(obj, "_values", (terms,))
-        object.__setattr__(obj, "_terms", terms)
-        return obj
-
-    @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls._make({})
+        return cls._of({})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
-        return cls._make({0: 1})
+        return cls._of({0: 1})
 
     @classmethod
     def q(cls) -> "LaurentPoly":
-        return cls._make({1: 1})
+        return cls._of({1: 1})
 
     @classmethod
     def constant(cls, c: Scalar) -> "LaurentPoly":
         f = _scalar(c)
-        return cls._make({0: f} if f else {})
+        return cls._of({0: f} if f else {})
 
     @classmethod
     def monomial(cls, exp: int, coeff: Scalar = 1) -> "LaurentPoly":
         e, f = cls._key(exp), _scalar(coeff)
-        return cls._make({e: f} if f else {})
+        return cls._of({e: f} if f else {})
 
     @classmethod
     def from_string(cls, text: str) -> "LaurentPoly":
@@ -333,8 +335,6 @@ class LaurentPoly(SparseVector):
         s = text.strip()
         if not s:
             raise PolynomialParseError("empty polynomial text")
-        if s in ("0", "+0", "-0"):
-            return cls.zero()
         pos = 0
         first = True
         pairs: list[tuple[int, Scalar]] = []
@@ -399,7 +399,6 @@ class LaurentPoly(SparseVector):
             return cls.constant(other)
         return None
 
-    _like = _make
     # The linear operations are `SparseVector`'s, bound here by name
     # because bench/tracer.py times the ones it finds in this class body.
     __add__ = __radd__ = SparseVector.__add__
@@ -418,7 +417,7 @@ class LaurentPoly(SparseVector):
                         out[e] = s if type(s) is int else _tidy(s)
                     elif e in out:
                         del out[e]
-            return LaurentPoly._make(out)
+            return LaurentPoly._of(out)
         if is_scalar(other):
             return self._scale(other)
         return NotImplemented
@@ -449,31 +448,26 @@ class LaurentPoly(SparseVector):
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPoly.zero()
-        # Shift both operands to ordinary polynomials with nonzero constant
-        # term; exactness there matches exactness in the Laurent ring.
-        va, vb = self.min_exp, o.min_exp
-        da = self.max_exp - va
-        db = o.max_exp - vb
-        if da < db:
-            raise NotDivisible(f"({self}) is not divisible by ({other})")
-        # rem holds Fractions, so every `/` below is exact
-        rem = [Fraction(0)] * (da + 1)
-        for e, c in self._terms.items():
-            rem[e - va] = Fraction(c)
-        bs = [0] * (db + 1)
-        for e, c in o._terms.items():
-            bs[e - vb] = c
-        lead = bs[db]
-        quot = [Fraction(0)] * (da - db + 1)
-        for d in range(da - db, -1, -1):
-            c = rem[d + db] / lead
+        # Long division from the top down: each step clears the rest's coefficient at
+        # d + top and subtracts that multiple of the divisor's lower terms in place.
+        top = o.max_exp
+        lead = o._terms[top]
+        lower = [(e, b) for e, b in o._terms.items() if e != top]
+        rest = dict(self._terms)
+        quot: dict[int, Scalar] = {}
+        for d in range(self.max_exp - top, self.min_exp - o.min_exp - 1, -1):
+            c = rest.pop(d + top, 0)
             if c:
-                quot[d] = c
-                for j in range(db + 1):
-                    rem[d + j] -= c * bs[j]
-        if any(rem):
+                c = quot[d] = _tidy(Fraction(c) / lead)
+                for e, b in lower:
+                    s = rest.get(d + e, 0) - c * b
+                    if s:
+                        rest[d + e] = s if type(s) is int else _tidy(s)
+                    else:
+                        del rest[d + e]
+        if rest:
             raise NotDivisible(f"({self}) is not divisible by ({other})")
-        return LaurentPoly({d + va - vb: c for d, c in enumerate(quot) if c})
+        return LaurentPoly._of(quot)
 
     def evaluate(self, q0: Scalar) -> Fraction:
         """Exact specialization at a nonzero rational q0.
@@ -492,7 +486,7 @@ class LaurentPoly(SparseVector):
         """Apply q -> q^m (m a nonzero integer) by rescaling exponents."""
         if _integer(m, "substitution power") == 0:
             raise ValueError("substitution power must be nonzero")
-        return LaurentPoly._make({e * m: c for e, c in self._terms.items()})
+        return LaurentPoly._of({e * m: c for e, c in self._terms.items()})
 
     # -- hash and text ------------------------------------------------
 
@@ -519,10 +513,8 @@ def q_integer(k: int) -> LaurentPoly:
     -(q^-1 + q^-2 + ... + q^k) for k < 0.
     """
     if _integer(k, "k") > 0:
-        return LaurentPoly._make(dict.fromkeys(range(k), 1))
-    if k == 0:
-        return LaurentPoly.zero()
-    return LaurentPoly._make(dict.fromkeys(range(k, 0), -1))
+        return LaurentPoly._of(dict.fromkeys(range(k), 1))
+    return LaurentPoly._of(dict.fromkeys(range(k, 0), -1))
 
 
 def q_content(c: int) -> LaurentPoly:
@@ -554,7 +546,7 @@ def q_content_sum(counts: Mapping[int, int]) -> LaurentPoly:
         below += counts.get(c, 0)
         if below:
             terms[c + 1] = -below
-    return LaurentPoly._make(terms)
+    return LaurentPoly._of(terms)
 
 
 def symmetric_bracket(x: int) -> LaurentPoly:
@@ -563,11 +555,8 @@ def symmetric_bracket(x: int) -> LaurentPoly:
     Expands to q^(x-1) + q^(x-3) + ... + q^(1-x) for x > 0 and is odd
     in x.
     """
-    if _integer(x, "x") == 0:
-        return LaurentPoly.zero()
-    sign = 1 if x > 0 else -1
-    a = abs(x)
-    return LaurentPoly._make({a - 1 - 2 * i: sign for i in range(a)})
+    sign = 1 if _integer(x, "x") > 0 else -1
+    return LaurentPoly._of({abs(x) - 1 - 2 * i: sign for i in range(abs(x))})
 
 
 def exp_series(p: LaurentPoly, order: int) -> tuple[Fraction, ...]:

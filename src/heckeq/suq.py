@@ -72,6 +72,7 @@ class SuqIrrep(FrozenRecord):
     @classmethod
     def from_rows(cls, N: int, rows: tuple[int, ...]) -> "SuqIrrep":
         """Build from Young-diagram row lengths (at most N-1 nonzero rows)."""
+        _integer(N, "N", 2)
         rows = tuple(rows)
         if any(rows[N - 1 :]):
             raise ValueError(f"rows {rows} exceed the {N - 1}-row limit for N={N}")
@@ -280,6 +281,7 @@ def check_ef_commutator(irrep: SuqIrrep, k: int, q0) -> bool:
     the state minus the sum of squared amplitudes into it from above must
     equal the symmetric bracket of the Cartan weight, exactly at q0.
     """
+    _integer(k, "k", 1, irrep.N - 1)
     q0 = _q0_above_one(q0)
     for p in gz_patterns(irrep):
         down = Fraction(0)

@@ -66,25 +66,38 @@ Permutation = tuple[int, ...]
 CycleType = tuple[int, ...]
 
 
+def _permutation(perm, n: int | None = None) -> Permutation:
+    """perm as a tuple, refused unless its entries are integers listing 1..n (by default its length) once each."""
+    perm = tuple(_integer(x, "permutation entry") for x in perm)
+    n = len(perm) if n is None else n
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError(f"{perm} is not a permutation of 1..{n}")
+    return perm
+
+
 def perm_mul(u: Permutation, v: Permutation) -> Permutation:
-    """Composition (u o v)(i) = u(v(i))."""
+    """Composition (u o v)(i) = u(v(i)) of two permutations of the same points."""
+    u = _permutation(u)
+    v = _permutation(v, len(u))
     return tuple([u[x - 1] for x in v])
 
 
 def cycle_type(perm: Permutation) -> CycleType:
-    n = len(perm)
-    seen = [False] * n
+    """The cycle lengths of a permutation, sorted descending, unit cycles included."""
+    return _cycle_type(_permutation(perm))
+
+
+def _cycle_type(perm: Permutation) -> CycleType:
+    seen = [False] * len(perm)
     lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
+    for i in range(len(perm)):
         length = 0
-        i = start
-        while not seen[i]:
+        while not seen[i]:  # walk the cycle through i, unless an earlier walk did
             seen[i] = True
             i = perm[i] - 1
             length += 1
-        lengths.append(length)
+        if length:
+            lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
 
 
@@ -189,8 +202,8 @@ class ClassVector(SparseVector):
     vectors of different n do not mix.  `n` and `coeffs` are read-only.
     """
 
-    __slots__ = ("_space",)
-    __match_args__ = ("_space", "_terms")
+    __slots__ = ("n",)
+    __match_args__ = ("n", "_terms")
 
     def __init__(self, n: int, coeffs: Mapping[CycleType, Scalar] | None = None):
         n = _integer(n, "n", 1)
@@ -203,21 +216,13 @@ class ClassVector(SparseVector):
             raise ValueError(f"cycle type {t} does not partition n={n}")
         return key
 
-    def _like(self, terms: dict[CycleType, Scalar]) -> "ClassVector":
-        """A vector of this n from terms in normal form, its fields written as by `LaurentPoly._make`."""
-        obj = ClassVector.__new__(ClassVector)
-        object.__setattr__(obj, "_values", (self._space, terms))
-        object.__setattr__(obj, "_space", self._space)
-        object.__setattr__(obj, "_terms", terms)
-        return obj
-
     def _coerce(self, other) -> "ClassVector | None":
         if isinstance(other, ClassVector):
-            if other._space != self._space:
-                raise ValueError(f"mixing class vectors of S_{self._space} and S_{other._space}")
+            if other.n != self.n:
+                raise ValueError(f"mixing class vectors of S_{self.n} and S_{other.n}")
             return other
         if is_scalar(other):
-            return ClassVector.identity(self._space) * other
+            return ClassVector.identity(self.n) * other
         return None
 
     @classmethod
@@ -227,10 +232,6 @@ class ClassVector(SparseVector):
     @classmethod
     def identity(cls, n: int) -> "ClassVector":
         return cls(_integer(n, "n", 1), {(1,) * n: 1})
-
-    @property
-    def n(self) -> int:
-        return self._space
 
     @property
     def coeffs(self) -> Mapping[CycleType, Scalar]:
@@ -255,7 +256,7 @@ class ClassVector(SparseVector):
         return NotImplemented
 
     def __repr__(self):
-        n = self._space
+        n = self.n
         types = [g.rows for g in partitions(n) if g.rows in self._terms]
         labels = [f"[{display_cycle_type(t, suppress_units=True)}]_{n}" if t[0] > 1 else "" for t in types]
         return self._render(zip(labels, map(self._terms.__getitem__, types)))
@@ -282,7 +283,7 @@ def _structure_row(s: CycleType, t: CycleType) -> Mapping[CycleType, int]:
     x0 = _representative(s)
     counts: dict[CycleType, int] = {}
     for y in _class_members(t):
-        u = cycle_type(perm_mul(x0, y))
+        u = _cycle_type([x0[x - 1] for x in y])  # x0 o y, unchecked
         counts[u] = counts.get(u, 0) + 1
     size_s = class_size(s)
     row: dict[CycleType, int] = {}

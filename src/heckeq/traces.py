@@ -166,10 +166,7 @@ def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:
     """
     _integer(k, "word length index", 2, g.n)
     table = murphy_traces(g)
-    acc = LaurentPoly.zero()
-    for i in range(k - 1):
-        term = table[k - i] * comb(k - 1, i)
-        acc = acc + (term if i % 2 == 0 else -term)
+    acc = sum((table[k - i] * ((-1) ** i * comb(k - 1, i)) for i in range(k - 1)), _ZERO)
     if k == 2:
         return acc
     numerator = acc * LaurentPoly.monomial(k - 2)

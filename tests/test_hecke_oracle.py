@@ -19,8 +19,10 @@ from heckeq.hecke_oracle import (
     _act,
     _conjugate,
     _dual_basis_sum,
+    _invariant,
     _invariant_powers,
     _kernel,
+    _projector,
     _spectrum,
     _times_invariant,
     fundamental_invariant,
@@ -331,21 +333,21 @@ class TestCachesAndTables:
         for q0 in range(2, 102):
             for g in partitions(4):
                 hecke_projector(g, q0)
-        assert hecke_projector.cache_info().currsize <= 64
+        assert _projector.cache_info().currsize <= 64
         assert _spectrum.cache_info().currsize <= 8
 
     def test_refused_projector_is_not_stored(self):
-        before = hecke_projector.cache_info().currsize
+        before = _projector.cache_info().currsize
         for q0 in (1, -1, 2**MAX_Q0_BITS):
             with pytest.raises(ValueError):
                 hecke_projector(Y(2, 1), q0)
-        assert hecke_projector.cache_info().currsize == before
+        assert _projector.cache_info().currsize == before
 
     def test_refused_q0_leaves_no_memo(self):
-        fundamental_invariant.cache_clear()
+        _invariant.cache_clear()
         with pytest.raises(TypeError):
             heckeq.verify.oracle_checks(3, 2.5)
-        assert fundamental_invariant.cache_info().currsize == 0
+        assert _invariant.cache_info().currsize == 0
 
     def test_kernel_matches_value_swap_reference(self):
         for n in range(1, 8):
@@ -724,10 +726,10 @@ class TestSpectrumCollision:
         # every diagram gets the eigenvalue q, a collision at every q0
         monkeypatch.setattr(heckeq.hecke_oracle, "invariant_eigenvalue", lambda g: LaurentPoly.q())
         _spectrum.cache_clear()
-        hecke_projector.cache_clear()
+        _projector.cache_clear()
         yield
         _spectrum.cache_clear()
-        hecke_projector.cache_clear()
+        _projector.cache_clear()
 
     def test_hecke_projector_refuses(self, one_eigenvalue):
         with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):

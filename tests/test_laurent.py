@@ -474,6 +474,21 @@ class TestRingProperties:
     def test_exact_division_roundtrip(self, a, b):
         assert (a * b).divide_exact(b) == a
 
+    @given(polys, nonzero_polys, polys, st.integers(-4, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_division_refuses_exactly_the_inexact(self, c, b, r, shift):
+        # c * b shifted by q^shift, plus r, which is often zero or a multiple of b too
+        a = c * b * LaurentPoly.monomial(shift) + r
+        if a.is_zero:
+            assert a.divide_exact(b).is_zero
+            return
+        _, rem = dense_divmod({e: Fraction(x) for e, x in a}, {e: Fraction(x) for e, x in b})
+        if rem:
+            with pytest.raises(NotDivisible):
+                a.divide_exact(b)
+        else:
+            assert a.divide_exact(b) * b == a
+
     @given(polys, polys, st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool))
     @settings(max_examples=100, deadline=None)
     def test_evaluation_is_ring_homomorphism(self, a, b, q0):

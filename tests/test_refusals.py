@@ -8,15 +8,38 @@ from functools import partial
 
 import pytest
 
-from heckeq.hecke_oracle import HeckeElement, murphy_element
-from heckeq.invariant import NonIntegerPowerSum, content_power_sum, power_sums_from_eigenvalue
+from heckeq.hecke_oracle import (
+    HeckeElement,
+    fundamental_invariant,
+    hecke_projector,
+    irreducible_trace,
+    murphy_element,
+)
+from heckeq.invariant import (
+    NonIntegerPowerSum,
+    UnsupportedCycle,
+    central_character,
+    central_character_table,
+    content_power_sum,
+    power_sums_from_eigenvalue,
+)
 from heckeq.laurent import LaurentPoly, NotDivisible
-from heckeq.suq import GZPattern, SuqIrrep, chevalley_weight, gz_patterns, irrep_from_casimir, lowering_squared
+from heckeq.suq import (
+    GZPattern,
+    SuqIrrep,
+    check_ef_commutator,
+    chevalley_weight,
+    gz_patterns,
+    irrep_from_casimir,
+    lowering_squared,
+)
 from heckeq.symgroup import (
     ClassVector,
     build_projector,
     character_table,
     characters_from_projector,
+    cycle_type,
+    perm_mul,
     single_cycle_class_sum,
 )
 from heckeq.traces import murphy_product_trace, simply_connected_trace
@@ -26,6 +49,12 @@ from conftest import F, Y
 
 def _pattern():
     return gz_patterns(SuqIrrep.from_rows(3, (2, 1)))[0]
+
+
+def _warm(first, then):
+    """`then()` once `first()` has filled the cache the two calls share."""
+    first()
+    return then()
 
 
 REFUSALS = {
@@ -80,6 +109,51 @@ REFUSALS = {
     "GZPattern.shifted j above N": (lambda: _pattern().shifted(1, 4, 1), ValueError, "j must lie in 1..3, got 4"),
     "GZPattern.shifted delta float": (
         lambda: _pattern().shifted(1, 2, 0.5), TypeError, "expected an integer delta, got float"),
+    "central_character p 6": (
+        lambda: central_character(6, Y(2, 1)), UnsupportedCycle, "no closed form for cycle length 6"),
+    "cycle_type repeated entry": (lambda: cycle_type((1, 1)), ValueError, "(1, 1) is not a permutation of 1..2"),
+    "cycle_type entry 0": (lambda: cycle_type((0, 1)), ValueError, "(0, 1) is not a permutation of 1..2"),
+    "cycle_type entry above n": (
+        lambda: cycle_type((5, 1, 2)), ValueError, "(5, 1, 2) is not a permutation of 1..3"),
+    "perm_mul non-permutation": (
+        lambda: perm_mul((2, 1), (1, 1)), ValueError, "(1, 1) is not a permutation of 1..2"),
+    "perm_mul lengths": (
+        lambda: perm_mul((2, 1), (1, 2, 3)), ValueError, "(1, 2, 3) is not a permutation of 1..2"),
+    "SuqIrrep.from_rows N 1": (lambda: SuqIrrep.from_rows(1, ()), ValueError, "N must be at least 2, got 1"),
+    "check_ef_commutator k 0": (
+        lambda: check_ef_commutator(SuqIrrep(3, (1, 0, 0)), 0, 2), ValueError, "k must lie in 1..2, got 0"),
+    "check_ef_commutator k N": (
+        lambda: check_ef_commutator(SuqIrrep(3, (1, 0, 0)), 3, 2), ValueError, "k must lie in 1..2, got 3"),
+}
+
+# A cached function refuses on a warm cache what it refuses on a cold one: each row
+# fills the cache with an accepted call, then makes the refused call that equals it.
+WARM_CACHE = {
+    "fundamental_invariant q0 float": (
+        lambda: fundamental_invariant(4, F(2)), lambda: fundamental_invariant(4, 2.0),
+        "expected int or Fraction, got float"),
+    "fundamental_invariant n float": (
+        lambda: fundamental_invariant(4, F(2)), lambda: fundamental_invariant(4.0, F(2)),
+        "expected an integer n, got float"),
+    "fundamental_invariant q0 bool": (
+        lambda: fundamental_invariant(3, 1), lambda: fundamental_invariant(3, True),
+        "expected int or Fraction, got bool"),
+    "hecke_projector q0 float": (
+        lambda: hecke_projector(Y(2, 1), 2), lambda: hecke_projector(Y(2, 1), 2.0),
+        "expected int or Fraction, got float"),
+    "irreducible_trace q0 float": (
+        lambda: irreducible_trace(Y(2, 1), (1,), 2), lambda: irreducible_trace(Y(2, 1), (1,), 2.0),
+        "expected int or Fraction, got float"),
+    "central_character_table p float": (
+        lambda: central_character_table(2, 3), lambda: central_character_table(2.0, 3),
+        "expected an integer p, got float"),
+    "central_character_table n bool": (
+        lambda: central_character_table(2, 1), lambda: central_character_table(2, True),
+        "expected an integer n, got bool"),
+}
+REFUSALS |= {
+    f"warm {label}": (partial(_warm, first, then), TypeError, start)
+    for label, (first, then, start) in WARM_CACHE.items()
 }
 
 # Each integer argument that had no check of its own, and the name its refusal gives,
@@ -98,6 +172,12 @@ INTEGER_ARGUMENTS = {
     "GZPattern.entry i": (lambda i: _pattern().entry(i, 2), "i"),
     "GZPattern.entry j": (lambda j: _pattern().entry(1, j), "j"),
     "GZPattern.shifted delta": (lambda delta: _pattern().shifted(1, 2, delta), "delta"),
+    "central_character p": (lambda p: central_character(p, Y(2, 1)), "p"),
+    "central_character_table p": (lambda p: central_character_table(p, 3), "p"),
+    "cycle_type entry": (lambda x: cycle_type((x, 1)), "permutation entry"),
+    "perm_mul entry": (lambda x: perm_mul((1, 2), (x, 1)), "permutation entry"),
+    "SuqIrrep.from_rows N": (lambda N: SuqIrrep.from_rows(N, (1,)), "N"),
+    "check_ef_commutator k": (lambda k: check_ef_commutator(SuqIrrep(3, (1, 0, 0)), k, 2), "k"),
 }
 REFUSALS |= {
     f"{label} {type(value).__name__}": (

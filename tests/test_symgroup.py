@@ -180,7 +180,7 @@ class TestClassProduct:
 
     def test_non_integer_structure_constant_is_refused(self, monkeypatch):
         # every product counted as a 3-cycle: 3 * 3 / |C_(3)| = 9/2
-        monkeypatch.setattr(symgroup, "cycle_type", lambda perm: (3,))
+        monkeypatch.setattr(symgroup, "_cycle_type", lambda perm: (3,))
         with pytest.raises(AssertionError, match=r"non-integer structure constant for \(2, 1\) \* \(2, 1\) at \(3,\)"):
             _structure_row.__wrapped__((2, 1), (2, 1))
 

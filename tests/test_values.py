@@ -66,6 +66,6 @@ def test_cached_murphy_trace_keeps_its_terms():
 def test_cached_lagrange_numerator_keeps_its_n():
     numerator, _ = _transposition_lagrange(4, 2)
     with pytest.raises(AttributeError):
-        numerator._space = 5
+        numerator.n = 5
     assert numerator.n == 4
     assert character_table(4, "projector") == character_table(4, "mn")
