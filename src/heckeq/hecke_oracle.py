@@ -473,7 +473,7 @@ def _spectrum(n: int, q0: Fraction) -> MappingProxyType[YoungDiagram, Fraction]:
 
 @lru_cache(maxsize=8)
 def _invariant_powers(n: int, q0: Fraction) -> tuple[HeckeElement, ...]:
-    """1, C, C^2, ... up to the projector degree, C the cached `fundamental_invariant`.
+    """1, C, C^2, ... up to the projector degree, C the cached invariant of `_invariant`.
 
     Every power of C is central, so each further one is the previous one
     through `_times_invariant`.

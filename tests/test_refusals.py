@@ -14,6 +14,7 @@ from heckeq.hecke_oracle import (
     hecke_projector,
     irreducible_trace,
     murphy_element,
+    word_element,
 )
 from heckeq.invariant import (
     NonIntegerPowerSum,
@@ -141,6 +142,11 @@ WARM_CACHE = {
     "hecke_projector q0 float": (
         lambda: hecke_projector(Y(2, 1), 2), lambda: hecke_projector(Y(2, 1), 2.0),
         "expected int or Fraction, got float"),
+    "word_element n float": (
+        lambda: word_element(3, 2, (1,)), lambda: word_element(3.0, 2, (1,)), "expected an integer n, got float"),
+    "word_element generator float": (
+        lambda: word_element(3, 2, (1,)), lambda: word_element(3, 2, (1.0,)),
+        "expected an integer generator index, got float"),
     "irreducible_trace q0 float": (
         lambda: irreducible_trace(Y(2, 1), (1,), 2), lambda: irreducible_trace(Y(2, 1), (1,), 2.0),
         "expected int or Fraction, got float"),
