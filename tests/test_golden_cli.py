@@ -41,6 +41,7 @@ COMMANDS = [
     "traces --n 8 --kind products --diagram 4,3,1 --alphas 2,5,7",
     "traces --n 18 --kind products --diagram 6,4,3,2,2,1 --alphas 3,9,15",
     "traces --n 9 --kind products --diagram 4,3,2 --alphas 9",
+    "verify --n 2",
     "verify --n 4",
     "verify --n 3 --q0 3/2",
     "verify --n 3 --q0 1",
