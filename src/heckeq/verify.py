@@ -48,7 +48,6 @@ from .hecke_oracle import (
     _spectrum,
     _times_invariant,
     fundamental_invariant,
-    hecke_projector,
     irreducible_trace,
     projector_element,
     reduced_word,
@@ -121,7 +120,7 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     name = "fundamental_invariant_central"
     checks[name] = central(name, fundamental_invariant(n, q0))
 
-    projectors = {g: projector_element(hecke_projector(g, q0)) for g in parts}
+    projectors = {g: projector_element(g, q0) for g in parts}
     eigenvalues = _spectrum(n, q0)
 
     name = "projector_idempotent"

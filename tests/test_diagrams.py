@@ -1,6 +1,5 @@
 import pickle
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -13,7 +12,6 @@ from heckeq.diagrams import (
     partitions,
     row_removals,
 )
-from heckeq.hecke_oracle import hecke_projector
 from heckeq.laurent import LaurentPoly
 from heckeq.suq import GZPattern, SuqIrrep
 
@@ -64,12 +62,6 @@ RECORDS = {
     "YoungDiagram one row": (lambda: YoungDiagram((3,)), ((3,),), "YoungDiagram((3,))"),
     "SuqIrrep": (lambda: SuqIrrep(3, (2, 1, 0)), (3, (2, 1, 0)), "SuqIrrep(N=3, top=(2, 1, 0))"),
     "GZPattern": (lambda: GZPattern(((1,), (1, 0))), (((1,), (1, 0)),), "GZPattern(rows=((1,), (1, 0)))"),
-    "ProjectorPoly": (
-        lambda: hecke_projector(Y(2, 1), 2),
-        (Y(2, 1), Fraction(2), (Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49))),
-        "ProjectorPoly(diagram=YoungDiagram((2, 1)), q0=Fraction(2, 1), "
-        "coeffs=(Fraction(40, 49), Fraction(11, 49), Fraction(-2, 49)))",
-    ),
 }
 
 

@@ -20,9 +20,8 @@ from heckeq.hecke_oracle import (
     _conjugate,
     _dual_basis_sum,
     _invariant,
-    _invariant_powers,
     _kernel,
-    _projector,
+    _projectors,
     _spectrum,
     _times_invariant,
     fundamental_invariant,
@@ -136,19 +135,19 @@ def ref_regular_trace(x):
 
 def ref_irreducible_trace(g, word, q0):
     """The regular-representation route: tr_reg(e_g * word) / dim(g)."""
-    p = projector_element(hecke_projector(g, q0))
+    p = projector_element(g, q0)
     return ref_regular_trace(product(p, word_element(g.n, q0, word))) / dimension(g)
 
 
-def horner_projector(p, x):
-    """The projector polynomial on the invariant applied to x by Horner's scheme.
+def horner_projector(coeffs, x):
+    """The polynomial in the invariant with these coefficients (ascending) applied to x by Horner's scheme.
 
     Repeated multiplication by the invariant, no powers of it stored:
-    the reference for `projector_element`'s sum over cached powers.
+    the reference for `projector_element`'s sum over powers.
     """
-    invariant = fundamental_invariant(p.diagram.n, p.q0)
-    result = x * p.coeffs[-1]
-    for a in reversed(p.coeffs[:-1]):
+    invariant = fundamental_invariant(x.n, x.q0)
+    result = x * coeffs[-1]
+    for a in reversed(coeffs[:-1]):
         result = product(result, invariant) + x * a
     return result
 
@@ -306,10 +305,9 @@ class TestAgainstReference:
 
 class TestCachesAndTables:
     def test_cached_elements_cannot_be_mutated(self):
-        p = hecke_projector(Y(2, 1), 2)
-        projector_element(p).coeffs.clear()
+        projector_element(Y(2, 1), 2).coeffs.clear()
         assert irreducible_trace(Y(2, 1), (1,), 2) == 1
-        for x in (projector_element(p), fundamental_invariant(4, F(2)), word_element(3, 2, (1,))):
+        for x in (projector_element(Y(2, 1), 2), fundamental_invariant(4, F(2)), word_element(3, 2, (1,))):
             for field, value in (("n", 5), ("q0", F(3)), ("_vec", ()), ("_den", 2)):
                 with pytest.raises(AttributeError):
                     setattr(x, field, value)
@@ -319,29 +317,29 @@ class TestCachesAndTables:
         assert irreducible_trace(Y(2, 1), (1,), 2) == 1
 
     def test_cached_projector_cannot_be_mutated(self):
-        p = hecke_projector(Y(2, 1), 2)
-        assert hecke_projector(Y(2, 1), F(2)) is p
-        coeffs = p.coeffs
-        with pytest.raises(AttributeError):
-            p.coeffs = ()
+        p = projector_element(Y(2, 1), 2)
+        assert projector_element(Y(2, 1), F(2)) is p
+        projectors = _projectors(3, F(2))
         with pytest.raises(TypeError):
-            p.coeffs[0] = 0
-        assert p.coeffs is coeffs and p.coeffs == (F(40, 49), F(11, 49), F(-2, 49))
+            projectors[Y(2, 1)] = HeckeElement.zero(3, 2)
+        assert projectors[Y(2, 1)] is p
+        assert hecke_projector(Y(2, 1), 2) == (F(40, 49), F(11, 49), F(-2, 49))
         assert irreducible_trace(Y(2, 1), (1,), 2) == 1
 
     def test_q0_keyed_memos_are_bounded(self):
         for q0 in range(2, 102):
             for g in partitions(4):
-                hecke_projector(g, q0)
-        assert _projector.cache_info().currsize <= 64
+                projector_element(g, q0)
+        assert _projectors.cache_info().currsize <= 8
         assert _spectrum.cache_info().currsize <= 8
 
     def test_refused_projector_is_not_stored(self):
-        before = _projector.cache_info().currsize
+        before = _projectors.cache_info().currsize
         for q0 in (1, -1, 2**MAX_Q0_BITS):
-            with pytest.raises(ValueError):
-                hecke_projector(Y(2, 1), q0)
-        assert _projector.cache_info().currsize == before
+            for refused in (hecke_projector, projector_element):
+                with pytest.raises(ValueError):
+                    refused(Y(2, 1), q0)
+        assert _projectors.cache_info().currsize == before
 
     def test_refused_q0_leaves_no_memo(self):
         _invariant.cache_clear()
@@ -437,15 +435,27 @@ class TestTimesInvariant:
     def test_every_power_projector_and_dual_basis_sum(self, q0):
         for n in range(1, 7):
             invariant = fundamental_invariant(n, q0)
-            central = list(_invariant_powers(n, q0)) + [_dual_basis_sum(n, q0)]
-            central += [projector_element(hecke_projector(g, q0)) for g in partitions(n)]
-            for x in central:
+            power = HeckeElement.identity(n, q0)
+            for _ in partitions(n):  # 1, C, ..., C^(p(n)-1), each the reference product of the last
+                next_power = product(power, invariant)
+                assert _times_invariant(power) == next_power
+                power = next_power
+            for x in [_dual_basis_sum(n, q0)] + [projector_element(g, q0) for g in partitions(n)]:
                 assert _times_invariant(x) == product(x, invariant)
 
-    def test_powers_start_from_the_cached_invariant(self):
+    def test_projectors_build_each_power_once(self, monkeypatch):
+        # 1 and the cached C are given, so C^2 .. C^(p(n)-1) are the only products
+        calls = []
+        monkeypatch.setattr(heckeq.hecke_oracle, "_times_invariant", lambda x: calls.append(x) or _times_invariant(x))
         q0 = F(11, 7)  # a q0 no other test caches
         for n in range(2, 6):
-            assert _invariant_powers(n, q0)[1] is fundamental_invariant(n, q0)
+            fundamental_invariant(n, q0)
+            del calls[:]
+            for g in partitions(n):
+                projector_element(g, q0)
+            assert len(calls) == len(partitions(n)) - 2
+            projector_element(Y(n), q0)
+            assert len(calls) == len(partitions(n)) - 2
 
     @pytest.mark.parametrize("q0", [F(5, 3), F(-3, 2)])
     def test_conjugation_of_a_non_central_element(self, q0):
@@ -530,7 +540,7 @@ class TestRegularTraceThroughTau:
     def test_every_projector_matches_walk(self, q0):
         for n in range(1, 7):
             for g in partitions(n):
-                p = projector_element(hecke_projector(g, q0))
+                p = projector_element(g, q0)
                 assert regular_trace(p) == ref_regular_trace(p) == dimension(g) ** 2
 
     @pytest.mark.parametrize("q0", [F(2), F(5, 3), F(-3, 2)])
@@ -588,7 +598,7 @@ class TestGenericDegreeAgainstOracle:
             for k in range(2, n + 1):
                 factorial_q *= q_integer(k).evaluate(q0)
             for g in partitions(n):
-                tau = symmetrizing_trace(projector_element(hecke_projector(g, q0)), one)
+                tau = symmetrizing_trace(projector_element(g, q0), one)
                 hooks = 1
                 for i, length in enumerate(g.rows):
                     for j in range(length):
@@ -610,7 +620,7 @@ class TestVerifyMutations:
     def test_non_central_perturbation_fails_idempotence(self, monkeypatch):
         real = heckeq.verify.projector_element
         monkeypatch.setattr(
-            heckeq.verify, "projector_element", lambda p: real(p) + word_element(p.diagram.n, p.q0, (1,))
+            heckeq.verify, "projector_element", lambda g, q0: real(g, q0) + word_element(g.n, q0, (1,))
         )
         report = oracle_checks(4, F(2))
         assert report.checks["projector_idempotent"] is False
@@ -620,7 +630,7 @@ class TestVerifyMutations:
         )
 
     def test_zero_projector_fails_idempotence(self, monkeypatch):
-        monkeypatch.setattr(heckeq.verify, "projector_element", lambda p: HeckeElement.zero(p.diagram.n, p.q0))
+        monkeypatch.setattr(heckeq.verify, "projector_element", lambda g, q0: HeckeElement.zero(g.n, q0))
         report = oracle_checks(3, F(2))
         assert report.checks["projector_idempotent"] is False
         assert report.witness == {
@@ -632,7 +642,7 @@ class TestVerifyMutations:
         # the zero projector passes both relations and fails only tau(p) != 0
         calls = []
         monkeypatch.setattr(heckeq.verify, "_times_invariant", lambda x: calls.append(x) or _times_invariant(x))
-        monkeypatch.setattr(heckeq.verify, "projector_element", lambda p: HeckeElement.zero(p.diagram.n, p.q0))
+        monkeypatch.setattr(heckeq.verify, "projector_element", lambda g, q0: HeckeElement.zero(g.n, q0))
         report = oracle_checks(3, F(2))
         assert report.checks["projector_idempotent"] is False
         assert report.checks["projector_pairwise_orthogonal"] is True
@@ -644,9 +654,9 @@ class TestVerifyMutations:
         real = heckeq.verify.projector_element
         parts = partitions(4)
 
-        def shifted(p):
-            other = parts[(parts.index(p.diagram) + 1) % len(parts)]
-            return real(p) + real(hecke_projector(other, p.q0))
+        def shifted(g, q0):
+            other = parts[(parts.index(g) + 1) % len(parts)]
+            return real(g, q0) + real(other, q0)
 
         monkeypatch.setattr(heckeq.verify, "projector_element", shifted)
         report = oracle_checks(4, F(5, 3))
@@ -659,9 +669,9 @@ class TestVerifyMutations:
         # central, so x C from the Murphy recursion cannot be compared
         real = heckeq.verify.projector_element
 
-        def tilted(p):
-            x = real(p)
-            return x + x.times_generator(1, "left") if p.diagram == Y(3, 1) else x
+        def tilted(g, q0):
+            x = real(g, q0)
+            return x + x.times_generator(1, "left") if g == Y(3, 1) else x
 
         monkeypatch.setattr(heckeq.verify, "projector_element", tilted)
         report = oracle_checks(4, F(2))
@@ -678,18 +688,16 @@ class TestProjectors:
         for q0 in (F(2), F(5, 3), F(-3, 2)):
             for n in (2, 3, 4, 5):
                 for g in partitions(n):
-                    p = hecke_projector(g, q0)
-                    assert projector_element(p) == horner_projector(p, HeckeElement.identity(n, q0))
+                    coeffs = hecke_projector(g, q0)
+                    assert projector_element(g, q0) == horner_projector(coeffs, HeckeElement.identity(n, q0))
 
     def test_two_point_lagrange(self):
-        p = hecke_projector(Y(2), 2)
-        assert p.coeffs == (F(1, 3), F(1, 3))
-        p11 = hecke_projector(Y(1, 1), 2)
-        assert p11.coeffs == (F(2, 3), F(-1, 3))
+        assert hecke_projector(Y(2), 2) == (F(1, 3), F(1, 3))
+        assert hecke_projector(Y(1, 1), 2) == (F(2, 3), F(-1, 3))
 
     def test_projector_algebra_small(self):
         for n in (2, 3, 4):
-            projectors = {g: projector_element(hecke_projector(g, 2)) for g in partitions(n)}
+            projectors = {g: projector_element(g, 2) for g in partitions(n)}
             total = HeckeElement.zero(n, 2)
             for g, p in projectors.items():
                 assert product(p, p) == p
@@ -705,19 +713,19 @@ class TestProjectors:
         for n in (2, 3, 4):
             invariant = fundamental_invariant(n, 2)
             for g in partitions(n):
-                p = projector_element(hecke_projector(g, 2))
+                p = projector_element(g, 2)
                 lam = invariant_eigenvalue(g).evaluate(2)
                 assert product(invariant, p) == p * lam
 
     def test_degenerate_specializations_refused(self):
         for q0 in (1, -1):
-            with pytest.raises(DegenerateSpecialization):
-                hecke_projector(Y(2), q0)
+            for refused in (hecke_projector, projector_element):
+                with pytest.raises(DegenerateSpecialization, match=f"^q0 = {q0} is a root of unity$"):
+                    refused(Y(2), q0)
 
     def test_apply_projector_via_horner(self):
-        p = hecke_projector(Y(2, 1), 2)
         x = word_element(3, 2, (1, 2))
-        assert horner_projector(p, x) == product(projector_element(p), x)
+        assert horner_projector(hecke_projector(Y(2, 1), 2), x) == product(projector_element(Y(2, 1), 2), x)
 
 
 class TestSpectrumCollision:
@@ -726,14 +734,19 @@ class TestSpectrumCollision:
         # every diagram gets the eigenvalue q, a collision at every q0
         monkeypatch.setattr(heckeq.hecke_oracle, "invariant_eigenvalue", lambda g: LaurentPoly.q())
         _spectrum.cache_clear()
-        _projector.cache_clear()
+        _projectors.cache_clear()
         yield
         _spectrum.cache_clear()
-        _projector.cache_clear()
+        _projectors.cache_clear()
 
     def test_hecke_projector_refuses(self, one_eigenvalue):
         with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
             hecke_projector(Y(2, 2), F(7, 2))
+
+    def test_refused_collision_is_not_stored(self, one_eigenvalue):
+        with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
+            projector_element(Y(2, 2), F(7, 2))
+        assert _projectors.cache_info().currsize == 0
 
     def test_oracle_checks_refuse(self, one_eigenvalue):
         with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
@@ -789,7 +802,7 @@ class TestDegeneratePairAtSix:
 
     def test_projector_algebra_at_six(self):
         q0 = F(2)
-        projectors = {g: projector_element(hecke_projector(g, q0)) for g in partitions(6)}
+        projectors = {g: projector_element(g, q0) for g in partitions(6)}
         total = HeckeElement.zero(6, q0)
         for g, p in projectors.items():
             assert horner_projector(hecke_projector(g, q0), p) == p

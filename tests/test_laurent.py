@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckeq.diagrams import partitions
-from heckeq.hecke_oracle import HeckeElement, hecke_projector, irreducible_trace, word_element
+from heckeq.hecke_oracle import HeckeElement, hecke_projector, irreducible_trace, projector_element, word_element
 from heckeq.invariant import separating_depth
 from heckeq.laurent import (
     LaurentPoly,
@@ -243,6 +243,7 @@ SCALAR_ENTRY_POINTS = {
     "HeckeElement.zero": lambda x: HeckeElement.zero(3, x),
     "word_element": lambda x: word_element(3, x, (1, 2)),
     "hecke_projector": lambda x: hecke_projector(Y(2, 1), x),
+    "projector_element": lambda x: projector_element(Y(2, 1), x),
     "irreducible_trace": lambda x: irreducible_trace(Y(2, 1), (1,), x),
     "oracle_checks": lambda x: oracle_checks(3, x),
     "lowering_squared": lambda x: lowering_squared(GZPattern(((1,), (1, 0))), 1, 1, x),

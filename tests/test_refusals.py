@@ -1,19 +1,23 @@
 """Every library refusal that no other in-process test reaches.
 
 One row per refused call: the call, the exact exception type, and the
-start of its message.
+start of its message.  A refusal that must come before any work has a
+test of its own.
 """
 
 from functools import partial
 
 import pytest
 
+import heckeq.hecke_oracle
 from heckeq.hecke_oracle import (
+    DegenerateSpecialization,
     HeckeElement,
     fundamental_invariant,
     hecke_projector,
     irreducible_trace,
     murphy_element,
+    projector_element,
     word_element,
 )
 from heckeq.invariant import (
@@ -125,6 +129,10 @@ REFUSALS = {
         lambda: check_ef_commutator(SuqIrrep(3, (1, 0, 0)), 0, 2), ValueError, "k must lie in 1..2, got 0"),
     "check_ef_commutator k N": (
         lambda: check_ef_commutator(SuqIrrep(3, (1, 0, 0)), 3, 2), ValueError, "k must lie in 1..2, got 3"),
+    "projector_element q0 1": (
+        lambda: projector_element(Y(2, 1), 1), DegenerateSpecialization, "q0 = 1 is a root of unity"),
+    "hecke_projector q0 bool": (
+        lambda: hecke_projector(Y(2, 1), True), TypeError, "expected int or Fraction, got bool"),
 }
 
 # A cached function refuses on a warm cache what it refuses on a cold one: each row
@@ -142,6 +150,12 @@ WARM_CACHE = {
     "hecke_projector q0 float": (
         lambda: hecke_projector(Y(2, 1), 2), lambda: hecke_projector(Y(2, 1), 2.0),
         "expected int or Fraction, got float"),
+    "projector_element q0 float": (
+        lambda: projector_element(Y(3), 2), lambda: projector_element(Y(3), 2.0),
+        "expected int or Fraction, got float"),
+    "projector_element q0 bool": (
+        lambda: projector_element(Y(3), 2), lambda: projector_element(Y(3), True),
+        "expected int or Fraction, got bool"),
     "word_element n float": (
         lambda: word_element(3, 2, (1,)), lambda: word_element(3.0, 2, (1,)), "expected an integer n, got float"),
     "word_element generator float": (
@@ -200,3 +214,12 @@ def test_refusal(call, kind, start):
     assert type(info.value) is kind
     assert str(info.value).startswith(start)
 
+
+
+def test_projector_ceiling_is_checked_before_partitions_are_listed(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"partitions({n}) listed before the ceiling check")
+
+    monkeypatch.setattr(heckeq.hecke_oracle, "partitions", refuse)
+    with pytest.raises(ValueError, match=r"capped at n <= 7"):
+        projector_element(Y(4, 4), 2)

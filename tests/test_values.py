@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from heckeq.hecke_oracle import fundamental_invariant, hecke_projector, projector_element
+from heckeq.hecke_oracle import fundamental_invariant, projector_element
 from heckeq.suq import SuqIrrep, gz_patterns
 from heckeq.symgroup import _transposition_lagrange, character_table, single_cycle_class_sum
 from heckeq.traces import murphy_traces, simply_connected_trace
@@ -20,9 +20,8 @@ VALUES = {
     "YoungDiagram": lambda: Y(3, 1),
     "SuqIrrep": lambda: SuqIrrep(3, (2, 1, 0)),
     "GZPattern": lambda: gz_patterns(SuqIrrep.from_rows(3, (2, 1)))[0],
-    "ProjectorPoly": lambda: hecke_projector(Y(2, 1), 2),
     "HeckeElement": lambda: fundamental_invariant(3, F(2)),
-    "HeckeElement with a denominator": lambda: projector_element(hecke_projector(Y(2, 1), F(5, 3))),
+    "HeckeElement with a denominator": lambda: projector_element(Y(2, 1), F(5, 3)),
     "LaurentPoly": lambda: P("3*q^2-q^-1+1/2"),
     "ClassVector": lambda: single_cycle_class_sum(4, 2) + F(1, 3),
 }
