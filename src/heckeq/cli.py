@@ -13,7 +13,8 @@ JSON output is deterministic (sorted keys, canonical polynomial
 strings).  Exit status is 0 exactly when the command succeeded; failed
 verification or validation errors exit nonzero, with a machine-readable
 ``error`` field in JSON mode.  A failed verification also reports a
-``witness``: the first comparison that failed (see ``heckeq.verify``).
+``witness``: the first comparison that failed (see ``heckeq.verify``);
+a failed ``suq --sweep-n`` check, the first diagram and N that failed.
 """
 
 from __future__ import annotations
@@ -200,16 +201,14 @@ def _cmd_suq(args) -> tuple[dict, int]:
             if args.sweep_n < 1:
                 raise CommandError(f"--sweep-n must be at least 1, got {args.sweep_n}")
             _check_scale(args, "partition-lattice walks", args.sweep_n)
-            holds = True
+            pairs = ((g, big_n) for n in range(1, args.sweep_n + 1) for g in partitions(n)
+                     for big_n in range(len(g.rows) + 1, N + 1))
             checked = 0
-            for n in range(1, args.sweep_n + 1):
-                for g in partitions(n):
-                    for big_n in range(len(g.rows) + 1, N + 1):
-                        holds = holds and hecke_casimir_correspondence(g, big_n)
-                        checked += 1
-            doc["sweep_n"] = args.sweep_n
-            doc["checked"] = checked
-            doc["holds"] = holds
+            for checked, (g, big_n) in enumerate(pairs, 1):
+                if not hecke_casimir_correspondence(g, big_n):
+                    doc["witness"] = {"diagram": str(g), "N": str(big_n)}
+                    break
+            doc.update(sweep_n=args.sweep_n, checked=checked, holds="witness" not in doc)
         else:
             raise CommandError("action=check needs --diagram or --sweep-n")
         if not doc["holds"]:

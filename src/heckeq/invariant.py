@@ -22,7 +22,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import LaurentPoly, Scalar, _integer, is_int, q_content_sum
+from .laurent import LaurentPoly, Scalar, _integer, _q_content_sum, is_int
 
 __all__ = [
     "InvalidSpectrum",
@@ -68,7 +68,7 @@ def invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:
     The diagonal counts are its content histogram, so `q_content_sum`
     reads it off by running sums in O(#rows + #diagonals).
     """
-    return q_content_sum(g.diagonal_counts())
+    return _q_content_sum(g.diagonal_counts())
 
 
 def rescaled_invariant_eigenvalue(g: YoungDiagram) -> LaurentPoly:

@@ -110,7 +110,7 @@ def _tidy(c: Scalar) -> Scalar:
 
 
 class FrozenRecord:
-    """A read-only record of the fields `__match_args__` names, given positionally or by name.
+    """A read-only record of the fields `__match_args__` names, given positionally.
 
     The base of every value type.  `==` holds only within one class, field by field; the
     hash is that of the tuple of fields, `_values`, and the repr names each field.  `_of` is
@@ -120,11 +120,7 @@ class FrozenRecord:
 
     __slots__ = ("_values",)
 
-    def __init__(self, *fields, **named):
-        if named:
-            fields += tuple(named.pop(name) for name in self.__match_args__[len(fields) :] if name in named)
-        if named or len(fields) != len(self.__match_args__):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__match_args__)}")
+    def __init__(self, *fields):
         self._write(fields)
 
     @classmethod
@@ -524,11 +520,16 @@ def q_content(c: int) -> LaurentPoly:
     -(1 + q^-1 + ... + q^(c+1)) for c < 0.  At q = 1 it collapses to c.
     It is the content histogram {c: 1} read by `q_content_sum`.
     """
-    return q_content_sum({_integer(c, "c"): 1})
+    return _q_content_sum({_integer(c, "c"): 1})
 
 
 def q_content_sum(counts: Mapping[int, int]) -> LaurentPoly:
-    """The sum of counts[c] * q_content(c) over contents c; absent ones count zero.
+    """The sum of counts[c] * q_content(c) over integer contents c and counts; absent ones count zero."""
+    return _q_content_sum({_integer(c, "content"): _integer(m, "count") for c, m in counts.items()})
+
+
+def _q_content_sum(counts: Mapping[int, int]) -> LaurentPoly:
+    """`q_content_sum` of integer contents and counts, unchecked.
 
     A content c > 0 adds q + ... + q^c and one c < 0 subtracts
     1 + q^-1 + ... + q^(c+1), so running sums give every coefficient: the

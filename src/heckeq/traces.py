@@ -31,7 +31,7 @@ from types import MappingProxyType
 
 from .diagrams import YoungDiagram, dimension, partitions, row_removals
 from .invariant import invariant_eigenvalue
-from .laurent import LaurentPoly, _integer, q_content, q_content_sum
+from .laurent import LaurentPoly, _integer, _q_content_sum, q_content
 
 __all__ = [
     "murphy_traces",
@@ -53,26 +53,26 @@ _3Q_MINUS_2 = LaurentPoly({1: 3, 0: -2, -1: 3})  # 3q - 2 + 3/q
 _3Q_MINUS_4 = LaurentPoly({1: 3, 0: -4, -1: 3})  # 3q - 4 + 3/q
 
 
-_Level = list[tuple[tuple[int, ...], list[tuple[int, int]]]]
+_Level = list[list[tuple[int, int]]]
 
 
 def _lattice(tops: list[YoungDiagram]) -> list[_Level]:
     """The branching lattice from level 1 up to the level of `tops`.
 
-    One list per level, level 1 first.  Each entry pairs a diagram's row
-    tuple with its steps down: the position in the previous level of each
-    diagram one box below it, and the content of the removed box.  The
-    one-box diagram has no steps.  Diagrams below the tops are kept as
-    row tuples, so none is built as a `YoungDiagram`.
+    One list per level, level 1 first, holding each diagram's steps down
+    (the top level in the order of `tops`): the position in the previous
+    level of each diagram one box below it, and the content of the
+    removed box.  The one-box diagram has no steps.  Diagrams below the
+    tops are only row tuples while the walk runs, and none is kept.
     """
     levels: list[_Level] = []
     level = [g.rows for g in tops]
     for _ in range(tops[0].n - 1):
         position: dict[tuple[int, ...], int] = {}
         steps = [[(position.setdefault(below, len(position)), c) for below, c in row_removals(rows)] for rows in level]
-        levels.append(list(zip(level, steps)))
+        levels.append(steps)
         level = list(position)
-    levels.append([(rows, []) for rows in level])
+    levels.append([[]])
     return levels[::-1]
 
 
@@ -90,9 +90,9 @@ def _path_sums(levels: list[_Level], alphas: tuple[int, ...]) -> list[LaurentPol
     values = [1]
     for level, entries in enumerate(levels[1:], start=2):
         if level in marked:
-            values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for _, steps in entries]
+            values = [sum((q_content(c) * values[j] for j, c in steps), _ZERO) for steps in entries]
         else:
-            values = [sum((values[j] for j, _ in s[1:]), values[s[0][0]]) for _, s in entries]
+            values = [sum((values[j] for j, _ in s[1:]), values[s[0][0]]) for s in entries]
     return values
 
 
@@ -121,11 +121,11 @@ def _murphy_columns(tops: list[YoungDiagram]) -> Iterator[tuple[YoungDiagram, di
     end = 1  # slots so far
     values = [1]
     for i, entries in enumerate(levels[1:], start=2):
-        contents = [c for _, steps in entries for _, c in steps]
+        contents = [c for steps in entries for _, c in steps]
         low = min(contents)
         span = max(contents) - low + 1
         zero = (end - low) * bits  # the bit offset of content 0 in column i
-        values = [sum(values[j] + ((values[j] & mask) << (zero + c * bits)) for j, c in steps) for _, steps in entries]
+        values = [sum(values[j] + ((values[j] & mask) << (zero + c * bits)) for j, c in steps) for steps in entries]
         columns.append((i, low, end * width, (end + span) * width))
         end += span
     for g, packed in zip(tops, values):
@@ -135,7 +135,7 @@ def _murphy_columns(tops: list[YoungDiagram]) -> Iterator[tuple[YoungDiagram, di
             window = data[first:stop].rstrip(b"\0")
             start = (len(window) - len(window.lstrip(b"\0"))) // width * width  # g's first content in the column
             slots = range(start, len(window), width)
-            table[i] = q_content_sum({low + k // width: int.from_bytes(window[k : k + width], "little") for k in slots})
+            table[i] = _q_content_sum({low + k // width: int.from_bytes(window[k : k + width], "little") for k in slots})
         yield g, table
 
 
@@ -167,8 +167,6 @@ def simply_connected_trace(g: YoungDiagram, k: int) -> LaurentPoly:
     _integer(k, "word length index", 2, g.n)
     table = murphy_traces(g)
     acc = sum((table[k - i] * ((-1) ** i * comb(k - 1, i)) for i in range(k - 1)), _ZERO)
-    if k == 2:
-        return acc
     numerator = acc * LaurentPoly.monomial(k - 2)
     return numerator.divide_exact(_QM1 ** (k - 2))
 

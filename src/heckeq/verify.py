@@ -154,11 +154,10 @@ def oracle_checks(n: int, q0: Fraction) -> OracleReport:
     )
 
     if n >= 4:
-        words = {"g1*g3": (1, 3), "g1*g3*g4": (1, 3, 4)} if n >= 5 else {"g1*g3": (1, 3)}
         name = "doubly_connected_traces_agree"
         checks[name] = all(
-            trace_check(name, g, solved[label], word)
-            for g, solved in zip(parts, map(doubly_connected_traces, parts))
-            for label, word in words.items()
+            trace_check(name, g, trace, tuple(int(x[1:]) for x in label.split("*")))
+            for g in parts
+            for label, trace in doubly_connected_traces(g).items()
         )
     return report

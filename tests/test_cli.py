@@ -398,6 +398,33 @@ class TestSuq:
         assert code == 0
         assert doc["result"]["checked"] == 8
 
+    def test_failed_sweep_stops_at_the_first_failure(self, capsys, monkeypatch):
+        # the third pair of the sweep, (2) at N = 2, fails; nothing after it is checked
+        seen = []
+
+        def fails_at_2_of_rank_2(g, big_n):
+            seen.append((str(g), big_n))
+            return (str(g), big_n) != ("2", 2)
+
+        monkeypatch.setattr(heckeq.cli, "hecke_casimir_correspondence", fails_at_2_of_rank_2)
+        code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", "check", "--sweep-n", "3")
+        assert code == 1
+        assert seen == [("1", 2), ("1", 3), ("2", 2)]
+        assert doc["result"] == {
+            "N": 3, "action": "check", "sweep_n": 3, "checked": 3, "holds": False,
+            "witness": {"diagram": "2", "N": "2"},
+        }
+
+    @pytest.mark.parametrize("action, message", [
+        ("check", "action=check needs --diagram or --sweep-n"),
+        ("casimir", "--diagram is required for action=casimir"),
+        ("dimension", "--diagram is required for action=dimension"),
+    ])
+    def test_action_without_its_input_is_refused(self, capsys, action, message):
+        code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", action)
+        assert code == 1
+        assert doc["error"] == {"type": "CommandError", "message": message}
+
     @pytest.mark.parametrize("sweep_n", ["0", "-5"])
     def test_check_sweep_below_one_is_refused(self, capsys, sweep_n):
         code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", "check", "--sweep-n", sweep_n)

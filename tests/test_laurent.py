@@ -279,6 +279,22 @@ def test_bool_parts_are_refused(call):
         call()
 
 
+# The contents and counts of `q_content_sum` are integers too: no float, Fraction or bool.
+CONTENT_COUNTS = {
+    "count float": {2: 1.5},
+    "count Fraction": {2: F(1, 2)},
+    "count bool": {2: True},
+    "content bool": {True: 1},
+    "content float": {0.5: 1},
+}
+
+
+@pytest.mark.parametrize("counts", CONTENT_COUNTS.values(), ids=CONTENT_COUNTS)
+def test_non_integer_contents_and_counts_are_refused(counts):
+    with pytest.raises(TypeError, match="expected an integer"):
+        q_content_sum(counts)
+
+
 class TestMixing:
     def test_laurent_polys_and_class_vectors_do_not_mix(self):
         p, v = LaurentPoly.q(), ClassVector.identity(3)
