@@ -419,6 +419,7 @@ class TestSuq:
         ("check", "action=check needs --diagram or --sweep-n"),
         ("casimir", "--diagram is required for action=casimir"),
         ("dimension", "--diagram is required for action=dimension"),
+        ("reconstruct", "--poly is required for action=reconstruct"),
     ])
     def test_action_without_its_input_is_refused(self, capsys, action, message):
         code, doc, _ = run_json(capsys, "suq", "--N", "3", "--action", action)
