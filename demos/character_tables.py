@@ -52,7 +52,7 @@ print("Full S_5 character table (projector route)")
 print("-" * 60)
 table = character_table(5, "projector")
 classes = [g.rows for g in partitions(5)]
-header = "  ".join(f"{display_cycle_type(t, suppress_units=True) or '(1)':>8s}" for t in classes)
+header = "  ".join(f"{display_cycle_type(t, suppress_units=True):>8s}" for t in classes)
 print(f"  {'irrep':>10s}  {header}")
 for g, row in table.items():
     values = "  ".join(f"{row[t]:>8d}" for t in classes)

@@ -85,6 +85,7 @@ from types import MappingProxyType
 from .diagrams import YoungDiagram, dimension, partitions
 from .invariant import invariant_eigenvalue, lagrange_numerator
 from .laurent import FrozenRecord, _integer, _scalar, is_scalar
+from .symgroup import _permutation
 
 __all__ = [
     "MAX_ORACLE_N",
@@ -152,11 +153,8 @@ def _kernel(n: int) -> _Kernel:
 
 
 def _rank(n: int, perm) -> int:
-    """The rank of a permutation of 1..n; anything else is refused."""
-    r = _kernel(n).rank.get(tuple(perm))
-    if r is None:
-        raise ValueError(f"{perm} is not a permutation of 1..{n}")
-    return r
+    """The rank of a permutation of 1..n; anything else is refused by `_permutation`."""
+    return _kernel(n).rank[_permutation(perm, n)]
 
 
 def _act(v, table, q0: Fraction) -> list[int]:

@@ -12,8 +12,9 @@ eigenvalue.  Every product is a `class_product` of `ClassVector`s,
 whose coefficients stay integers until the final division.
 `ClassVector` is a `laurent.SparseVector` keyed by cycle types, so its
 coefficient normal form and its linear operations are `LaurentPoly`'s;
-only the product, the division and the check of keys against n are its
-own.  A projector's class coefficients give its character row, and an
+only the product and the division are its own.  `_permutation` checks
+every permutation, the oracle's too, and `_canonical_type` every cycle
+type.  A projector's class coefficients give its character row, and an
 independent Murnaghan-Nakayama recursion cross-checks every value.
 """
 
@@ -102,8 +103,8 @@ def _cycle_type(perm: Permutation) -> CycleType:
 
 
 def cycle_type_to_string(t: CycleType) -> str:
-    """Machine format: comma-separated parts, e.g. ``2,1``."""
-    return ",".join(str(p) for p in t)
+    """Machine format: comma-separated parts, descending, e.g. ``2,1``."""
+    return ",".join(map(str, _canonical_type(t)))
 
 
 def cycle_type_from_string(text: str) -> CycleType:
@@ -112,9 +113,10 @@ def cycle_type_from_string(text: str) -> CycleType:
 
 def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
     """Human format with grouped multiplicities, e.g. ``(1)(2)`` or ``(2)^2``."""
-    parts = [p for p in t if p > 1] if suppress_units else list(t)
+    t = _canonical_type(t)
+    parts = [p for p in t if p > 1] if suppress_units else t
     if not parts:
-        return "()" if suppress_units else "(1)^0"
+        return "()"
     groups = []
     for p in sorted(set(parts)):
         m = parts.count(p)
@@ -123,10 +125,19 @@ def display_cycle_type(t: CycleType, suppress_units: bool = False) -> str:
 
 
 def _canonical_type(t: CycleType) -> CycleType:
-    """The cycle type sorted descending; a part that is not an integer >= 1 is an error."""
-    for p in t:
-        _integer(p, "cycle length", 1)
-    return tuple(sorted(t, reverse=True))
+    """The cycle type as a tuple sorted descending; no parts, or a part that is not an integer >= 1, is an error."""
+    parts = [_integer(p, "cycle length", 1) for p in t]
+    if not parts:
+        raise ValueError("a cycle type needs at least one part")
+    return tuple(sorted(parts, reverse=True))
+
+
+def _class_type(n: int, t: CycleType) -> CycleType:
+    """The canonical cycle type t, refused unless its parts sum to n."""
+    key = _canonical_type(t)
+    if sum(key) != n:
+        raise ValueError(f"cycle type {t} does not partition n={n}")
+    return key
 
 
 def class_size(t: CycleType) -> int:
@@ -207,14 +218,7 @@ class ClassVector(SparseVector):
 
     def __init__(self, n: int, coeffs: Mapping[CycleType, Scalar] | None = None):
         n = _integer(n, "n", 1)
-        super().__init__(n, self._normal(coeffs, partial(self._key, n)))
-
-    @staticmethod
-    def _key(n: int, t: CycleType) -> CycleType:
-        key = _canonical_type(t)
-        if sum(key) != n:
-            raise ValueError(f"cycle type {t} does not partition n={n}")
-        return key
+        super().__init__(n, self._normal(coeffs, partial(_class_type, n)))
 
     def _coerce(self, other) -> "ClassVector | None":
         if isinstance(other, ClassVector):
@@ -431,9 +435,7 @@ def _mn_recursion(rows: tuple[int, ...], parts: tuple[int, ...]) -> int:
 
 def murnaghan_nakayama_character(g: YoungDiagram, c: CycleType) -> int:
     """Irreducible character of S_n: independent of the projector route."""
-    if sum(c) != g.n:
-        raise ValueError(f"cycle type {c} does not partition {g.n}")
-    return _mn_recursion(g.rows, _canonical_type(c))
+    return _mn_recursion(g.rows, _class_type(g.n, c))
 
 
 def character_table(n: int, method: str = "mn") -> dict[YoungDiagram, dict[CycleType, int]]:
@@ -455,10 +457,7 @@ def character_table(n: int, method: str = "mn") -> dict[YoungDiagram, dict[Cycle
 def character_table_json(n: int, method: str = "mn") -> dict:
     """JSON-ready table: rows keyed by diagram string, columns by cycle type."""
     table = character_table(n, method)
-    classes = [cycle_type_to_string(g.rows) for g in partitions(n)]
-    sizes = {cycle_type_to_string(g.rows): class_size(g.rows) for g in partitions(n)}
-    rows = {
-        str(g): {cycle_type_to_string(t): value for t, value in row.items()}
-        for g, row in table.items()
-    }
-    return {"n": n, "classes": classes, "class_sizes": sizes, "rows": rows}
+    labels = {g.rows: cycle_type_to_string(g.rows) for g in partitions(n)}
+    sizes = {label: class_size(t) for t, label in labels.items()}
+    rows = {str(g): {labels[t]: value for t, value in row.items()} for g, row in table.items()}
+    return {"n": n, "classes": list(labels.values()), "class_sizes": sizes, "rows": rows}

@@ -43,7 +43,11 @@ from heckeq.symgroup import (
     build_projector,
     character_table,
     characters_from_projector,
+    class_size,
     cycle_type,
+    cycle_type_to_string,
+    display_cycle_type,
+    murnaghan_nakayama_character,
     perm_mul,
     single_cycle_class_sum,
 )
@@ -124,6 +128,13 @@ REFUSALS = {
         lambda: perm_mul((2, 1), (1, 1)), ValueError, "(1, 1) is not a permutation of 1..2"),
     "perm_mul lengths": (
         lambda: perm_mul((2, 1), (1, 2, 3)), ValueError, "(1, 2, 3) is not a permutation of 1..2"),
+    "HeckeElement.coefficient str entry": (
+        lambda: HeckeElement.identity(3, 2).coefficient(("1", 2, 3)), TypeError,
+        "expected an integer permutation entry, got str"),
+    "murnaghan_nakayama_character str parts": (
+        lambda: murnaghan_nakayama_character(Y(2, 1), ("2", "1")), TypeError,
+        "expected an integer cycle length, got str"),
+    "class_size no parts": (lambda: class_size(()), ValueError, "a cycle type needs at least one part"),
     "SuqIrrep.from_rows N 1": (lambda: SuqIrrep.from_rows(1, ()), ValueError, "N must be at least 2, got 1"),
     "check_ef_commutator k 0": (
         lambda: check_ef_commutator(SuqIrrep(3, (1, 0, 0)), 0, 2), ValueError, "k must lie in 1..2, got 0"),
@@ -196,6 +207,12 @@ INTEGER_ARGUMENTS = {
     "central_character_table p": (lambda p: central_character_table(p, 3), "p"),
     "cycle_type entry": (lambda x: cycle_type((x, 1)), "permutation entry"),
     "perm_mul entry": (lambda x: perm_mul((1, 2), (x, 1)), "permutation entry"),
+    "HeckeElement.coefficient entry": (
+        lambda x: HeckeElement.identity(3, 2).coefficient((x, 2, 3)), "permutation entry"),
+    "HeckeElement key entry": (lambda x: HeckeElement(3, 2, {(x, 2, 3): 1}), "permutation entry"),
+    "murnaghan_nakayama_character part": (lambda x: murnaghan_nakayama_character(Y(2, 1), (x, 1)), "cycle length"),
+    "display_cycle_type part": (lambda x: display_cycle_type((x, 1)), "cycle length"),
+    "cycle_type_to_string part": (lambda x: cycle_type_to_string((x, 1)), "cycle length"),
     "SuqIrrep.from_rows N": (lambda N: SuqIrrep.from_rows(N, (1,)), "N"),
     "check_ef_commutator k": (lambda k: check_ef_commutator(SuqIrrep(3, (1, 0, 0)), k, 2), "k"),
 }

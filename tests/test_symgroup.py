@@ -82,7 +82,8 @@ class TestPermutations:
         assert cycle_type((2, 3, 1)) == (3,)
 
     def test_strings(self):
-        assert cycle_type_to_string((2, 1)) == "2,1"
+        for t in ((2, 1), (1, 2), iter((1, 2))):
+            assert cycle_type_to_string(t) == "2,1"
         assert cycle_type_from_string("1,2") == (2, 1)
         assert display_cycle_type((1, 1, 1)) == "(1)^3"
         assert display_cycle_type((2, 1)) == "(1)(2)"
@@ -112,7 +113,7 @@ class TestClasses:
         assert sum(size for _, size in classes) == factorial(10)
 
     def test_class_size_rejects_non_positive_parts(self):
-        assert class_size((1, 2)) == class_size((2, 1)) == 3
+        assert class_size((1, 2)) == class_size((2, 1)) == class_size(iter((1, 2))) == 3
         for t in ((2, 0, 1), (0, 3), (3, -1)):
             with pytest.raises(ValueError):
                 class_size(t)
@@ -349,7 +350,7 @@ class TestCharacters:
 
 class TestMurnaghanNakayama:
     def test_three_cycle_value(self):
-        assert murnaghan_nakayama_character(Y(2, 1), (3,)) == -1
+        assert murnaghan_nakayama_character(Y(2, 1), (3,)) == murnaghan_nakayama_character(Y(2, 1), iter((3,))) == -1
 
     def test_sign_representation(self):
         for n in range(2, 7):
@@ -374,7 +375,7 @@ class TestMurnaghanNakayama:
                 assert total == factorial(n)
 
     def test_mismatched_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^cycle type \(2, 2\) does not partition n=3$"):
             murnaghan_nakayama_character(Y(2, 1), (2, 2))
 
     @pytest.mark.parametrize("c", [(1, 1, 1, 0), (0, 3), (4, -1), (1.5, 1.5)])
