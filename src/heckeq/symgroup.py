@@ -1,10 +1,10 @@
 """The class algebra of the symmetric group.
 
-S_n itself is never listed.  A structure constant fixes one canonical
-representative of one class (its cycles on consecutive points) and
-multiplies it by every element of the other, smaller class, generated
-cycle by cycle; class sizes have a closed form.  Central projectors are
-the paper's construction: the Lagrange polynomial of
+S_n itself is never listed.  A structure constant fixes one member of
+one class, the first its enumeration lists (its cycles on consecutive
+points), and multiplies it by every element of the other, smaller class,
+generated cycle by cycle; class sizes have a closed form.  Central
+projectors are the paper's construction: the Lagrange polynomial of
 `invariant.lagrange_numerator` in the transposition class-sum, summed
 over its cached powers [(2)]^k, then factors linear in the p-cycle
 class-sums, p = 3, 4, 5, for the irreps that share the transposition
@@ -20,6 +20,7 @@ independent Murnaghan-Nakayama recursion cross-checks every value.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import cache, partial
@@ -155,16 +156,6 @@ def conjugacy_classes(n: int) -> list[tuple[CycleType, int]]:
     return [(g.rows, class_size(g.rows)) for g in partitions(n)]
 
 
-def _representative(t: CycleType) -> Permutation:
-    """The element of class t whose cycles run over consecutive points."""
-    perm: list[int] = []
-    for length in t:
-        first = len(perm) + 1
-        perm.extend(range(first + 1, first + length))
-        perm.append(first)
-    return tuple(perm)
-
-
 def _class_members(t: CycleType) -> Iterator[Permutation]:
     """Every permutation of cycle type t, each once, built cycle by cycle.
 
@@ -276,19 +267,17 @@ def single_cycle_class_sum(n: int, p: int) -> ClassVector:
 def _structure_row(s: CycleType, t: CycleType) -> Mapping[CycleType, int]:
     """Integer constants N such that [s]_n [t]_n = sum_u N_u [u]_n, where n = sum(s).
 
-    Fix the representative x of class s, multiply it by every element y
-    of class t, and count the cycle types of the products; then
-    N_u = |C_s| * count_u / |C_u| is an exact integer.  The class algebra
-    is commutative, so the smaller of the two classes is the one listed.
-    The row is cached, so it is returned as a read-only view.
+    Fix x0, the first member of class s that `_class_members` lists,
+    multiply it by every element y of class t, and count the cycle types
+    of the products; then N_u = |C_s| * count_u / |C_u| is an exact
+    integer.  The class algebra is commutative, so the smaller of the two
+    classes is the one listed.  The row is cached, so it is returned as a
+    read-only view.
     """
     if class_size(t) > class_size(s):
         return _structure_row(t, s)
-    x0 = _representative(s)
-    counts: dict[CycleType, int] = {}
-    for y in _class_members(t):
-        u = _cycle_type([x0[x - 1] for x in y])  # x0 o y, unchecked
-        counts[u] = counts.get(u, 0) + 1
+    x0 = next(_class_members(s))
+    counts = Counter(_cycle_type([x0[x - 1] for x in y]) for y in _class_members(t))  # x0 o y, unchecked
     size_s = class_size(s)
     row: dict[CycleType, int] = {}
     for u, m in counts.items():
@@ -405,37 +394,29 @@ def characters_from_projector(p: ClassVector, g: YoungDiagram) -> dict[CycleType
 
 
 @cache
-def _mn_recursion(rows: tuple[int, ...], parts: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama border-strip recursion on beta-numbers.
+def _mn_recursion(beta: frozenset[int], parts: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama border-strip recursion on a beta-set.
 
-    Removing a border strip of length k corresponds to lowering one
-    beta-number by k onto an unoccupied value; the sign is (-1) to the
-    number of occupied values jumped over (the strip's leg length).
+    Its state is the diagram's set of beta-numbers, beta_i = rows_i +
+    r - 1 - i over its r rows.  Removing a border strip of length k
+    lowers one beta-number b by k onto a free value; the sign is (-1) to
+    the number of beta-numbers strictly between (the strip's leg length).
     """
     if not parts:
         return 1
-    k = parts[0]
-    rest = parts[1:]
-    r = len(rows)
-    beta = tuple(rows[i] + (r - 1 - i) for i in range(r))
-    occupied = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in occupied:
-            continue
-        crossed = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((occupied - {b}) | {nb}, reverse=True)
-        new_rows = tuple(
-            v - (r - 1 - i) for i, v in enumerate(new_beta) if v - (r - 1 - i) > 0
-        )
-        total += (-1) ** crossed * _mn_recursion(new_rows, rest)
-    return total
+    k, rest = parts[0], parts[1:]
+    return sum(
+        (-1) ** sum(1 for x in beta if b - k < x < b) * _mn_recursion((beta - {b}) | {b - k}, rest)
+        for b in beta
+        if b >= k and b - k not in beta
+    )
 
 
 def murnaghan_nakayama_character(g: YoungDiagram, c: CycleType) -> int:
     """Irreducible character of S_n: independent of the projector route."""
-    return _mn_recursion(g.rows, _class_type(g.n, c))
+    parts = _class_type(g.n, c)
+    r = len(g.rows)
+    return _mn_recursion(frozenset(row + r - 1 - i for i, row in enumerate(g.rows)), parts)
 
 
 def character_table(n: int, method: str = "mn") -> dict[YoungDiagram, dict[CycleType, int]]:
@@ -445,10 +426,8 @@ def character_table(n: int, method: str = "mn") -> dict[YoungDiagram, dict[Cycle
     recursion; the two must agree and tests hold them to that.
     """
     if method == "mn":
-        return {
-            g: {h.rows: murnaghan_nakayama_character(g, h.rows) for h in partitions(n)}
-            for g in partitions(n)
-        }
+        types = [h.rows for h in partitions(n)]
+        return {g: {t: murnaghan_nakayama_character(g, t) for t in types} for g in partitions(n)}
     if method == "projector":
         return {g: characters_from_projector(build_projector(g), g) for g in partitions(n)}
     raise ValueError(f"unknown method {method!r} (expected 'mn' or 'projector')")
