@@ -58,18 +58,15 @@ Jucys-Murphy recursion
 whose conjugation step X -> q0^-1 g_j X g_j also builds z, so C_n costs
 3n - 5 generator actions.  The spectrum, the eigenvalue of C_n on each
 diagram at q0, is evaluated once per (n, q0) and read by every
-projector and by `heckeq verify`; it is where q0 = 1, q0 = -1 and a
-q0 at which two eigenvalues collide are refused.  Together with the
-two traces these produce exact irreducible traces, the oracle every
-symbolic result in the package is checked against.
+projector and by `heckeq verify`; it refuses q0 = 1 and q0 = -1, and
+C_n separates the irreps at every other rational q0 != 0, for every n
+(proved at `_spectrum`).  Together with the two traces these produce
+exact irreducible traces, the oracle every symbolic result in the
+package is checked against.
 
 The facts of an (n, q0) pair, the projectors included, are kept for the
 last 8 pairs, and word products for the last 64.  Only the per-n
 tables, whose keys `MAX_ORACLE_N` bounds, are kept for good.
-
-The representation is specialized at a rational q0 rather than kept
-symbolic because any rational with |q0| not in {0, 1} is never a root
-of unity, which is all the genericity the spectrum needs.
 """
 
 from __future__ import annotations
@@ -109,7 +106,7 @@ MAX_Q0_BITS = 64
 
 
 class DegenerateSpecialization(ValueError):
-    """Two invariant eigenvalues collide at the chosen q0."""
+    """q0 = 1 or q0 = -1: the only rationals q0 != 0 at which two invariant eigenvalues can collide."""
 
 
 def _check_n(n: int) -> None:
@@ -423,9 +420,9 @@ def hecke_projector(g: YoungDiagram, q0) -> tuple[Fraction, ...]:
     The degree is one less than the number of partitions of n, the
     diagram's box count.  The coefficients come from
     `invariant.lagrange_numerator`, which `symgroup.build_projector`
-    uses too.  The spectrum of `_spectrum` refuses q0 = 1 and q0 = -1
-    and any q0 at which two eigenvalues collide.  Built anew on each
-    call; `projector_element` keeps the projectors themselves.
+    uses too.  `_spectrum` refuses q0 = +-1 and is simple at every other
+    q0.  Built anew on each call; `projector_element` keeps the
+    projectors themselves.
     """
     _check_n(g.n)
     values = _spectrum(g.n, _check_q0(q0))
@@ -435,20 +432,21 @@ def hecke_projector(g: YoungDiagram, q0) -> tuple[Fraction, ...]:
 
 @lru_cache(maxsize=8)
 def _spectrum(n: int, q0: Fraction) -> MappingProxyType[YoungDiagram, Fraction]:
-    """The invariant's eigenvalue on each diagram of n at q0, asserted distinct.
+    """The invariant's eigenvalue on each diagram of n at q0, all distinct.
 
     The one place the spectrum is evaluated, and the one place a q0 is
-    refused for the projectors: q0 = 1 and q0 = -1 are roots of unity,
-    where the word basis stops being semisimple-generic, and elsewhere
-    two eigenvalues may collide.  The cached mapping is shared, so it
-    is read-only.
+    refused for the projectors: q0 = 1 and q0 = -1, and no other rational
+    q0 != 0.  For diagrams g != h, (q-1)/q (ev_g - ev_h) = sum_k d_k q^k
+    with d_k = beta_g(k) - beta_h(k) over the diagonal counts beta.
+    Diagonals shrink by 0 or 1 at each step away from the main one, so
+    at the largest k with d_k != 0 both diagonals lie within one box of
+    their common length at k + 1, on the same side: d_k = +-1, and so at
+    the smallest.  By the rational root theorem the sum has no rational
+    root but +-1.  The mapping is shared, so it is read-only.
     """
     if q0 == 1 or q0 == -1:
         raise DegenerateSpecialization(f"q0 = {q0} is a root of unity")
-    values = {g: invariant_eigenvalue(g).evaluate(q0) for g in partitions(n)}
-    if len(set(values.values())) != len(values):
-        raise DegenerateSpecialization(f"invariant eigenvalues collide at q0 = {q0}")
-    return MappingProxyType(values)
+    return MappingProxyType({g: invariant_eigenvalue(g).evaluate(q0) for g in partitions(n)})
 
 
 def projector_element(g: YoungDiagram, q0) -> HeckeElement:

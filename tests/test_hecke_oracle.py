@@ -35,7 +35,7 @@ from heckeq.hecke_oracle import (
     word_element,
 )
 from heckeq.invariant import invariant_eigenvalue
-from heckeq.laurent import LaurentPoly, q_integer
+from heckeq.laurent import q_integer
 from heckeq.traces import doubly_connected_traces, simply_connected_trace
 from heckeq.verify import oracle_checks
 
@@ -728,29 +728,12 @@ class TestProjectors:
         assert horner_projector(hecke_projector(Y(2, 1), 2), x) == product(projector_element(Y(2, 1), 2), x)
 
 
-class TestSpectrumCollision:
-    @pytest.fixture
-    def one_eigenvalue(self, monkeypatch):
-        # every diagram gets the eigenvalue q, a collision at every q0
-        monkeypatch.setattr(heckeq.hecke_oracle, "invariant_eigenvalue", lambda g: LaurentPoly.q())
-        _spectrum.cache_clear()
-        _projectors.cache_clear()
-        yield
-        _spectrum.cache_clear()
-        _projectors.cache_clear()
-
-    def test_hecke_projector_refuses(self, one_eigenvalue):
-        with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
-            hecke_projector(Y(2, 2), F(7, 2))
-
-    def test_refused_collision_is_not_stored(self, one_eigenvalue):
-        with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
-            projector_element(Y(2, 2), F(7, 2))
-        assert _projectors.cache_info().currsize == 0
-
-    def test_oracle_checks_refuse(self, one_eigenvalue):
-        with pytest.raises(DegenerateSpecialization, match=r"^invariant eigenvalues collide at q0 = 7/2$"):
-            oracle_checks(4, F(7, 2))
+def test_refused_specialization_is_not_stored():
+    _spectrum.cache_clear()
+    _projectors.cache_clear()
+    with pytest.raises(DegenerateSpecialization, match=r"^q0 = -1 is a root of unity$"):
+        projector_element(Y(2, 2), -1)
+    assert _spectrum.cache_info().currsize == _projectors.cache_info().currsize == 0
 
 
 def test_spectrum_is_read_only():

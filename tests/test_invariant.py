@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -69,6 +69,22 @@ class TestEigenvalue:
         for n in range(1, 9):
             values = [invariant_eigenvalue(g) for g in partitions(n)]
             assert len(set(values)) == len(values)
+
+    def test_separates_at_every_rational_q0(self):
+        # The lemma behind the oracle's accepting every rational q0 but 0 and
+        # +-1: diagonals shrink by 0 or 1 at each step away from the main one,
+        # so for g != h the difference of rescaled eigenvalues, sum_k d_k q^k,
+        # has extreme coefficients +-1 and no rational root but +-1.
+        for n in range(1, 17):
+            diagrams = partitions(n)
+            for g in diagrams:
+                beta = g.diagonal_counts()
+                for k, b in beta.items():
+                    assert b - beta.get(k + 1 if k >= 0 else k - 1, 0) in (0, 1), (g, k)
+            rescaled = [rescaled_invariant_eigenvalue(g).terms for g in diagrams]
+            for left, right in combinations(rescaled, 2):
+                d = [x for k in sorted(left.keys() | right.keys()) if (x := left.get(k, 0) - right.get(k, 0))]
+                assert d[0] in (1, -1) and d[-1] in (1, -1)
 
     def test_rescaled_examples(self):
         assert rescaled_invariant_eigenvalue(Y(2)) == P("q-1")
