@@ -27,7 +27,7 @@ from functools import cache, partial
 from math import factorial
 from types import MappingProxyType
 
-from .diagrams import YoungDiagram, dimension, partitions
+from .diagrams import YoungDiagram, _partition_tuples, dimension, partitions
 from .invariant import central_character_table, lagrange_numerator
 from .laurent import Scalar, SparseVector, _integer, _integers, is_scalar
 
@@ -379,8 +379,7 @@ def characters_from_projector(p: ClassVector, g: YoungDiagram) -> dict[CycleType
     dim = dimension(g)
     scale = Fraction(factorial(n), dim)
     row: dict[CycleType, int] = {}
-    for h in partitions(n):
-        t = h.rows
+    for t in _partition_tuples(n, n):
         value = p.coefficient(t) * scale
         if value.denominator != 1:
             raise NonIntegerCharacter(f"coefficient of class {t} scales to non-integer {value}")
@@ -393,9 +392,23 @@ def characters_from_projector(p: ClassVector, g: YoungDiagram) -> dict[CycleType
     return row
 
 
+def _beta_key(beta: frozenset[int]) -> tuple[int, ...]:
+    """A beta-set's memo key: sorted, its leading run 0, 1, ..., m-1 dropped and the rest shifted down by m.
+
+    The leading run is the diagram's empty rows, so a diagram reached
+    with any number of them has one key, its beta-set over its nonempty
+    rows.
+    """
+    ordered = sorted(beta)
+    m = 0
+    while m < len(ordered) and ordered[m] == m:
+        m += 1
+    return tuple(b - m for b in ordered[m:])
+
+
 @cache
-def _mn_recursion(beta: frozenset[int], parts: tuple[int, ...]) -> int:
-    """Murnaghan-Nakayama border-strip recursion on a beta-set.
+def _mn_recursion(key: tuple[int, ...], parts: tuple[int, ...]) -> int:
+    """Murnaghan-Nakayama border-strip recursion on a beta-set, memoized under its `_beta_key`.
 
     Its state is the diagram's set of beta-numbers, beta_i = rows_i +
     r - 1 - i over its r rows.  Removing a border strip of length k
@@ -405,8 +418,9 @@ def _mn_recursion(beta: frozenset[int], parts: tuple[int, ...]) -> int:
     if not parts:
         return 1
     k, rest = parts[0], parts[1:]
+    beta = frozenset(key)
     return sum(
-        (-1) ** sum(1 for x in beta if b - k < x < b) * _mn_recursion((beta - {b}) | {b - k}, rest)
+        (-1) ** sum(1 for x in beta if b - k < x < b) * _mn_recursion(_beta_key((beta - {b}) | {b - k}), rest)
         for b in beta
         if b >= k and b - k not in beta
     )
@@ -415,8 +429,7 @@ def _mn_recursion(beta: frozenset[int], parts: tuple[int, ...]) -> int:
 def murnaghan_nakayama_character(g: YoungDiagram, c: CycleType) -> int:
     """Irreducible character of S_n: independent of the projector route."""
     parts = _class_type(g.n, c)
-    r = len(g.rows)
-    return _mn_recursion(frozenset(row + r - 1 - i for i, row in enumerate(g.rows)), parts)
+    return _mn_recursion(tuple(row + j for j, row in enumerate(reversed(g.rows))), parts)
 
 
 def character_table(n: int, method: str = "mn") -> dict[YoungDiagram, dict[CycleType, int]]:

@@ -381,6 +381,13 @@ class TestMurnaghanNakayama:
                     total = sum(row[s] * row[t] for row in table.values())
                     assert total == (factorial(n) // size if s == t else 0)
 
+    def test_memo_keys_each_sub_diagram_once(self):
+        # keyed by the beta-set over the nonempty rows, a sub-diagram reached
+        # from diagrams with different row counts is stored once
+        symgroup._mn_recursion.cache_clear()
+        character_table(12, "mn")
+        assert symgroup._mn_recursion.cache_info().currsize == 7332
+
     def test_mismatched_sizes(self):
         with pytest.raises(ValueError, match=r"^cycle type \(2, 2\) does not partition n=3$"):
             murnaghan_nakayama_character(Y(2, 1), (2, 2))
