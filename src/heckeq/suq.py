@@ -12,7 +12,10 @@ where l_k are the Young-diagram row lengths.  Because l_k - k is
 strictly decreasing, the spectrum is a sum of distinct even powers of q
 and can be sorted back into the diagram, and after the substitution
 q -> q^2 on the Hecke side the two fundamental invariants determine one
-another through an explicit Laurent-polynomial identity.
+another through an explicit Laurent-polynomial identity.  Two irreps of
+one N differ by distinct powers of q with coefficients +-1, so by the
+rational root theorem the Casimir separates them at every rational q0
+but 0 and +-1, as C_n does on the Hecke side.
 
 Chevalley matrix elements are handled only as squared magnitudes, which
 are exact rationals at any rational q0 > 1; phase conventions never

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -152,6 +153,17 @@ class TestCasimirSpectrum:
                     spec = casimir_eigenvalue(SuqIrrep.from_diagram(g, N))
                     assert len(spec.terms) == N - 1
                     assert set(spec.terms.values()) == {1}
+
+    def test_separates_at_every_rational_q0(self):
+        # two irreps of one N differ by distinct powers of q with coefficients
+        # +-1, so by the rational root theorem only q0 = +-1 can be a root
+        for N in range(2, 7):
+            irreps = [SuqIrrep.from_rows(N, ())]
+            irreps += [SuqIrrep.from_diagram(g, N) for n in range(1, 9) for g in partitions(n) if len(g.rows) < N]
+            spectra = [casimir_eigenvalue(irrep).terms for irrep in irreps]
+            for left, right in combinations(spectra, 2):
+                d = [x for k in sorted(left.keys() | right.keys()) if (x := left.get(k, 0) - right.get(k, 0))]
+                assert d[0] in (1, -1) and d[-1] in (1, -1)
 
     def test_delta_series_gives_shifted_power_sums(self):
         # substituting q^2 = exp(delta), the p-th coefficient is the p-th
