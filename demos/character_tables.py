@@ -36,7 +36,7 @@ print()
 print("The degenerate pair of S_6 needs a second stage")
 print("-" * 60)
 lam2 = {g: central_character(2, g) for g in partitions(6)}
-print("  transposition eigenvalues:", sorted(set(map(int, lam2.values()))))
+print("  transposition eigenvalues:", sorted(set(lam2.values())))
 print("  [4,1,1] and [3,3] both sit at 3, so after the transposition")
 print("  prefilter one 3-cycle factor does the splitting:")
 for rows, lam3 in (((4, 1, 1), 4), ((3, 3), -8)):

@@ -16,7 +16,6 @@ Lagrange interpolation that turns a spectrum into a central projector.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
 from types import MappingProxyType
@@ -143,7 +142,7 @@ def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
     return diagram
 
 
-def central_character(p: int, g: YoungDiagram) -> Fraction:
+def central_character(p: int, g: YoungDiagram) -> int:
     """Eigenvalue of the single-cycle class-sum of cycle length p on g.
 
     Closed forms in the content power sums s_k of g's n boxes are
@@ -154,17 +153,20 @@ def central_character(p: int, g: YoungDiagram) -> Fraction:
         p=4: s_3 - (2n-3) s_1
         p=5: s_4 - (3n-10) s_2 - 2 s_1^2 + n(n-1)(5n-19)/6
 
-    When the class is empty (p > n) the formulas evaluate to zero.
+    When the class is empty (p > n) the formulas evaluate to zero.  Both
+    divisions are exact, so the value is an `int`: 2 divides n(n-1), and
+    as 5n - 19 = 2(n + 1) mod 3, n(n-1)(5n-19) = 2(n-1)n(n+1) mod 3, and
+    three consecutive integers hold a multiple of 3, so 6 divides it.
     """
     n, s = g.n, partial(content_power_sum, g)
     if _integer(p, "p") == 2:
-        return Fraction(s(1))
+        return s(1)
     if p == 3:
-        return Fraction(s(2)) - Fraction(n * (n - 1), 2)
+        return s(2) - n * (n - 1) // 2
     if p == 4:
-        return Fraction(s(3) - (2 * n - 3) * s(1))
+        return s(3) - (2 * n - 3) * s(1)
     if p == 5:
-        return Fraction(s(4) - (3 * n - 10) * s(2) - 2 * s(1) ** 2) + Fraction(n * (n - 1) * (5 * n - 19), 6)
+        return s(4) - (3 * n - 10) * s(2) - 2 * s(1) ** 2 + n * (n - 1) * (5 * n - 19) // 6
     raise UnsupportedCycle(f"no closed form for cycle length {p} (supported: 2..5)")
 
 
@@ -172,18 +174,12 @@ def central_character(p: int, g: YoungDiagram) -> Fraction:
 def central_character_table(p: int, n: int) -> Mapping[YoungDiagram, int]:
     """The p-cycle class-sum's eigenvalue on each irrep of S_n, p in 2..5.
 
-    A class-sum's eigenvalue is an algebraic integer, so each value of
-    `central_character` must be a whole number.  The table is cached, so
-    it is returned as a read-only view; the cache is keyed by type too,
-    so a float or a bool that equals a cached integer is still refused.
+    Each value is an `int`, by the proof in `central_character`.  The
+    table is cached, so it is returned as a read-only view; the cache is
+    keyed by type too, so a float or a bool that equals a cached integer
+    is still refused.
     """
-    values: dict[YoungDiagram, int] = {}
-    for g in partitions(n):
-        value = central_character(p, g)
-        if value.denominator != 1:
-            raise AssertionError(f"non-integer {p}-cycle class-sum eigenvalue {value} on {g}")
-        values[g] = value.numerator
-    return MappingProxyType(values)
+    return MappingProxyType({g: central_character(p, g) for g in partitions(n)})
 
 
 def lagrange_numerator(values: Iterable[Scalar], target: Scalar) -> tuple[list[Scalar], Scalar]:

@@ -269,24 +269,19 @@ def _structure_row(s: CycleType, t: CycleType) -> Mapping[CycleType, int]:
 
     Fix x0, the first member of class s that `_class_members` lists,
     multiply it by every element y of class t, and count the cycle types
-    of the products; then N_u = |C_s| * count_u / |C_u| is an exact
-    integer.  The class algebra is commutative, so the smaller of the two
-    classes is the one listed.  The row is cached, so it is returned as a
+    of the products; then N_u = |C_s| * count_u / |C_u|.  The division
+    is exact: N_u is the number of pairs (x, y) in C_s x C_t whose
+    product is one fixed z of C_u, and counting the pairs whose product
+    lies in C_u once by x and once by z gives |C_s| count_u = |C_u| N_u.
+    The class algebra is commutative, so the smaller of the two classes
+    is the one listed.  The row is cached, so it is returned as a
     read-only view.
     """
     if class_size(t) > class_size(s):
         return _structure_row(t, s)
     x0 = next(_class_members(s))
     counts = Counter(_cycle_type([x0[x - 1] for x in y]) for y in _class_members(t))  # x0 o y, unchecked
-    size_s = class_size(s)
-    row: dict[CycleType, int] = {}
-    for u, m in counts.items():
-        total = size_s * m
-        size_u = class_size(u)
-        if total % size_u:
-            raise AssertionError(f"non-integer structure constant for {s} * {t} at {u}")
-        row[u] = total // size_u
-    return MappingProxyType(row)
+    return MappingProxyType({u: class_size(s) * m // class_size(u) for u, m in counts.items()})
 
 
 def class_product(a: ClassVector, b: ClassVector) -> ClassVector:

@@ -51,7 +51,7 @@ def ref_structure_row(n: int, s: tuple, t: tuple) -> dict:
     for y in elements[t]:
         u = cycle_type(perm_mul(elements[s][0], y))
         counts[u] = counts.get(u, 0) + 1
-    return {u: len(elements[s]) * m // len(elements[u]) for u, m in counts.items()}
+    return {u: Fraction(len(elements[s]) * m, len(elements[u])) for u, m in counts.items()}
 
 
 def group_algebra_expand(v: ClassVector) -> dict:
@@ -178,18 +178,21 @@ class TestClassProduct:
             3, {(1, 1, 1): Fraction(3), (3,): Fraction(3)}
         )
 
-    def test_non_integer_structure_constant_is_refused(self, monkeypatch):
-        # every product counted as a 3-cycle: 3 * 3 / |C_(3)| = 9/2
-        monkeypatch.setattr(symgroup, "_cycle_type", lambda perm: (3,))
-        with pytest.raises(AssertionError, match=r"non-integer structure constant for \(2, 1\) \* \(2, 1\) at \(3,\)"):
-            _structure_row.__wrapped__((2, 1), (2, 1))
-
     def test_structure_rows_match_brute_force(self):
         for n in range(1, 7):
             types = [g.rows for g in partitions(n)]
             for s in types:
                 for t in types:
                     assert dict(_structure_row(s, t)) == ref_structure_row(n, s, t), (s, t)
+
+    def test_projector_rows_at_seven_match_brute_force(self):
+        # the rows a projector of S_7 forms: every class times a p-cycle class
+        for s in (g.rows for g in partitions(7)):
+            for p in range(2, 6):
+                t = (p,) + (1,) * (7 - p)
+                row = _structure_row(s, t)
+                assert dict(row) == ref_structure_row(7, s, t), (s, t)
+                assert all(type(c) is int for c in row.values())
 
     def test_cached_structure_row_is_read_only(self):
         with pytest.raises(TypeError):
