@@ -224,8 +224,15 @@ def separating_depth(n: int) -> int:
     """Minimal k such that (s_1, ..., s_k) separates the partitions of n.
 
     The tuples of content power sums are compared across all partitions
-    of n; past n = 1 the depth never exceeds n - 1 because the full
-    eigenvalue already separates.
+    of n.  At n = 1 there is one partition and the depth is 1.  Past
+    n = 1 it is at most n - 1.  Every diagram of n >= 2 boxes has the
+    box (1, 1) of content 0, so e_n, the product of its n contents, is 0.
+    Newton's identities k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) s_i give
+    e_1..e_(n-1) from s_1..s_(n-1), and with e_n = 0 these fix the
+    polynomial whose roots are the contents: the content multiset, which
+    is the diagonal counts, which fix the diagram.  So the loop runs to
+    n - 1; the raise after it, unreachable by this bound, keeps the
+    function from returning None should a power sum ever be wrong.
     """
     _integer(n, "n", 1, MAX_SEPARATION_N)
     parts = partitions(n)
