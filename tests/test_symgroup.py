@@ -179,20 +179,16 @@ class TestClassProduct:
         )
 
     def test_structure_rows_match_brute_force(self):
-        for n in range(1, 7):
+        # every pair of classes through n = 6; at n = 7 the rows a projector
+        # forms, every class times a p-cycle class, p = 2..5
+        for n in range(1, 8):
             types = [g.rows for g in partitions(n)]
+            others = types if n < 7 else [(p,) + (1,) * (n - p) for p in range(2, 6)]
             for s in types:
-                for t in types:
-                    assert dict(_structure_row(s, t)) == ref_structure_row(n, s, t), (s, t)
-
-    def test_projector_rows_at_seven_match_brute_force(self):
-        # the rows a projector of S_7 forms: every class times a p-cycle class
-        for s in (g.rows for g in partitions(7)):
-            for p in range(2, 6):
-                t = (p,) + (1,) * (7 - p)
-                row = _structure_row(s, t)
-                assert dict(row) == ref_structure_row(7, s, t), (s, t)
-                assert all(type(c) is int for c in row.values())
+                for t in others:
+                    row = _structure_row(s, t)
+                    assert dict(row) == ref_structure_row(n, s, t), (s, t)
+                    assert all(type(c) is int for c in row.values())
 
     def test_cached_structure_row_is_read_only(self):
         with pytest.raises(TypeError):
