@@ -47,7 +47,7 @@ from .verify import oracle_checks
 # The largest n (N for `suq`) each guarded command accepts without
 # --unsafe-large-n.  `verify` answers to the library's `MAX_ORACLE_N` alone.
 # The projector route of `characters` has no ceiling: its class algebra
-# never lists S_n, and a cold n = 12 takes about 0.4 s.  `traces` and `suq
+# never lists S_n, and a cold n = 12 takes about 0.35 s.  `traces` and `suq
 # check --sweep-n` both walk the lattice of partitions of n, so they share one
 # default.  SU_q(N) work grows with N itself: `suq --action dimension`
 # multiplies O(rows * N) factors, and a sweep checks every N' up to N.

@@ -437,12 +437,12 @@ def _spectrum(n: int, q0: Fraction) -> MappingProxyType[YoungDiagram, Fraction]:
     The one place the spectrum is evaluated, and the one place a q0 is
     refused for the projectors: q0 = 1 and q0 = -1, and no other rational
     q0 != 0.  For diagrams g != h, (q-1)/q (ev_g - ev_h) = sum_k d_k q^k
-    with d_k = beta_g(k) - beta_h(k) over the diagonal counts beta.
-    Diagonals shrink by 0 or 1 at each step away from the main one, so
-    at the largest k with d_k != 0 both diagonals lie within one box of
-    their common length at k + 1, on the same side: d_k = +-1, and so at
-    the smallest.  By the rational root theorem the sum has no rational
-    root but +-1.  The mapping is shared, so it is read-only.
+    with d_k = beta_g(k) - beta_h(k) over the diagonal counts beta.  By
+    the diagonal-step lemma (`invariant.reconstruct_diagram`), at the
+    largest k with d_k != 0 both diagonals lie within one box of their
+    common length at k + 1, on the same side: d_k = +-1, and so at the
+    smallest.  By the rational root theorem the sum has no rational root
+    but +-1.  The mapping is shared, so it is read-only.
     """
     if q0 == 1 or q0 == -1:
         raise DegenerateSpecialization(f"q0 = {q0} is a root of unity")

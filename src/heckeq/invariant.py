@@ -21,7 +21,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from .diagrams import YoungDiagram, partitions
-from .laurent import LaurentPoly, Scalar, _integer, _q_content_sum, is_int
+from .laurent import LaurentPoly, Scalar, _integer, _q_content_sum
 
 __all__ = [
     "InvalidSpectrum",
@@ -87,12 +87,11 @@ def content_power_sum(g: YoungDiagram, k: int) -> int:
 
 
 def _diagonals_to_rows(beta: dict[int, int]) -> tuple[int, ...]:
-    """Convert diagonal lengths {content: count} to row lengths.
+    """Row lengths from a diagram's diagonal lengths {content: count}.
 
-    Boxes of content k >= 0 occupy rows 1..beta_k; boxes of content
-    k < 0 occupy rows 1-k..beta_k-k.  Row i collects one box from each
-    diagonal passing through it, so one difference-array pass over those
-    row intervals gives every row length in O(#diagonals + #rows).
+    By the lemma at `reconstruct_diagram`, content k fills rows
+    max(-k, 0) + 1..max(-k, 0) + beta_k, so one difference-array pass
+    gives every row length in O(#diagonals + #rows).
     """
     diff = [0] * (max(b + max(-k, 0) for k, b in beta.items()) + 1)
     for k, b in beta.items():
@@ -110,36 +109,39 @@ def reconstruct_diagram(p: LaurentPoly, n: int) -> YoungDiagram:
     for k <= 0, so one first difference gives every diagonal length on
     both sides of 0: beta_k = c_k - c_(k+1) + n [k = 0].  An eigenvalue's
     exponents form one unbroken run through 0 or 1, or there are none,
-    and its contents run from one below that run to its top.
-    Neighbouring diagonals of a Young diagram differ by at most one box,
-    which is checked before the rows are built: it keeps the row count
-    within the number of diagonals, whatever n is.  The reconstructed
-    diagram is then validated by recomputing its eigenvalue, so malformed
-    input raises `InvalidSpectrum`.
+    and its contents run from one below that run to its top.  That is
+    checked first, so no list is longer than the run, whatever p and n.
+
+    The diagonal-step lemma (Macdonald, Symmetric Functions and Hall
+    Polynomials, 2nd ed., I.1): integers beta_k are the diagonal lengths
+    of a Young diagram exactly when each step outward from content 0
+    shrinks them by 0 or 1, down to 0 past the extremes, and then of one
+    diagram only.  Forward: the boxes of content k >= 0 are (i, i + k)
+    for i = 1..beta_k, and (i, i + k + 1) needs (i, i + k) to its left
+    while (i + 1, i + 1 + k) needs (i, i + k + 1) above it, so
+    beta_k - 1 <= beta_(k+1) <= beta_k; content k <= 0 is the transpose.
+    Backward: the walks take every value below r = beta_0, so the arms
+    a_i = #{k > 0 : beta_k >= i}, i = 1..r, strictly decrease, as do the
+    legs b_i = #{k < 0 : beta_k >= i}: they are the Frobenius coordinates
+    (a | b) of a diagram, and by the forward half a diagram's arms, legs
+    and diagonals determine each other so.  Hence the step check is
+    exact, and nothing after it can fail: a non-integer c_k, a signed sum
+    of beta, makes some beta_k non-integer and fails a step; the beta_k
+    sum to c_(low-1) - c_(high+1) + n = n; and `_q_content_sum`'s running
+    sums undo the first difference, so the diagram has eigenvalue p.
     """
     _integer(n, "n", 1)
     terms = p.terms
-    if not all(is_int(coeff) for coeff in terms.values()):
-        raise InvalidSpectrum(f"non-integer coefficient in {p}")
     low, high = min(terms, default=1), max(terms, default=0)
     if len(terms) != high - low + 1 or not low <= 1 <= high + 1:
         raise InvalidSpectrum(f"exponents of {p} do not form one unbroken run through 0 or 1")
 
     contents = range(low - 1, high + 1)
     beta = [terms.get(k, 0) - terms.get(k + 1, 0) + (n if k == 0 else 0) for k in contents]
-    # The diagonals past the extremes are empty, so the extremes hold one box.
-    lengths = [0, *beta, 0]
-    if min(beta) < 0 or any(abs(a - b) > 1 for a, b in zip(lengths, lengths[1:])):
+    walks = (beta[1 - low :] + [0], beta[1 - low :: -1] + [0])  # outward from content 0
+    if any(a - b not in (0, 1) for walk in walks for a, b in zip(walk, walk[1:])):
         raise InvalidSpectrum(f"{p} does not give the diagonal lengths of a Young diagram for n={n}")
-
-    rows = _diagonals_to_rows({k: b for k, b in zip(contents, beta) if b})
-    try:
-        diagram = YoungDiagram(rows)
-    except ValueError as exc:
-        raise InvalidSpectrum(f"{p} does not reconstruct to a Young diagram") from exc
-    if diagram.n != n or invariant_eigenvalue(diagram) != p:
-        raise InvalidSpectrum(f"{p} is not the eigenvalue of any diagram of {n} boxes")
-    return diagram
+    return YoungDiagram(_diagonals_to_rows(dict(zip(contents, beta))))
 
 
 def central_character(p: int, g: YoungDiagram) -> int:

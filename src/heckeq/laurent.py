@@ -476,8 +476,6 @@ class LaurentPoly(SparseVector):
             raise ZeroSpecialization("cannot evaluate at q = 0")
         return sum((c * v**e for e, c in self._terms.items()), Fraction(0))
 
-    __call__ = evaluate
-
     def substitute_power(self, m: int) -> "LaurentPoly":
         """Apply q -> q^m (m a nonzero integer) by rescaling exponents."""
         if _integer(m, "substitution power") == 0:

@@ -205,6 +205,8 @@ def irrep_from_casimir(spectrum: LaurentPoly, N: int) -> SuqIrrep:
     The spectrum must be a sum of exactly N-1 distinct even powers of q
     with unit coefficients; sorting the halved exponents L_k in
     decreasing order and setting l_k = L_k + k rebuilds the row lengths.
+    The L_k are distinct, so l_k - l_(k+1) = L_k - L_(k+1) - 1 >= 0, and
+    the rows are an irrep's exactly when the last, L_(N-1) + N - 1, is >= 0.
     """
     _integer(N, "N", 2)
     terms = spectrum.terms
@@ -215,11 +217,9 @@ def irrep_from_casimir(spectrum: LaurentPoly, N: int) -> SuqIrrep:
     if any(e % 2 for e in terms):
         raise InvalidSpectrum(f"exponents must be even in {spectrum}")
     big_l = sorted((e // 2 for e in terms), reverse=True)
-    rows = tuple(l + k for k, l in enumerate(big_l, start=1))
-    try:
-        return SuqIrrep.from_rows(N, rows)
-    except ValueError as exc:
-        raise InvalidSpectrum(f"{spectrum} does not sort into valid row lengths") from exc
+    if big_l[-1] < 1 - N:
+        raise InvalidSpectrum(f"{spectrum} does not sort into valid row lengths")
+    return SuqIrrep.from_rows(N, tuple(l + k for k, l in enumerate(big_l, start=1)))
 
 
 def _q0_above_one(q0) -> Fraction:

@@ -32,9 +32,8 @@ One pass over the projectors checks both relations for every g.
 Idempotence is that pass followed by the tau conditions, and
 orthogonality reads the same pass.
 
-The eigenvalues are distinct at every q0 the oracle accepts, for any n:
-(q-1)/q (ev_g - ev_h) has extreme coefficients +-1, so no rational root
-but +-1, the q0 the oracle refuses (proved at `hecke_oracle._spectrum`).
+The eigenvalues are distinct at every q0 the oracle accepts, for any n
+(proved at `hecke_oracle._spectrum`).
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from heckeq import invariant
+from heckeq import invariant, laurent
 from heckeq.diagrams import dimension, partitions
 from heckeq.invariant import (
     InvalidSpectrum,
@@ -23,6 +23,24 @@ from heckeq.laurent import LaurentPoly, exp_series, q_content
 from heckeq.symgroup import class_size, murnaghan_nakayama_character
 
 from conftest import F, P, Y, box_contents
+
+# The two refusals of `reconstruct_diagram`.
+RUN = "do not form one unbroken run through 0 or 1"
+STEPS = "does not give the diagonal lengths of a Young diagram"
+INVALID_SPECTRA = [
+    ("2*q", 2, STEPS),  # doubled top diagonal
+    ("q^2+3*q-1", 5, STEPS),  # wrong box count
+    ("q^3+q", 4, RUN),  # gap in the positive exponents
+    ("1/2*q", 2, STEPS),  # fractional coefficient
+    ("1/2*q^3+q", 4, RUN),  # fractional coefficient past a gap
+    ("q+1", 2, STEPS),  # positive constant term
+    ("q^2", 3, RUN),  # positive run not starting at 1
+    ("-q^-2", 3, RUN),  # nonpositive run not reaching 0
+    # each neighbour within one box, but not a diagram's diagonals:
+    ("q^2+3*q-3-q^-1", 7, STEPS),  # 1,2,1,2,1 grows away from the main diagonal
+    ("q", 1, STEPS),  # 0,1: one box of content 1, rows (1,) of eigenvalue 0
+    ("-1", 1, STEPS),  # 1,0: one box of content -1, rows (0, 1)
+]
 
 
 def q_content_sum(g) -> LaurentPoly:
@@ -136,20 +154,37 @@ class TestReconstruction:
                     accepted += 1
         assert accepted > 10
 
-    @pytest.mark.parametrize(
-        "text,n",
-        [
-            ("2*q", 2),  # doubled top diagonal
-            ("q^2+3*q-1", 5),  # wrong box count
-            ("q^3+q", 4),  # gap in the positive exponents
-            ("1/2*q", 2),  # fractional coefficient
-            ("q+1", 2),  # positive constant term
-            ("q^2", 3),  # positive run not starting at 1
-            ("-q^-2", 3),  # nonpositive run not reaching 0
-        ],
-    )
-    def test_invalid_spectra(self, text, n):
-        with pytest.raises(InvalidSpectrum):
+    def test_diagonal_step_converse(self):
+        # the diagonal-step lemma both ways: the integer sequences that shrink
+        # by 0 or 1 at each step outward from content 0 and sum to n are
+        # exactly the diagonal counts of the diagrams of n, and each one's
+        # eigenvalue reconstructs to its diagram
+        def walks(top, budget):
+            # the lengths after one of length top, to the first 0, summing to at most budget
+            for length in {top, top - 1}:
+                if length == 0:
+                    yield ()
+                elif length <= budget:
+                    yield from ((length, *rest) for rest in walks(length, budget - length))
+
+        for n in range(1, 17):
+            sequences = [
+                {0: top, **{k: b for k, b in enumerate(right, 1)}, **{-k: b for k, b in enumerate(left, 1)}}
+                for top in range(1, n + 1)
+                for right in walks(top, n - top)
+                for left in walks(top, n - top - sum(right))
+                if top + sum(right) + sum(left) == n
+            ]
+            diagrams = {frozenset(g.diagonal_counts().items()): g for g in partitions(n)}
+            keys = [frozenset(beta.items()) for beta in sequences]
+            assert len(keys) == len(set(keys)) == len(diagrams) and set(keys) == diagrams.keys(), n
+            for beta, key in zip(sequences, keys):
+                assert reconstruct_diagram(laurent.q_content_sum(beta), n) == diagrams[key]
+        assert len(sequences) == 231
+
+    @pytest.mark.parametrize("text,n,message", INVALID_SPECTRA, ids=[f"{t}-{n}" for t, n, _ in INVALID_SPECTRA])
+    def test_invalid_spectra(self, text, n, message):
+        with pytest.raises(InvalidSpectrum, match=message):
             reconstruct_diagram(P(text), n)
 
 

@@ -226,8 +226,25 @@ class TestReconstruction:
 
     def test_negative_row_rejected(self):
         # L = (0, -3) -> l = (1, -1), not a valid top row
-        with pytest.raises(InvalidSpectrum):
+        with pytest.raises(InvalidSpectrum, match="does not sort into valid row lengths"):
             irrep_from_casimir(P("1+q^-6"), 3)
+
+    def test_exhaustive_exponent_window(self):
+        # N - 1 distinct even exponents always sort into weakly decreasing rows,
+        # so they are an irrep's spectrum exactly when the last row,
+        # least exponent / 2 + N - 1, is not negative
+        accepted = refused = 0
+        for N in range(2, 7):
+            for exponents in combinations(range(-2 * N - 2, 13, 2), N - 1):
+                p = LaurentPoly(dict.fromkeys(exponents, 1))
+                if exponents[0] >= -2 * (N - 1):
+                    assert casimir_eigenvalue(irrep_from_casimir(p, N)) == p
+                    accepted += 1
+                else:
+                    with pytest.raises(InvalidSpectrum, match="does not sort into valid row lengths"):
+                        irrep_from_casimir(p, N)
+                    refused += 1
+        assert (accepted, refused) == (1286, 1716)
 
 
 class TestChevalleyData:
